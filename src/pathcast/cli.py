@@ -341,18 +341,11 @@ _SERIES_HEADER = "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss
 
 
 def _series_csv(config, points):
+    middle = ",".join(["", config.model.value, config.environment.value,
+                       f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
+                       config.mode.value, ""])
     lines = [_SERIES_HEADER]
-    for distance, result in points:
-        lines.append(",".join([
-            f"{distance:.2f}",
-            config.model.value,
-            config.environment.value,
-            f"{config.freq_mhz:.2f}",
-            f"{config.bs_m:.2f}",
-            f"{config.rx_m:.2f}",
-            config.mode.value,
-            f"{result.total_db:.2f}",
-        ]))
+    lines.extend(f"{distance:.2f}{middle}{result.total_db:.2f}" for distance, result in points)
     return "\n".join(lines) + "\n"
 
 

@@ -10,12 +10,26 @@ affected take a :class:`FidelityMode`: ``CORRECTED`` (default) follows the
 standard literature definitions, ``AS_PRINTED`` follows the comparison
 source's printed formulas verbatim, falling back to the corrected branch
 (with a warning) where the printed branch set has gaps.
+
+Every model is a binder plus a per-distance evaluator.  The binder (``sui``,
+``okumura``, ``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``) takes
+the link and the model's other inputs, computes every term that does not
+depend on distance once, and returns ``at(distance_m) -> PathLossResult``.
+``at`` ignores ``link.distance_m``; it checks the distance, computes only the
+distance-dependent components and builds the result with :func:`_result` in
+the model's component order.  Each ``*_path_loss(link, ...)`` is
+``binder(link, ...)(link.distance_m)``, so a sweep over a bound model returns
+exactly what point-by-point evaluation returns.  That equality holds only if
+hoisting never reorders floating-point arithmetic: a binder may precompute a
+whole left-associated sub-expression (``10.0 * gamma`` out of
+``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
+but never regroup or reorder terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import DomainError
@@ -87,10 +101,12 @@ class RadioLink:
     sui_reference_distance_m: float = 100.0
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise DomainError(f"{field.name} must be finite")
         if self.frequency_mhz <= 0:
             raise DomainError("frequency must be positive")
-        if self.distance_m <= 0:
-            raise DomainError("distance must be positive")
+        _check_distance(self.distance_m)
         if not self.bs_height_m > self.rx_height_m > 0:
             raise DomainError("heights must satisfy bs_height > rx_height > 0")
         if self.sui_reference_distance_m <= 0:
@@ -156,6 +172,8 @@ class PathLossResult:
         labels = [label for label, _ in self.components]
         if len(set(labels)) != len(labels):
             raise DomainError("component labels must be unique")
+        if not math.isfinite(self.total_db):
+            raise DomainError("path-loss total must be finite")
         if abs(self.total_db - sum(v for _, v in self.components)) > 1e-9:
             raise DomainError("total does not equal the component sum")
 
@@ -164,6 +182,13 @@ class PathLossResult:
             if name == label:
                 return value
         raise KeyError(label)
+
+
+def _check_distance(distance_m):
+    if not math.isfinite(distance_m):
+        raise DomainError("distance must be finite")
+    if distance_m <= 0:
+        raise DomainError("distance must be positive")
 
 
 def _result(components, warnings=()):
@@ -223,24 +248,33 @@ def sui_shadowing(frequency_mhz: float, environment: Environment) -> float:
     return 0.65 * lf * lf - 1.3 * lf + alpha
 
 
-def sui_path_loss(link: RadioLink, environment: Environment,
-                  include_shadowing: bool = True) -> PathLossResult:
-    """SUI total: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S)."""
+def sui(link: RadioLink, environment: Environment, include_shadowing: bool = True):
+    """Bind SUI: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S); d must exceed d0."""
     d0 = link.sui_reference_distance_m
-    if link.distance_m <= d0:
-        raise DomainError(
-            f"distance {link.distance_m:g} m is below reference distance {d0:g} m")
     terrain = TERRAIN_FOR_ENVIRONMENT[environment]
-    gamma = sui_gamma(SUI_TERRAIN_PARAMS[terrain], link.bs_height_m)
-    components = [
-        ("free_space_ref", sui_reference_loss(link.frequency_mhz, d0)),
-        ("distance", 10.0 * gamma * _log10(link.distance_m / d0)),
+    slope = 10.0 * sui_gamma(SUI_TERRAIN_PARAMS[terrain], link.bs_height_m)
+    free_space_ref = sui_reference_loss(link.frequency_mhz, d0)
+    tail = [
         ("frequency_correction", sui_freq_correction(link.frequency_mhz)),
         ("height_correction", sui_height_correction(link.rx_height_m, terrain)),
     ]
     if include_shadowing:
-        components.append(("shadowing", sui_shadowing(link.frequency_mhz, environment)))
-    return _result(components)
+        tail.append(("shadowing", sui_shadowing(link.frequency_mhz, environment)))
+
+    def at(distance_m: float) -> PathLossResult:
+        _check_distance(distance_m)
+        if distance_m <= d0:
+            raise DomainError(
+                f"distance {distance_m:g} m is below reference distance {d0:g} m")
+        return _result([("free_space_ref", free_space_ref),
+                        ("distance", slope * _log10(distance_m / d0)), *tail])
+    return at
+
+
+def sui_path_loss(link: RadioLink, environment: Environment,
+                  include_shadowing: bool = True) -> PathLossResult:
+    """SUI total: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S)."""
+    return sui(link, environment, include_shadowing)(link.distance_m)
 
 
 # --------------------------------------------------------------------------
@@ -254,33 +288,52 @@ def okumura_antenna_gains(bs_height_m: float, rx_height_m: float) -> tuple[float
     return 20.0 * _log10(bs_height_m / 200.0), 10.0 * _log10(rx_height_m / 3.0)
 
 
-def okumura_path_loss(link: RadioLink, environment: Environment, curves,
-                      clamp: bool = False) -> PathLossResult:
-    """Okumura total: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env).
+def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
+    """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env).
 
     ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
     uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
     ``clamp`` is set, in which case the clamped axes are reported as warnings.
+    The area gain is looked up at the first point whose A_mu lookup
+    succeeds, so a point reports the same error as a fresh evaluation.
     """
     from .curves import amu_lookup, clamp_to_grid, garea_lookup
 
-    warnings = []
-    freq, dist = link.frequency_mhz, link.distance_m
-    if clamp:
-        freq, dist, notes = clamp_to_grid(curves, freq, dist)
-        warnings.extend(notes)
-    amu = amu_lookup(curves, freq, dist)
-    garea = garea_lookup(curves, freq, environment)
     g_bs, g_rx = okumura_antenna_gains(link.bs_height_m, link.rx_height_m)
-    free_space = 20.0 * _log10(4.0 * math.pi * link.distance_m / link.wavelength_m)
-    components = [
-        ("free_space", free_space),
-        ("median_attenuation", amu),
-        ("bs_height_gain", -g_bs),
-        ("rx_height_gain", -g_rx),
-        ("area_gain", -garea),
-    ]
-    return _result(components, warnings)
+    bs_gain, rx_gain = -g_bs, -g_rx
+    freq = link.frequency_mhz
+    wavelength = link.wavelength_m
+    area_gain = None
+
+    def at(distance_m: float) -> PathLossResult:
+        nonlocal area_gain
+        _check_distance(distance_m)
+        warnings = ()
+        f, dist = freq, distance_m
+        if clamp:
+            f, dist, warnings = clamp_to_grid(curves, f, dist)
+        amu = amu_lookup(curves, f, dist)
+        if area_gain is None:
+            area_gain = -garea_lookup(curves, f, environment)
+        free_space = 20.0 * _log10(4.0 * math.pi * distance_m / wavelength)
+        components = [
+            ("free_space", free_space),
+            ("median_attenuation", amu),
+            ("bs_height_gain", bs_gain),
+            ("rx_height_gain", rx_gain),
+            ("area_gain", area_gain),
+        ]
+        return _result(components, warnings)
+    return at
+
+
+def okumura_path_loss(link: RadioLink, environment: Environment, curves,
+                      clamp: bool = False) -> PathLossResult:
+    """Okumura total: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env).
+
+    Out-of-grid lookups raise unless ``clamp`` is set; see :func:`okumura`.
+    """
+    return okumura(link, environment, curves, clamp)(link.distance_m)
 
 
 # --------------------------------------------------------------------------
@@ -309,39 +362,57 @@ def hata_rx_correction(frequency_mhz: float, rx_height_m: float,
     return (1.1 * lf - 0.7) * rx_height_m - (1.56 * lf - 0.8)
 
 
-def cost231_hata_path_loss(link: RadioLink, environment: Environment,
-                           mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
-    """COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km."""
+def cost231_hata(link: RadioLink, environment: Environment,
+                 mode: FidelityMode = FidelityMode.CORRECTED):
+    """Bind COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km."""
     lo, hi = COST231_VALID_MHZ
-    warnings = []
+    warnings = ()
     if not lo <= link.frequency_mhz <= hi:
-        warnings.append(
+        warnings = (
             f"frequency {link.frequency_mhz:g} MHz outside model validity "
-            f"range {lo:g}-{hi:g} MHz")
-    components = [
+            f"range {lo:g}-{hi:g} MHz",)
+    head = [
         ("constant", 46.3),
         ("frequency", 33.9 * _log10(link.frequency_mhz)),
         ("bs_height", -13.82 * _log10(link.bs_height_m)),
         ("rx_correction", -hata_rx_correction(link.frequency_mhz, link.rx_height_m,
                                               environment, mode)),
-        ("distance", (44.9 - 6.55 * _log10(link.bs_height_m)) * _log10(link.distance_km)),
-        ("environment", 3.0 if environment is Environment.URBAN else 0.0),
     ]
-    return _result(components, warnings)
+    slope = 44.9 - 6.55 * _log10(link.bs_height_m)
+    area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
+
+    def at(distance_m: float) -> PathLossResult:
+        _check_distance(distance_m)
+        return _result([*head, ("distance", slope * _log10(distance_m / 1000.0)), area],
+                       warnings)
+    return at
+
+
+def cost231_hata_path_loss(link: RadioLink, environment: Environment,
+                           mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
+    """COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km."""
+    return cost231_hata(link, environment, mode)(link.distance_m)
 
 
 # --------------------------------------------------------------------------
 # COST-231 Walfisch-Ikegami
 # --------------------------------------------------------------------------
 
+def wi_los(link: RadioLink):
+    """Bind the line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
+    frequency = ("frequency", 20.0 * _log10(link.frequency_mhz))
+
+    def at(distance_m: float) -> PathLossResult:
+        _check_distance(distance_m)
+        return _result([("constant", 42.64),
+                        ("distance", 26.0 * _log10(distance_m / 1000.0)),
+                        frequency])
+    return at
+
+
 def wi_los_path_loss(link: RadioLink) -> PathLossResult:
     """Line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
-    components = [
-        ("constant", 42.64),
-        ("distance", 26.0 * _log10(link.distance_km)),
-        ("frequency", 20.0 * _log10(link.frequency_mhz)),
-    ]
-    return _result(components)
+    return wi_los(link)(link.distance_m)
 
 
 def wi_orientation_loss(orientation_deg: float) -> float:
@@ -361,7 +432,7 @@ def wi_rooftop_to_street(geometry: WiGeometry, frequency_mhz: float,
     """Rooftop-to-street diffraction L_RTS.
 
     The height difference is read as roof height minus receiver height (the
-    printed form reuses the base-station symbol; see wi_nlos_path_loss for
+    printed form reuses the base-station symbol; see wi_nlos for
     the warning surfacing the alternative reading).
     """
     if frequency_mhz <= 0:
@@ -375,69 +446,109 @@ def wi_rooftop_to_street(geometry: WiGeometry, frequency_mhz: float,
             + wi_orientation_loss(geometry.orientation_deg))
 
 
-def _wi_multiscreen_terms(geometry: WiGeometry, link: RadioLink,
-                          mode: FidelityMode):
-    """L_MSD term values plus any garbled-branch warnings."""
-    d_km = link.distance_km
-    freq = link.frequency_mhz
+def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: float,
+                    mode: FidelityMode):
+    """Bind L_MSD; returns ``at(d_km) -> (value, garbled-branch warnings)``."""
     roof = geometry.roof_height_m
-    delta = link.bs_height_m - roof  # BS height relative to the rooftops
-    warnings = []
+    delta = bs_height_m - roof  # BS height relative to the rooftops
+    printed = mode is FidelityMode.AS_PRINTED
+    if printed:
+        k_f = -4.0 + geometry.metro_factor_k * (frequency_mhz / 924.0)
+    else:
+        k_f = -4.0 + geometry.metro_factor_k * (frequency_mhz / 925.0 - 1.0)
+    frequency_term = k_f * _log10(frequency_mhz)
+    separation_term = 9.0 * _log10(geometry.building_separation_m)
 
-    if mode is FidelityMode.AS_PRINTED:
-        if delta > 0:
-            l_bsh = -18.0 * _log10(1.0 + delta)
-            k_a = 54.0
-            k_d = 18.0 + 15.0 * delta / roof
-        else:
-            # The printed branch sets only cover (d < 0.5 km) for L_BSH and
-            # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
+    if delta > 0:
+        base = -18.0 * _log10(1.0 + delta) + 54.0  # L_BSH + k_A
+        k_d = 18.0 + 15.0 * delta / roof if printed else 18.0
+
+        def at(d_km):
+            return base + k_d * _log10(d_km) + frequency_term - separation_term, ()
+        return at
+
+    scaled_delta = 0.8 * delta
+    k_d_below = 18.0 - 15.0 * delta / roof
+    if printed:
+        # The printed branch sets only cover (d < 0.5 km) for L_BSH and
+        # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
+        def at(d_km):
+            warnings = ()
             if d_km < 0.5:
-                l_bsh = 54.0 + 0.8 * delta * 2.0 * d_km
+                l_bsh = 54.0 + scaled_delta * 2.0 * d_km
             else:
                 l_bsh = 0.0
-                warnings.append(
+                warnings += (
                     "garbled branch: corrected definition substituted for the "
-                    "multiscreen base term below rooftop at d >= 0.5 km")
+                    "multiscreen base term below rooftop at d >= 0.5 km",)
             if d_km > 0.5:
-                k_a = 54.0 + 0.8 * delta
-            else:
-                k_a = 54.0 - 0.8 * delta * (d_km / 0.5)
-                warnings.append(
-                    "garbled branch: corrected definition substituted for the "
-                    "multiscreen range offset below rooftop at d <= 0.5 km")
-            if d_km > 0.5:
+                k_a = 54.0 + scaled_delta
                 k_d = 18.0
             else:
-                k_d = 18.0 - 15.0 * delta / roof
-                warnings.append(
+                k_a = 54.0 - scaled_delta * (d_km / 0.5)
+                k_d = k_d_below
+                warnings += (
+                    "garbled branch: corrected definition substituted for the "
+                    "multiscreen range offset below rooftop at d <= 0.5 km",
                     "garbled branch: corrected definition substituted for the "
                     "multiscreen distance slope below rooftop at d <= 0.5 km")
-        k_f = -4.0 + geometry.metro_factor_k * (freq / 924.0)
-    else:
-        if delta > 0:
-            l_bsh = -18.0 * _log10(1.0 + delta)
-            k_a = 54.0
-            k_d = 18.0
-        else:
-            l_bsh = 0.0
-            if d_km >= 0.5:
-                k_a = 54.0 - 0.8 * delta
-            else:
-                k_a = 54.0 - 0.8 * delta * (d_km / 0.5)
-            k_d = 18.0 - 15.0 * delta / roof
-        k_f = -4.0 + geometry.metro_factor_k * (freq / 925.0 - 1.0)
+            return (l_bsh + k_a + k_d * _log10(d_km) + frequency_term - separation_term,
+                    warnings)
+        return at
 
-    value = (l_bsh + k_a + k_d * _log10(d_km)
-             + k_f * _log10(freq) - 9.0 * _log10(geometry.building_separation_m))
-    return value, warnings
+    k_a_far = 54.0 - scaled_delta
+
+    def at(d_km):
+        # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
+        k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
+        return k_a + k_d_below * _log10(d_km) + frequency_term - separation_term, ()
+    return at
 
 
 def wi_multiscreen(geometry: WiGeometry, link: RadioLink,
                    mode: FidelityMode = FidelityMode.CORRECTED) -> float:
     """Multi-screen diffraction L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b."""
-    value, _ = _wi_multiscreen_terms(geometry, link, mode)
+    value, _ = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m,
+                               mode)(link.distance_km)
     return value
+
+
+def wi_nlos(geometry: WiGeometry, link: RadioLink,
+            mode: FidelityMode = FidelityMode.CORRECTED):
+    """Bind the NLOS total: free space + rooftop-to-street + multi-screen diffraction.
+
+    A negative diffraction sum is clamped to the free-space floor and
+    reported as a warning.
+    """
+    frequency_term = 20.0 * _log10(link.frequency_mhz)
+    rts = wi_rooftop_to_street(geometry, link.frequency_mhz, link.rx_height_m)
+    multiscreen = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m, mode)
+
+    height_warning = ()
+    if geometry.roof_height_m != link.bs_height_m:
+        alt = 20.0 * _log10(link.bs_height_m - link.rx_height_m)
+        shift = alt - 20.0 * _log10(geometry.roof_height_m - link.rx_height_m)
+        height_warning = (
+            f"height symbols bound to roof height {geometry.roof_height_m:g} m; "
+            f"the base-station reading ({link.bs_height_m:g} m) would shift the "
+            f"rooftop term by {shift:+.2f} dB",)
+
+    def at(distance_m: float) -> PathLossResult:
+        _check_distance(distance_m)
+        d_km = distance_m / 1000.0
+        msd, warnings = multiscreen(d_km)
+        warnings += height_warning
+        components = [
+            ("free_space", 32.45 + 20.0 * _log10(d_km) + frequency_term),
+            ("rooftop_to_street", rts),
+            ("multiscreen", msd),
+        ]
+        diffraction = rts + msd
+        if diffraction < 0.0:
+            components.append(("diffraction_floor", -diffraction))
+            warnings += ("negative diffraction sum clamped to the free-space floor",)
+        return _result(components, warnings)
+    return at
 
 
 def wi_nlos_path_loss(geometry: WiGeometry, link: RadioLink,
@@ -447,29 +558,7 @@ def wi_nlos_path_loss(geometry: WiGeometry, link: RadioLink,
     A negative diffraction sum is clamped to the free-space floor and
     reported as a warning.
     """
-    free_space = 32.45 + 20.0 * _log10(link.distance_km) + 20.0 * _log10(link.frequency_mhz)
-    rts = wi_rooftop_to_street(geometry, link.frequency_mhz, link.rx_height_m)
-    msd, warnings = _wi_multiscreen_terms(geometry, link, mode)
-
-    if geometry.roof_height_m != link.bs_height_m:
-        alt = 20.0 * _log10(link.bs_height_m - link.rx_height_m)
-        shift = alt - 20.0 * _log10(geometry.roof_height_m - link.rx_height_m)
-        warnings = warnings + [
-            f"height symbols bound to roof height {geometry.roof_height_m:g} m; "
-            f"the base-station reading ({link.bs_height_m:g} m) would shift the "
-            f"rooftop term by {shift:+.2f} dB"]
-
-    components = [
-        ("free_space", free_space),
-        ("rooftop_to_street", rts),
-        ("multiscreen", msd),
-    ]
-    diffraction = rts + msd
-    if diffraction < 0.0:
-        components.append(("diffraction_floor", -diffraction))
-        warnings = warnings + [
-            "negative diffraction sum clamped to the free-space floor"]
-    return _result(components, warnings)
+    return wi_nlos(geometry, link, mode)(link.distance_m)
 
 
 # --------------------------------------------------------------------------
@@ -484,27 +573,34 @@ def ericsson_gf(frequency_mhz: float) -> float:
     return 44.49 * lf - 4.78 * lf * lf
 
 
-def ericsson_path_loss(link: RadioLink,
-                       coeffs: EricssonCoefficients = EricssonCoefficients(),
-                       mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
-    """Ericsson 9999 total with adjustable a0..a3 coefficients.
+def ericsson(link: RadioLink,
+             coeffs: EricssonCoefficients = EricssonCoefficients(),
+             mode: FidelityMode = FidelityMode.CORRECTED):
+    """Bind Ericsson 9999 with adjustable a0..a3 coefficients.
 
     The fixed receiver-height offset is 3.2*(log10(11.75))^2 exactly as
     printed; corrected mode restores the receiver height inside the log,
     3.2*(log10(11.75*h_r))^2.
     """
     lb = _log10(link.bs_height_m)
-    ld = _log10(link.distance_km)
+    cross = coeffs.a3 * lb
     if mode is FidelityMode.AS_PRINTED:
         offset = 3.2 * _log10(11.75) ** 2
     else:
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2
-    components = [
-        ("constant", coeffs.a0),
-        ("distance", coeffs.a1 * ld),
-        ("bs_height", coeffs.a2 * lb),
-        ("bs_distance_cross", coeffs.a3 * lb * ld),
-        ("rx_height_offset", -offset),
-        ("frequency_gain", ericsson_gf(link.frequency_mhz)),
-    ]
-    return _result(components)
+    bs_height = ("bs_height", coeffs.a2 * lb)
+    tail = [("rx_height_offset", -offset), ("frequency_gain", ericsson_gf(link.frequency_mhz))]
+
+    def at(distance_m: float) -> PathLossResult:
+        _check_distance(distance_m)
+        ld = _log10(distance_m / 1000.0)
+        return _result([("constant", coeffs.a0), ("distance", coeffs.a1 * ld), bs_height,
+                        ("bs_distance_cross", cross * ld), *tail])
+    return at
+
+
+def ericsson_path_loss(link: RadioLink,
+                       coeffs: EricssonCoefficients = EricssonCoefficients(),
+                       mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
+    """Ericsson 9999 total with adjustable a0..a3 coefficients; see :func:`ericsson`."""
+    return ericsson(link, coeffs, mode)(link.distance_m)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Optional
@@ -28,12 +28,12 @@ from .propagation import (
     PathLossResult,
     RadioLink,
     WiGeometry,
-    cost231_hata_path_loss,
-    ericsson_path_loss,
-    okumura_path_loss,
-    sui_path_loss,
-    wi_los_path_loss,
-    wi_nlos_path_loss,
+    cost231_hata,
+    ericsson,
+    okumura,
+    sui,
+    wi_los,
+    wi_nlos,
 )
 
 
@@ -122,47 +122,54 @@ def default_scenario(environment: Environment,
     )
 
 
-def evaluate(model: ModelId, scenario: Scenario,
-             curves: Optional[CurveTable] = None) -> PathLossResult:
-    """Dispatch one scenario to the matching model.
+def bind(model: ModelId, scenario: Scenario,
+         curves: Optional[CurveTable] = None):
+    """Bind one scenario to the matching model; returns ``at(distance_m)``.
 
-    Walfisch-Ikegami follows the geometry's LOS flag (rural defaults to LOS,
-    urban/suburban to NLOS).  The scenario's shadow margin is appended as a
-    labeled component only when apply_shadow_margin is set.
+    The returned evaluator ignores ``scenario.link.distance_m`` and computes
+    only the distance-dependent terms per call.  Walfisch-Ikegami follows the
+    geometry's LOS flag (rural defaults to LOS, urban/suburban to NLOS).  The
+    scenario's shadow margin is appended as a labeled component only when
+    apply_shadow_margin is set.
     """
+    link = scenario.link
     if model is ModelId.SUI:
-        result = sui_path_loss(scenario.link, scenario.environment,
-                               scenario.include_sui_shadowing)
+        at = sui(link, scenario.environment, scenario.include_sui_shadowing)
     elif model is ModelId.OKUMURA:
         if curves is None:
             raise DomainError("curve table required for the okumura model")
-        result = okumura_path_loss(scenario.link, scenario.environment, curves)
+        at = okumura(link, scenario.environment, curves)
     elif model is ModelId.COST231_HATA:
-        result = cost231_hata_path_loss(scenario.link, scenario.environment,
-                                        scenario.mode)
+        at = cost231_hata(link, scenario.environment, scenario.mode)
     elif model is ModelId.WALFISCH_IKEGAMI:
         if scenario.wi_geometry.los:
-            result = wi_los_path_loss(scenario.link)
+            at = wi_los(link)
         else:
-            result = wi_nlos_path_loss(scenario.wi_geometry, scenario.link,
-                                       scenario.mode)
+            at = wi_nlos(scenario.wi_geometry, link, scenario.mode)
     elif model is ModelId.ERICSSON9999:
-        result = ericsson_path_loss(scenario.link, scenario.ericsson, scenario.mode)
+        at = ericsson(link, scenario.ericsson, scenario.mode)
     else:
         raise DomainError(f"unknown model {model!r}")
 
-    if scenario.apply_shadow_margin:
-        margin = scenario.shadow_margin_db
-        result = PathLossResult(
+    if not scenario.apply_shadow_margin:
+        return at
+    margin = scenario.shadow_margin_db
+    margin_component = (("shadow_margin", margin),)
+
+    def at_with_margin(distance_m: float) -> PathLossResult:
+        result = at(distance_m)
+        return PathLossResult(
             total_db=result.total_db + margin,
-            components=result.components + (("shadow_margin", margin),),
+            components=result.components + margin_component,
             warnings=result.warnings,
         )
-    return result
+    return at_with_margin
 
 
-def _with_distance(scenario: Scenario, distance_m: float) -> Scenario:
-    return replace(scenario, link=replace(scenario.link, distance_m=distance_m))
+def evaluate(model: ModelId, scenario: Scenario,
+             curves: Optional[CurveTable] = None) -> PathLossResult:
+    """Evaluate one scenario at its own distance; see :func:`bind`."""
+    return bind(model, scenario, curves)(scenario.link.distance_m)
 
 
 def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
@@ -186,23 +193,23 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
 
 def sweep(model: ModelId, scenario: Scenario, d_min_m: float, d_max_m: float,
           steps: int, curves: Optional[CurveTable] = None,
-          spacing: str = "log",
-          parallel: bool = False) -> tuple[tuple[float, PathLossResult], ...]:
-    """Evaluate the model over a distance sweep; ascending and deterministic
-    regardless of evaluation order."""
+          spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
+    """Evaluate the model over a distance sweep; ascending and deterministic.
+
+    The scenario is bound once and each point evaluates only the
+    distance-dependent terms; every point equals :func:`evaluate` at that
+    distance.  A failure names the distance it occurred at (the first one if
+    the scenario itself cannot be bound).
+    """
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
-
-    def eval_at(distance):
-        try:
-            return evaluate(model, _with_distance(scenario, distance), curves)
-        except PathcastError as exc:
-            raise DomainError(f"sweep aborted at {distance:.2f} m: {exc}") from exc
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(eval_at, distances))
-    else:
-        results = [eval_at(d) for d in distances]
+    distance = distances[0]
+    try:
+        at = bind(model, scenario, curves)
+        results = []
+        for distance in distances:
+            results.append(at(distance))
+    except PathcastError as exc:
+        raise DomainError(f"sweep aborted at {distance:.2f} m: {exc}") from exc
     return tuple(zip(distances, results))
 
 
@@ -284,8 +291,8 @@ def compare_against_reference(reference, tolerance_db: float,
 
     Individual evaluation failures become ledger notes, never aborts.
     """
-    if tolerance_db <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tolerance_db < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     entries = []
     for row in reference:
         anomaly = row.rural_db > row.urban_db
@@ -335,15 +342,19 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
 
     Bisection over [d_min, d_max]; requires the loss to bracket the target
     and to be monotone increasing over the bracket (checked by sampling).
-    The returned distance satisfies PL(d) <= max_loss within 1e-6 dB.
+    The scenario is bound once, so each probe evaluates only the
+    distance-dependent terms.  The returned distance satisfies
+    PL(d) <= max_loss within 1e-6 dB.
     """
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
 
-    def loss(distance):
-        return evaluate(model, _with_distance(scenario, distance), curves).total_db
-
     samples = sweep_distances(d_min_m, d_max_m, _MONOTONE_SAMPLES, "log")
+    at = bind(model, scenario, curves)
+
+    def loss(distance):
+        return at(distance).total_db
+
     values = [loss(d) for d in samples]
     for (d_a, v_a), (d_b, v_b) in zip(zip(samples, values), zip(samples[1:], values[1:])):
         if v_b < v_a:

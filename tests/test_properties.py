@@ -187,16 +187,13 @@ class TestInterpolationProperties:
 
 
 class TestSweepDeterminism:
-    def test_parallel_equals_serial(self, bundled_curves):
+    def test_repeated_runs_equal(self, bundled_curves):
         scenario = default_scenario(Environment.SUBURBAN)
         for model in (ModelId.SUI, ModelId.OKUMURA, ModelId.WALFISCH_IKEGAMI):
-            serial = sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves)
-            parallel_1 = sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves,
-                               parallel=True)
-            parallel_2 = sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves,
-                               parallel=True)
-            assert serial == parallel_1 == parallel_2
-            assert [d for d, _ in serial] == sorted(d for d, _ in serial)
+            runs = [sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves)
+                    for _ in range(3)]
+            assert runs[0] == runs[1] == runs[2]
+            assert [d for d, _ in runs[0]] == sorted(d for d, _ in runs[0])
 
 
 class TestPurity:

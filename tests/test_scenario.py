@@ -1,5 +1,7 @@
 """Scenario defaults, dispatch, sweeps, reference comparison, inversion."""
 
+import dataclasses
+
 import pytest
 
 from pathcast import (
@@ -136,6 +138,43 @@ class TestSweep:
             sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1)
 
 
+# Walfisch-Ikegami geometries: LOS, NLOS with the BS above and below the
+# roofs, and a wide street with a high mast whose diffraction sum is negative.
+_WI_VARIANTS = [
+    dict(wi_los=True),
+    dict(wi_los=False),
+    dict(wi_los=False, bs_height_m=12.0),
+    dict(wi_los=False, frequency_mhz=150.0, bs_height_m=120.0, rx_height_m=1.0,
+         roof_height_m=1.5, street_width_m=50.0, building_separation_m=100.0,
+         orientation_deg=0.0),
+]
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_sweep_points_equal_fresh_evaluation(model, bundled_curves):
+    """Binding once must not change a single bit of any point."""
+    d_min = 1000.0 if model is ModelId.OKUMURA else 150.0
+    variants = _WI_VARIANTS if model is ModelId.WALFISCH_IKEGAMI else [{}]
+    seen = set()
+    for env in Environment:
+        for mode in FidelityMode:
+            for margin in (False, True):
+                for variant in variants:
+                    kwargs = dict(variant, mode=mode, apply_shadow_margin=margin)
+                    points = sweep(model, default_scenario(env, **kwargs), d_min, 20_000.0,
+                                   41, bundled_curves)
+                    for distance, result in points:
+                        fresh = default_scenario(env, distance_m=distance, **kwargs)
+                        assert result == evaluate(model, fresh, bundled_curves)
+                        seen.update(label for label, _ in result.components)
+                        seen.update(result.warnings)
+    assert "shadow_margin" in seen
+    if model is ModelId.WALFISCH_IKEGAMI:
+        # all three garbled-branch warnings: the sweep crosses d = 0.5 km
+        assert sum(str(item).startswith("garbled branch") for item in seen) == 3
+        assert "diffraction_floor" in seen
+
+
 class TestCompare:
     def test_ledger_shape(self, bundled_curves):
         rows = load_reference_rows()
@@ -204,8 +243,8 @@ class TestInvertCellRange:
 
     def test_upper_boundary_fixed_point(self):
         s = default_scenario(Environment.RURAL)
-        from pathcast.scenario import _with_distance
-        top = evaluate(ModelId.WALFISCH_IKEGAMI, _with_distance(s, 10000.0)).total_db
+        at_top = dataclasses.replace(s, link=dataclasses.replace(s.link, distance_m=10000.0))
+        top = evaluate(ModelId.WALFISCH_IKEGAMI, at_top).total_db
         assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, top, 1000.0, 10000.0) == 10000.0
 
     def test_non_monotone_detected(self):
