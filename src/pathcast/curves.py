@@ -191,11 +191,11 @@ def _segment(samples, value):
     return min(max(i, 0), len(samples) - 2)
 
 
-def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float,
-               clamp: bool = False) -> float:
-    """Median attenuation, bilinear in (log f, log d); exact at grid nodes."""
-    if clamp:
-        frequency_mhz, distance_m, _ = clamp_to_grid(table, frequency_mhz, distance_m)
+def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> float:
+    """Median attenuation, bilinear in (log f, log d); exact at grid nodes.
+
+    Out-of-grid points raise; :func:`clamp_to_grid` pins them to the edge.
+    """
     dist_km = distance_m / 1000.0
     _check_bounds(frequency_mhz, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
     _check_bounds(dist_km, table.dist_km[0], table.dist_km[-1], "distance", "km")

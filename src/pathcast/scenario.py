@@ -180,6 +180,8 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     if not d_min_m < d_max_m:
         raise DomainError("sweep requires d_min < d_max")
     if spacing == "log":
+        if d_min_m <= 0:
+            raise DomainError("log spacing requires d_min > 0")
         ratio = d_max_m / d_min_m
         points = [d_min_m * ratio ** (i / (steps - 1)) for i in range(steps)]
     elif spacing == "linear":
@@ -191,8 +193,8 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     return points
 
 
-def sweep(model: ModelId, scenario: Scenario, d_min_m: float, d_max_m: float,
-          steps: int, curves: Optional[CurveTable] = None,
+def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
+          d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
           spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
     """Evaluate the model over a distance sweep; ascending and deterministic.
 
@@ -283,7 +285,7 @@ def load_reference_rows() -> tuple[ReferenceRow, ...]:
     return tuple(rows)
 
 
-def compare_against_reference(reference, tolerance_db: float,
+def compare_against_reference(reference, tolerance_db: float = 0.5,
                               curves: Optional[CurveTable] = None,
                               mode: FidelityMode = FidelityMode.CORRECTED,
                               ) -> DiscrepancyLedger:
@@ -336,7 +338,7 @@ _MONOTONE_SAMPLES = 17
 
 
 def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
-                      d_min_m: float, d_max_m: float,
+                      d_min_m: float = 1000.0, d_max_m: float = 10000.0,
                       curves: Optional[CurveTable] = None) -> float:
     """Largest distance whose loss does not exceed ``max_loss_db``.
 

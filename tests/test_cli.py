@@ -1,11 +1,12 @@
 """CLI argument parsing, precedence, exit codes and error mapping."""
 
 import json
+import re
 
 import pytest
 
-from pathcast import Environment, FidelityMode, ModelId
-from pathcast.cli import parse_args
+from pathcast import Environment, FidelityMode, ModelId, default_scenario
+from pathcast.cli import _scenario_from, parse_args
 
 from conftest import invoke_cli
 
@@ -89,6 +90,35 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "freq" in capsys.readouterr().err
 
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"freq_mhz": 2100, "steps": 7, "strict": True}))
+        config = parse_args(["sweep", "--model", "sui", "--config", str(path)])
+        assert type(config.freq_mhz) is float and config.freq_mhz == 2100.0
+        assert config.steps == 7
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"freq_mhz": true}', "freq_mhz"),
+        ('{"freq_mhz": "2100"}', "freq_mhz"),
+        ('{"freq_mhz": null}', "freq_mhz"),
+        ('{"freq_mhz": 1' + "0" * 400 + "}", "freq_mhz"),
+        ('{"steps": 2.9}', "steps"),
+        ('{"steps": 1e400}', "steps"),
+        ('{"steps": "5"}', "steps"),
+        ('{"apply_shadow_margin": 1}', "apply_shadow_margin"),
+        ('{"model": 3}', "model"),
+        ('{"curves": ["a.csv"]}', "curves"),
+    ], ids=["bool-for-float", "string-for-float", "null-for-float", "huge-int-for-float",
+            "float-for-int", "overflow-for-int", "string-for-int", "int-for-bool",
+            "int-for-enum", "list-for-string"])
+    def test_ill_typed_value_rejected(self, tmp_path, capsys, text, field):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["sweep", "--model", "sui", "--config", str(path)])
+        assert exc.value.code == 2
+        assert repr(field) in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -125,6 +155,9 @@ class TestRun:
         ["sweep", "--model", "cost231_hata", "--d-max-m", "inf"],
         ["compare", "--tolerance-db", "nan"],
         ["compare", "--tolerance-db", "inf"],
+        ["sweep", "--model", "sui", "--d-min-m", "0"],
+        ["sweep", "--model", "sui", "--d-min-m", "-1000"],
+        ["cell-range", "--model", "sui", "--max-loss-db", "130", "--d-min-m", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_input_exits_1(self, argv):
         code, out, err = invoke_cli(argv)
@@ -201,3 +234,57 @@ class TestRun:
             code, out, err = invoke_cli(argv + ["--output", output])
             assert code == 0, (argv, err)
             assert out
+
+
+REQUIRED_ARGS = {"pathloss": ["--model", "sui"], "sweep": ["--model", "sui"], "compare": [],
+                 "cell-range": ["--model", "sui", "--max-loss-db", "130"]}
+
+
+def _help_defaults(command, capsys):
+    """Flag -> the text of its "(default: X)" in ``command --help``."""
+    with pytest.raises(SystemExit):
+        parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    defaults = {}
+    for entry in re.split(r" (?=--(?!no-)[a-z])", text)[2:]:  # past "-h," and "--help"
+        match = re.search(r"\((required|default: [^)]*)\)", entry)
+        assert match, f"{command}: no default or (required) for {entry!r}"
+        if match.group(1) != "required":
+            defaults[entry.split()[0].rstrip(",")] = match.group(1)[len("default: "):]
+    return defaults
+
+
+class TestOneSourceOfTruth:
+    @pytest.mark.parametrize("env", [e.value for e in Environment])
+    def test_cli_defaults_are_the_library_defaults(self, env):
+        config = parse_args(["pathloss", "--model", "sui", "--env", env])
+        assert _scenario_from(config) == default_scenario(Environment(env))
+
+    @pytest.mark.parametrize("command", list(REQUIRED_ARGS))
+    def test_help_defaults_match_resolved_values(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("PATHCAST_CURVES", raising=False)
+        shown = _help_defaults(command, capsys)
+        assert ("--d-max-m" in shown) == (command in ("sweep", "cell-range"))
+        config = parse_args([command] + REQUIRED_ARGS[command])
+        per_environment = {"--orientation-deg": lambda s: s.wi_geometry.orientation_deg,
+                           "--metro-k": lambda s: s.wi_geometry.metro_factor_k,
+                           "--shadow-margin-db": lambda s: s.shadow_margin_db}
+        for flag, text in shown.items():
+            if flag in ("--config", "--curves"):
+                assert text in ("none", "$PATHCAST_CURVES")
+            elif flag in per_environment:
+                for group in text.split(" / "):
+                    value, names = group.split(" ", 1)
+                    for env in names.split(", "):
+                        scenario = _scenario_from(
+                            parse_args([command, "--env", env] + REQUIRED_ARGS[command]))
+                        assert per_environment[flag](scenario) == float(value), (flag, env)
+            else:
+                attr = flag[2:].replace("-", "_")
+                resolved = getattr(config, "environment" if attr == "env" else attr)
+                if isinstance(resolved, bool):
+                    assert text == ("on" if resolved else "off"), flag
+                elif isinstance(resolved, (int, float)):
+                    assert float(text.split()[0]) == resolved, flag
+                else:
+                    assert text.split()[0] == getattr(resolved, "value", resolved), flag

@@ -14,6 +14,7 @@ from pathcast import (
     load_curves,
     serialize_curves,
 )
+from pathcast.curves import clamp_to_grid
 
 import oracle
 
@@ -115,8 +116,9 @@ class TestAmuLookup:
 
     def test_clamp_returns_edge_value(self):
         table = load_curves(VALID)
-        clamped = amu_lookup(table, 5000.0, 150_000.0, clamp=True)
-        assert clamped == amu_lookup(table, 3000.0, 100_000.0)
+        freq, dist, notes = clamp_to_grid(table, 5000.0, 150_000.0)
+        assert amu_lookup(table, freq, dist) == amu_lookup(table, 3000.0, 100_000.0)
+        assert len(notes) == 2
 
     def test_monotone_in_distance_on_bundled_grid(self, bundled_curves):
         for row in bundled_curves.amu_db:

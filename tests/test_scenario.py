@@ -137,6 +137,22 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1)
 
+    @pytest.mark.parametrize("d_min", [0.0, -1000.0, float("-inf")])
+    def test_log_spacing_needs_positive_start(self, d_min):
+        s = default_scenario(Environment.RURAL)
+        with pytest.raises(DomainError, match="d_min > 0"):
+            sweep(ModelId.WALFISCH_IKEGAMI, s, d_min, 5000.0, steps=3)
+        with pytest.raises(DomainError, match="d_min > 0"):
+            invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, 120.0, d_min, 5000.0)
+
+    def test_default_range(self):
+        s = default_scenario(Environment.RURAL)
+        points = sweep(ModelId.WALFISCH_IKEGAMI, s)
+        assert (points[0][0], points[-1][0], len(points)) == (1000.0, 5000.0, 50)
+        # the default bracket reaches past the default sweep end, to 10 km
+        far = invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, points[-1][1].total_db + 5.0)
+        assert 5000.0 < far < 10000.0
+
 
 # Walfisch-Ikegami geometries: LOS, NLOS with the BS above and below the
 # roofs, and a wide street with a high mast whose diffraction sum is negative.
