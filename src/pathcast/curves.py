@@ -45,12 +45,16 @@ def _strictly_increasing(values) -> bool:
 
 
 def _parse_floats(fields, lineno):
+    """Every number in the file goes through here, so every number is finite."""
     out = []
     for field in fields:
         try:
-            out.append(float(field))
+            value = float(field)
         except ValueError:
             raise CurveParseError(f"line {lineno}: malformed number {field!r}") from None
+        if not math.isfinite(value):
+            raise CurveParseError(f"line {lineno}: non-finite value {field!r}")
+        out.append(value)
     return out
 
 
@@ -96,8 +100,6 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
                 raise CurveParseError(
                     f"line {lineno}: expected {len(dist_km)} attenuation values, "
                     f"got {len(values) - 1} (grid must be rectangular)")
-            if not all(math.isfinite(v) for v in values):
-                raise CurveParseError(f"line {lineno}: non-finite value")
             freq_mhz.append(values[0])
             rows.append(tuple(values[1:]))
         elif section == "garea":
@@ -110,8 +112,6 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
                     f"line {lineno}: unknown environment {env_name!r} "
                     f"(expected urban, suburban or rural)")
             gain = _parse_floats([fields[2]], lineno)[0]
-            if not math.isfinite(gain):
-                raise CurveParseError(f"line {lineno}: non-finite value")
             env = _ENVIRONMENTS[env_name]
             if env is Environment.URBAN and gain != 0.0:
                 raise CurveParseError(
@@ -175,13 +175,13 @@ def _check_bounds(value, lo, hi, axis, unit):
 def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
     """Clip (f, d) to the A_mu grid; returns the clipped pair plus notes for
     each axis that moved."""
-    notes = []
+    notes = ()
     f = min(max(frequency_mhz, table.freq_mhz[0]), table.freq_mhz[-1])
     if f != frequency_mhz:
-        notes.append(f"frequency {frequency_mhz:g} MHz clamped to grid edge {f:g} MHz")
+        notes += (f"frequency {frequency_mhz:g} MHz clamped to grid edge {f:g} MHz",)
     d_km = min(max(distance_m / 1000.0, table.dist_km[0]), table.dist_km[-1])
     if d_km != distance_m / 1000.0:
-        notes.append(f"distance {distance_m:g} m clamped to grid edge {d_km * 1000.0:g} m")
+        notes += (f"distance {distance_m:g} m clamped to grid edge {d_km * 1000.0:g} m",)
     return f, d_km * 1000.0, notes
 
 

@@ -16,8 +16,9 @@ Every model is a binder plus a per-distance evaluator.  The binder (``sui``,
 the link and the model's other inputs, computes every term that does not
 depend on distance once, and returns ``at(distance_m) -> PathLossResult``.
 ``at`` ignores ``link.distance_m``; it checks the distance, computes only the
-distance-dependent components and builds the result with :func:`_result` in
-the model's component order.  Each ``*_path_loss(link, ...)`` is
+distance-dependent components and builds the :class:`PathLossResult` in the
+model's component order, joining them to component tuples the binder built
+once.  Each ``*_path_loss(link, ...)`` is
 ``binder(link, ...)(link.distance_m)``, so a sweep over a bound model returns
 exactly what point-by-point evaluation returns.  That equality holds only if
 hoisting never reorders floating-point arithmetic: a binder may precompute a
@@ -29,7 +30,7 @@ but never regroup or reorder terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError
@@ -101,9 +102,7 @@ class RadioLink:
     sui_reference_distance_m: float = 100.0
 
     def __post_init__(self):
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise DomainError(f"{field.name} must be finite")
+        _check_finite(self)
         if self.frequency_mhz <= 0:
             raise DomainError("frequency must be positive")
         _check_distance(self.distance_m)
@@ -138,6 +137,7 @@ class WiGeometry:
     los: bool = False
 
     def __post_init__(self):
+        _check_finite(self)
         if self.street_width_m <= 0 or self.building_separation_m <= 0:
             raise DomainError("street width and building separation must be positive")
         if self.roof_height_m <= 0:
@@ -153,29 +153,35 @@ class EricssonCoefficients:
     a2: float = 12.0
     a3: float = 0.1
 
+    def __post_init__(self):
+        _check_finite(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PathLossResult:
     """Total loss plus an itemized breakdown and provenance warnings.
 
-    ``total_db`` always equals the sum of the component values; labels are
-    unique within one result.
+    Built as ``PathLossResult(components, warnings=())``; ``total_db`` is
+    computed, the left-to-right sum of the component values, and must be
+    finite.  Labels are unique within one result.
     """
 
-    total_db: float
+    total_db: float = field(init=False)
     components: tuple[tuple[str, float], ...]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.components:
+        by_label = dict(self.components)
+        if not by_label:
             raise DomainError("a path-loss result needs at least one component")
-        labels = [label for label, _ in self.components]
-        if len(set(labels)) != len(labels):
+        if len(by_label) != len(self.components):
             raise DomainError("component labels must be unique")
-        if not math.isfinite(self.total_db):
+        total = 0.0  # a plain left fold: sum() compensates floats from Python 3.12 on
+        for value in by_label.values():
+            total += value
+        if not math.isfinite(total):
             raise DomainError("path-loss total must be finite")
-        if abs(self.total_db - sum(v for _, v in self.components)) > 1e-9:
-            raise DomainError("total does not equal the component sum")
+        object.__setattr__(self, "total_db", total)
 
     def component(self, label: str) -> float:
         for name, value in self.components:
@@ -184,19 +190,18 @@ class PathLossResult:
         raise KeyError(label)
 
 
+def _check_finite(instance):
+    """Reject a non-finite field of a dataclass instance, naming the field."""
+    for name, value in vars(instance).items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+
+
 def _check_distance(distance_m):
     if not math.isfinite(distance_m):
         raise DomainError("distance must be finite")
     if distance_m <= 0:
         raise DomainError("distance must be positive")
-
-
-def _result(components, warnings=()):
-    return PathLossResult(
-        total_db=sum(v for _, v in components),
-        components=tuple(components),
-        warnings=tuple(warnings),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -253,21 +258,21 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     d0 = link.sui_reference_distance_m
     terrain = TERRAIN_FOR_ENVIRONMENT[environment]
     slope = 10.0 * sui_gamma(SUI_TERRAIN_PARAMS[terrain], link.bs_height_m)
-    free_space_ref = sui_reference_loss(link.frequency_mhz, d0)
-    tail = [
+    free_space_ref = ("free_space_ref", sui_reference_loss(link.frequency_mhz, d0))
+    tail = (
         ("frequency_correction", sui_freq_correction(link.frequency_mhz)),
         ("height_correction", sui_height_correction(link.rx_height_m, terrain)),
-    ]
+    )
     if include_shadowing:
-        tail.append(("shadowing", sui_shadowing(link.frequency_mhz, environment)))
+        tail += (("shadowing", sui_shadowing(link.frequency_mhz, environment)),)
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         if distance_m <= d0:
             raise DomainError(
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
-        return _result([("free_space_ref", free_space_ref),
-                        ("distance", slope * _log10(distance_m / d0)), *tail])
+        return PathLossResult(
+            (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
     return at
 
 
@@ -300,30 +305,25 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     from .curves import amu_lookup, clamp_to_grid, garea_lookup
 
     g_bs, g_rx = okumura_antenna_gains(link.bs_height_m, link.rx_height_m)
-    bs_gain, rx_gain = -g_bs, -g_rx
+    bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
-    area_gain = None
+    area = None
 
     def at(distance_m: float) -> PathLossResult:
-        nonlocal area_gain
+        nonlocal area
         _check_distance(distance_m)
         warnings = ()
         f, dist = freq, distance_m
         if clamp:
             f, dist, warnings = clamp_to_grid(curves, f, dist)
         amu = amu_lookup(curves, f, dist)
-        if area_gain is None:
-            area_gain = -garea_lookup(curves, f, environment)
+        if area is None:
+            area = ("area_gain", -garea_lookup(curves, f, environment))
         free_space = 20.0 * _log10(4.0 * math.pi * distance_m / wavelength)
-        components = [
-            ("free_space", free_space),
-            ("median_attenuation", amu),
-            ("bs_height_gain", bs_gain),
-            ("rx_height_gain", rx_gain),
-            ("area_gain", area_gain),
-        ]
-        return _result(components, warnings)
+        return PathLossResult(
+            (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
+            warnings)
     return at
 
 
@@ -371,20 +371,20 @@ def cost231_hata(link: RadioLink, environment: Environment,
         warnings = (
             f"frequency {link.frequency_mhz:g} MHz outside model validity "
             f"range {lo:g}-{hi:g} MHz",)
-    head = [
+    head = (
         ("constant", 46.3),
         ("frequency", 33.9 * _log10(link.frequency_mhz)),
         ("bs_height", -13.82 * _log10(link.bs_height_m)),
         ("rx_correction", -hata_rx_correction(link.frequency_mhz, link.rx_height_m,
                                               environment, mode)),
-    ]
+    )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
-        return _result([*head, ("distance", slope * _log10(distance_m / 1000.0)), area],
-                       warnings)
+        return PathLossResult(
+            head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
     return at
 
 
@@ -404,9 +404,8 @@ def wi_los(link: RadioLink):
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
-        return _result([("constant", 42.64),
-                        ("distance", 26.0 * _log10(distance_m / 1000.0)),
-                        frequency])
+        return PathLossResult(
+            (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
     return at
 
 
@@ -522,6 +521,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     """
     frequency_term = 20.0 * _log10(link.frequency_mhz)
     rts = wi_rooftop_to_street(geometry, link.frequency_mhz, link.rx_height_m)
+    rooftop = ("rooftop_to_street", rts)
     multiscreen = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m, mode)
 
     height_warning = ()
@@ -538,16 +538,13 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         d_km = distance_m / 1000.0
         msd, warnings = multiscreen(d_km)
         warnings += height_warning
-        components = [
-            ("free_space", 32.45 + 20.0 * _log10(d_km) + frequency_term),
-            ("rooftop_to_street", rts),
-            ("multiscreen", msd),
-        ]
+        components = (("free_space", 32.45 + 20.0 * _log10(d_km) + frequency_term),
+                      rooftop, ("multiscreen", msd))
         diffraction = rts + msd
         if diffraction < 0.0:
-            components.append(("diffraction_floor", -diffraction))
+            components += (("diffraction_floor", -diffraction),)
             warnings += ("negative diffraction sum clamped to the free-space floor",)
-        return _result(components, warnings)
+        return PathLossResult(components, warnings)
     return at
 
 
@@ -588,14 +585,15 @@ def ericsson(link: RadioLink,
         offset = 3.2 * _log10(11.75) ** 2
     else:
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2
-    bs_height = ("bs_height", coeffs.a2 * lb)
-    tail = [("rx_height_offset", -offset), ("frequency_gain", ericsson_gf(link.frequency_mhz))]
+    constant, bs_height = ("constant", coeffs.a0), ("bs_height", coeffs.a2 * lb)
+    tail = (("rx_height_offset", -offset), ("frequency_gain", ericsson_gf(link.frequency_mhz)))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         ld = _log10(distance_m / 1000.0)
-        return _result([("constant", coeffs.a0), ("distance", coeffs.a1 * ld), bs_height,
-                        ("bs_distance_cross", cross * ld), *tail])
+        return PathLossResult(
+            (constant, ("distance", coeffs.a1 * ld), bs_height,
+             ("bs_distance_cross", cross * ld)) + tail)
     return at
 
 

@@ -153,16 +153,11 @@ def bind(model: ModelId, scenario: Scenario,
 
     if not scenario.apply_shadow_margin:
         return at
-    margin = scenario.shadow_margin_db
-    margin_component = (("shadow_margin", margin),)
+    margin_component = (("shadow_margin", scenario.shadow_margin_db),)
 
     def at_with_margin(distance_m: float) -> PathLossResult:
         result = at(distance_m)
-        return PathLossResult(
-            total_db=result.total_db + margin,
-            components=result.components + margin_component,
-            warnings=result.warnings,
-        )
+        return PathLossResult(result.components + margin_component, result.warnings)
     return at_with_margin
 
 

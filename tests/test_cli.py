@@ -62,6 +62,13 @@ class TestParseArgs:
             parse_args(["cell-range", "--model", "sui"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "sweep"]])
+    def test_top_level_help_lists_every_command(self, argv):
+        code, out, _ = invoke_cli(argv)
+        assert code == 0
+        for command in ("pathloss", "sweep", "compare", "cell-range"):
+            assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
+
 
 class TestConfigFile:
     def test_flags_override_config_overrides_defaults(self, tmp_path):
@@ -158,6 +165,11 @@ class TestRun:
         ["sweep", "--model", "sui", "--d-min-m", "0"],
         ["sweep", "--model", "sui", "--d-min-m", "-1000"],
         ["cell-range", "--model", "sui", "--max-loss-db", "130", "--d-min-m", "0"],
+        ["pathloss", "--model", "walfisch_ikegami", "--street-width-m", "nan"],
+        ["pathloss", "--model", "walfisch_ikegami", "--building-sep-m", "inf"],
+        ["sweep", "--model", "walfisch_ikegami", "--roof-height-m", "inf"],
+        ["pathloss", "--model", "ericsson9999", "--a1", "nan"],
+        ["pathloss", "--model", "sui", "--a0", "inf"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_input_exits_1(self, argv):
         code, out, err = invoke_cli(argv)

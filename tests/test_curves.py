@@ -87,6 +87,16 @@ class TestLoad:
         with pytest.raises(CurveParseError, match="urban"):
             load_curves(bad)
 
+    def test_non_finite_distance_header(self):
+        bad = VALID.replace("AMU,1,10,100", "AMU,1,10,inf")
+        with pytest.raises(CurveParseError, match="line 2: non-finite"):
+            load_curves(bad)
+
+    def test_non_finite_area_gain_frequency(self):
+        bad = VALID.replace("100,rural,20.0", "inf,rural,20.0")
+        with pytest.raises(CurveParseError, match="line 12: non-finite"):
+            load_curves(bad)
+
     def test_round_trip_identity(self, bundled_curves):
         assert load_curves(serialize_curves(bundled_curves)) == bundled_curves
         table = load_curves(VALID)

@@ -3,6 +3,7 @@
 import pytest
 
 from pathcast import (
+    DomainError,
     EricssonCoefficients,
     FidelityMode,
     RadioLink,
@@ -43,6 +44,12 @@ class TestPathLoss:
         corrected = ericsson_path_loss(link, mode=FidelityMode.CORRECTED)
         assert printed.total_db - corrected.total_db == pytest.approx(
             3.995904994342885, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["a0", "a1", "a2", "a3"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_named(self, name, bad):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            EricssonCoefficients(**{name: bad})
 
     def test_custom_coefficients(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)

@@ -1,16 +1,23 @@
 """Property suites over seeded random inputs (>= 100 cases each)."""
 
+import dataclasses
+import math
 import random
 
+import pytest
+
 from pathcast import (
+    DomainError,
     Environment,
     FidelityMode,
     ModelId,
+    PathLossResult,
     RadioLink,
     SUI_TERRAIN_PARAMS,
     SuiTerrain,
     WiGeometry,
     amu_lookup,
+    bind,
     cost231_hata_path_loss,
     default_scenario,
     ericsson_path_loss,
@@ -208,3 +215,50 @@ class TestPurity:
                 wi_nlos_path_loss(geometry, link, mode)
             assert okumura_path_loss(link, env, bundled_curves, clamp=True) == \
                 okumura_path_loss(link, env, bundled_curves, clamp=True)
+
+
+class TestResultInvariants:
+    def test_total_is_left_to_right_sum(self):
+        # A compensated sum (sum() of floats from Python 3.12 on) gives 0.6 here
+        components = (("a", 0.1), ("b", 0.2), ("c", 0.3), ("d", -1e-17))
+        result = PathLossResult(components, ("note",))
+        assert result.total_db == (((0.1 + 0.2) + 0.3) + -1e-17) == 0.6000000000000001
+        assert result.warnings == ("note",)
+        assert not hasattr(result, "__dict__")
+
+    def test_total_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            PathLossResult(total_db=1.0, components=(("a", 1.0),))
+        result = PathLossResult((("a", 1.0),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.total_db = 2.0
+
+    def test_empty_components(self):
+        with pytest.raises(DomainError, match="at least one component"):
+            PathLossResult(())
+
+    def test_duplicate_label(self):
+        with pytest.raises(DomainError, match="unique"):
+            PathLossResult((("a", 1.0), ("b", 2.0), ("a", 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            PathLossResult((("a", 1.0), ("b", bad)))
+
+    def test_margin_adds_exactly(self, bundled_curves):
+        rng = random.Random(77)
+        for _ in range(N_CASES):
+            env = rng.choice(list(Environment))
+            base = default_scenario(env, frequency_mhz=rng.uniform(500.0, 2000.0),
+                                    mode=rng.choice(list(FidelityMode)))
+            margined = dataclasses.replace(base, apply_shadow_margin=True,
+                                           shadow_margin_db=rng.uniform(0.0, 12.0))
+            model = rng.choice(list(ModelId))
+            d = rng.uniform(1000.0, 20_000.0)
+            plain = bind(model, base, bundled_curves)(d)
+            result = bind(model, margined, bundled_curves)(d)
+            assert result.total_db == plain.total_db + margined.shadow_margin_db
+            assert result.components == \
+                plain.components + (("shadow_margin", margined.shadow_margin_db),)
+            assert result.warnings == plain.warnings

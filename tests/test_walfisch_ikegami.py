@@ -62,6 +62,15 @@ class TestOrientation:
             wi_orientation_loss(90.001)
 
 
+class TestGeometry:
+    @pytest.mark.parametrize("name", ["street_width_m", "building_separation_m",
+                                      "roof_height_m", "orientation_deg", "metro_factor_k"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_named(self, name, bad):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            WiGeometry(**{name: bad})
+
+
 class TestRooftopToStreet:
     def test_urban_defaults(self):
         assert wi_rooftop_to_street(URBAN_GEOMETRY, 1900.0, 3.0) == pytest.approx(
