@@ -142,15 +142,15 @@ def _help(default, text):
     return (text if "{}" in text else text + " (default: {})").format(shown)
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The pathcast parser; with ``only`` set, just that subcommand gets its flags."""
+def _build_parser(only) -> argparse.ArgumentParser:
+    """The pathcast parser; only the subcommand named ``only`` gets its flags."""
     parser = argparse.ArgumentParser(
         prog="pathcast",
         description="Empirical radio path-loss models with scenario comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        if only is not None and command != only:
+        if command != only:
             continue
         for name, kind, default, choices, text in _command_fields(command):
             flag, text = "--" + name.replace("_", "-"), _help(default, text)
@@ -197,11 +197,11 @@ def parse_args(argv=None) -> SimpleNamespace:
     Returns ``command`` plus one attribute per table field (``env`` as
     ``environment``), enum fields as members.  A field the command does not
     take keeps its table default; the config file cannot set it.  Only the
-    named command's flags are built; anything else (``-h``, no argument, an
-    unknown command) gets the full parser.
+    named command's flags are built: top-level help and usage errors list
+    command names and summaries, never a subcommand's flags.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _build_parser(argv[0] if argv else None)
     flags = {k: v for k, v in vars(parser.parse_args(argv)).items() if v is not None}
     command, path = flags.pop("command"), flags.pop("config", None)
     config = _load_config_file(parser, path) if path else {}

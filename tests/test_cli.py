@@ -41,6 +41,12 @@ class TestParseArgs:
             parse_args([])
         assert exc.value.code == 2
 
+    def test_unknown_command_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["pathlos", "--model", "sui"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pathlos'" in capsys.readouterr().err
+
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["pathloss", "--model", "sui", "--frobnicate", "1"])
