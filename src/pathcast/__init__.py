@@ -30,26 +30,19 @@ from .propagation import (
     SuiTerrainParams,
     WiGeometry,
     cost231_hata,
-    cost231_hata_path_loss,
     ericsson,
     ericsson_gf,
-    ericsson_path_loss,
     hata_rx_correction,
     okumura,
     okumura_antenna_gains,
-    okumura_path_loss,
     sui,
     sui_freq_correction,
     sui_gamma,
     sui_height_correction,
-    sui_path_loss,
     sui_reference_loss,
     sui_shadowing,
     wi_los,
-    wi_los_path_loss,
-    wi_multiscreen,
     wi_nlos,
-    wi_nlos_path_loss,
     wi_orientation_loss,
     wi_rooftop_to_street,
 )

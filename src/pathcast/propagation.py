@@ -11,18 +11,18 @@ standard literature definitions, ``AS_PRINTED`` follows the comparison
 source's printed formulas verbatim, falling back to the corrected branch
 (with a warning) where the printed branch set has gaps.
 
-Every model is a binder plus a per-distance evaluator.  The binder (``sui``,
-``okumura``, ``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``) takes
-the link and the model's other inputs, computes every term that does not
-depend on distance once, and returns ``at(distance_m) -> PathLossResult``.
-``at`` ignores ``link.distance_m``; it checks the distance, computes only the
+Each model has one entry point, its binder (``sui``, ``okumura``,
+``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``).  It takes the link
+and the model's other inputs, computes every term that does not depend on
+distance once, and returns ``at(distance_m) -> PathLossResult``.  ``at``
+ignores ``link.distance_m``; it checks the distance, computes only the
 distance-dependent components and builds the :class:`PathLossResult` in the
 model's component order, joining them to component tuples the binder built
-once.  Each ``*_path_loss(link, ...)`` is
-``binder(link, ...)(link.distance_m)``, so a sweep over a bound model returns
-exactly what point-by-point evaluation returns.  That equality holds only if
-hoisting never reorders floating-point arithmetic: a binder may precompute a
-whole left-associated sub-expression (``10.0 * gamma`` out of
+once.  The loss at the link's own distance is
+``binder(link, ...)(link.distance_m)``, and a sweep over a bound model
+returns exactly what a fresh binding returns at each point.  That equality
+holds only if hoisting never reorders floating-point arithmetic: a binder may
+precompute a whole left-associated sub-expression (``10.0 * gamma`` out of
 ``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
 but never regroup or reorder terms.
 """
@@ -103,8 +103,7 @@ class RadioLink:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.frequency_mhz <= 0:
-            raise DomainError("frequency must be positive")
+        _check_frequency(self.frequency_mhz)
         _check_distance(self.distance_m)
         if not self.bs_height_m > self.rx_height_m > 0:
             raise DomainError("heights must satisfy bs_height > rx_height > 0")
@@ -113,11 +112,7 @@ class RadioLink:
 
     @property
     def wavelength_m(self) -> float:
-        return LIGHT_SPEED_M_S / (self.frequency_mhz * 1e6)
-
-    @property
-    def distance_km(self) -> float:
-        return self.distance_m / 1000.0
+        return _check_frequency(self.frequency_mhz)
 
 
 @dataclass(frozen=True)
@@ -184,10 +179,7 @@ class PathLossResult:
         object.__setattr__(self, "total_db", total)
 
     def component(self, label: str) -> float:
-        for name, value in self.components:
-            if name == label:
-                return value
-        raise KeyError(label)
+        return dict(self.components)[label]
 
 
 def _check_finite(instance):
@@ -200,8 +192,26 @@ def _check_finite(instance):
 def _check_distance(distance_m):
     if not math.isfinite(distance_m):
         raise DomainError("distance must be finite")
-    if distance_m <= 0:
-        raise DomainError("distance must be positive")
+    if not distance_m / 1000.0 > 0.0:  # a subnormal distance underflows to 0 km
+        raise DomainError("distance must be positive" if distance_m <= 0
+                          else f"distance {distance_m:g} m underflows to 0 km")
+
+
+def _check_frequency(frequency_mhz):
+    """Return the wavelength c/f, which must be finite and nonzero for f > 0."""
+    if not frequency_mhz > 0:
+        raise DomainError("frequency must be positive")
+    wavelength = LIGHT_SPEED_M_S / (frequency_mhz * 1e6)
+    if wavelength == 0.0 or wavelength == math.inf:
+        raise DomainError(f"frequency {frequency_mhz:g} MHz has no finite, nonzero wavelength")
+    return wavelength
+
+
+def _log10_positive(value, what):
+    """log10 of a positive quotient or product, which can still underflow to 0."""
+    if value == 0.0:
+        raise DomainError(f"{what} underflows to 0")
+    return _log10(value)
 
 
 # --------------------------------------------------------------------------
@@ -217,18 +227,15 @@ def sui_gamma(params: SuiTerrainParams, bs_height_m: float) -> float:
 
 def sui_reference_loss(frequency_mhz: float, d0_m: float) -> float:
     """Free-space loss at the reference distance: 20*log10(4*pi*d0/lambda)."""
-    if frequency_mhz <= 0:
-        raise DomainError("frequency must be positive")
+    wavelength = _check_frequency(frequency_mhz)
     if d0_m <= 0:
         raise DomainError("reference distance must be positive")
-    wavelength = LIGHT_SPEED_M_S / (frequency_mhz * 1e6)
-    return 20.0 * _log10(4.0 * math.pi * d0_m / wavelength)
+    return 20.0 * _log10_positive(4.0 * math.pi * d0_m / wavelength, "4*pi*d0/lambda")
 
 
 def sui_freq_correction(frequency_mhz: float) -> float:
     """Frequency correction X_f = 6*log10(f/2000)."""
-    if frequency_mhz <= 0:
-        raise DomainError("frequency must be positive")
+    _check_frequency(frequency_mhz)
     return 6.0 * _log10(frequency_mhz / 2000.0)
 
 
@@ -237,7 +244,7 @@ def sui_height_correction(rx_height_m: float, terrain: SuiTerrain) -> float:
     if rx_height_m <= 0:
         raise DomainError("receiver height must be positive")
     slope = -20.0 if terrain is SuiTerrain.C else -10.8
-    return slope * _log10(rx_height_m / 2000.0)
+    return slope * _log10_positive(rx_height_m / 2000.0, "h_r/2000")
 
 
 def sui_shadowing(frequency_mhz: float, environment: Environment) -> float:
@@ -246,8 +253,7 @@ def sui_shadowing(frequency_mhz: float, environment: Environment) -> float:
     alpha is bound by environment name: 6.6 dB urban, 5.2 dB suburban/rural.
     Deterministic by design; no random sampling.
     """
-    if frequency_mhz <= 0:
-        raise DomainError("frequency must be positive")
+    _check_frequency(frequency_mhz)
     alpha = 6.6 if environment is Environment.URBAN else 5.2
     lf = _log10(frequency_mhz)
     return 0.65 * lf * lf - 1.3 * lf + alpha
@@ -276,12 +282,6 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     return at
 
 
-def sui_path_loss(link: RadioLink, environment: Environment,
-                  include_shadowing: bool = True) -> PathLossResult:
-    """SUI total: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S)."""
-    return sui(link, environment, include_shadowing)(link.distance_m)
-
-
 # --------------------------------------------------------------------------
 # Okumura
 # --------------------------------------------------------------------------
@@ -290,7 +290,8 @@ def okumura_antenna_gains(bs_height_m: float, rx_height_m: float) -> tuple[float
     """Antenna gain factors G(h_b) = 20*log10(h_b/200), G(h_r) = 10*log10(h_r/3)."""
     if bs_height_m <= 0 or rx_height_m <= 0:
         raise DomainError("antenna heights must be positive")
-    return 20.0 * _log10(bs_height_m / 200.0), 10.0 * _log10(rx_height_m / 3.0)
+    return (20.0 * _log10_positive(bs_height_m / 200.0, "h_b/200"),
+            10.0 * _log10_positive(rx_height_m / 3.0, "h_r/3"))
 
 
 def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
@@ -320,20 +321,12 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         amu = amu_lookup(curves, f, dist)
         if area is None:
             area = ("area_gain", -garea_lookup(curves, f, environment))
-        free_space = 20.0 * _log10(4.0 * math.pi * distance_m / wavelength)
+        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
+                                            "4*pi*d/lambda")
         return PathLossResult(
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
     return at
-
-
-def okumura_path_loss(link: RadioLink, environment: Environment, curves,
-                      clamp: bool = False) -> PathLossResult:
-    """Okumura total: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env).
-
-    Out-of-grid lookups raise unless ``clamp`` is set; see :func:`okumura`.
-    """
-    return okumura(link, environment, curves, clamp)(link.distance_m)
 
 
 # --------------------------------------------------------------------------
@@ -388,12 +381,6 @@ def cost231_hata(link: RadioLink, environment: Environment,
     return at
 
 
-def cost231_hata_path_loss(link: RadioLink, environment: Environment,
-                           mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
-    """COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km."""
-    return cost231_hata(link, environment, mode)(link.distance_m)
-
-
 # --------------------------------------------------------------------------
 # COST-231 Walfisch-Ikegami
 # --------------------------------------------------------------------------
@@ -407,11 +394,6 @@ def wi_los(link: RadioLink):
         return PathLossResult(
             (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
     return at
-
-
-def wi_los_path_loss(link: RadioLink) -> PathLossResult:
-    """Line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
-    return wi_los(link)(link.distance_m)
 
 
 def wi_orientation_loss(orientation_deg: float) -> float:
@@ -434,8 +416,7 @@ def wi_rooftop_to_street(geometry: WiGeometry, frequency_mhz: float,
     printed form reuses the base-station symbol; see wi_nlos for
     the warning surfacing the alternative reading).
     """
-    if frequency_mhz <= 0:
-        raise DomainError("frequency must be positive")
+    _check_frequency(frequency_mhz)
     drop = geometry.roof_height_m - rx_height_m
     if drop <= 0:
         raise DomainError(
@@ -447,7 +428,10 @@ def wi_rooftop_to_street(geometry: WiGeometry, frequency_mhz: float,
 
 def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: float,
                     mode: FidelityMode):
-    """Bind L_MSD; returns ``at(d_km) -> (value, garbled-branch warnings)``."""
+    """Bind L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b.
+
+    Returns ``at(d_km) -> (value, garbled-branch warnings)``.
+    """
     roof = geometry.roof_height_m
     delta = bs_height_m - roof  # BS height relative to the rooftops
     printed = mode is FidelityMode.AS_PRINTED
@@ -504,14 +488,6 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
     return at
 
 
-def wi_multiscreen(geometry: WiGeometry, link: RadioLink,
-                   mode: FidelityMode = FidelityMode.CORRECTED) -> float:
-    """Multi-screen diffraction L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b."""
-    value, _ = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m,
-                               mode)(link.distance_km)
-    return value
-
-
 def wi_nlos(geometry: WiGeometry, link: RadioLink,
             mode: FidelityMode = FidelityMode.CORRECTED):
     """Bind the NLOS total: free space + rooftop-to-street + multi-screen diffraction.
@@ -548,24 +524,13 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     return at
 
 
-def wi_nlos_path_loss(geometry: WiGeometry, link: RadioLink,
-                      mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
-    """NLOS total: free space + rooftop-to-street + multi-screen diffraction.
-
-    A negative diffraction sum is clamped to the free-space floor and
-    reported as a warning.
-    """
-    return wi_nlos(geometry, link, mode)(link.distance_m)
-
-
 # --------------------------------------------------------------------------
 # Ericsson 9999
 # --------------------------------------------------------------------------
 
 def ericsson_gf(frequency_mhz: float) -> float:
     """Frequency term g(f) = 44.49*log10(f) - 4.78*(log10(f))^2."""
-    if frequency_mhz <= 0:
-        raise DomainError("frequency must be positive")
+    _check_frequency(frequency_mhz)
     lf = _log10(frequency_mhz)
     return 44.49 * lf - 4.78 * lf * lf
 
@@ -595,10 +560,3 @@ def ericsson(link: RadioLink,
             (constant, ("distance", coeffs.a1 * ld), bs_height,
              ("bs_distance_cross", cross * ld)) + tail)
     return at
-
-
-def ericsson_path_loss(link: RadioLink,
-                       coeffs: EricssonCoefficients = EricssonCoefficients(),
-                       mode: FidelityMode = FidelityMode.CORRECTED) -> PathLossResult:
-    """Ericsson 9999 total with adjustable a0..a3 coefficients; see :func:`ericsson`."""
-    return ericsson(link, coeffs, mode)(link.distance_m)

@@ -369,17 +369,17 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     if max_loss_db == pl_min:
         return d_min_m
 
-    lo, hi = d_min_m, d_max_m
+    lo, hi, lo_loss = d_min_m, d_max_m, pl_min
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         value = loss(mid)
         if value <= max_loss_db:
-            lo = mid
+            lo, lo_loss = mid, value
             if max_loss_db - value <= _INVERT_TOL_DB:
                 break
         else:
             hi = mid
         # secondary safety stop for degenerate brackets
-        if hi - lo <= _INVERT_TOL_M and max_loss_db - loss(lo) <= _INVERT_TOL_DB:
+        if hi - lo <= _INVERT_TOL_M and max_loss_db - lo_loss <= _INVERT_TOL_DB:
             break
     return lo

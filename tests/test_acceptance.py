@@ -17,19 +17,19 @@ from pathcast import (
     WiGeometry,
     amu_lookup,
     compare_against_reference,
-    cost231_hata_path_loss,
+    cost231_hata,
     default_scenario,
-    ericsson_path_loss,
+    ericsson,
     evaluate,
     invert_cell_range,
     load_default_curves,
     load_reference_rows,
-    okumura_path_loss,
+    okumura,
+    sui,
     sui_gamma,
-    sui_path_loss,
     sweep,
-    wi_los_path_loss,
-    wi_nlos_path_loss,
+    wi_los,
+    wi_nlos,
 )
 import oracle
 from conftest import invoke_cli
@@ -139,7 +139,7 @@ def test_criterion_3_oracle_equivalence():
             d = rng.uniform(d0 * 1.1, 100_000.0)
             shadow = rng.random() < 0.5
             link = RadioLink(f, d, bs, rx, d0)
-            check("sui", sui_path_loss(link, env, shadow).total_db,
+            check("sui", sui(link, env, shadow)(link.distance_m).total_db,
                   oracle.sui_total(f, d, bs, rx, env_names[env], shadow, d0))
 
             # Okumura over the bundled grid
@@ -148,14 +148,14 @@ def test_criterion_3_oracle_equivalence():
             link = RadioLink(f, d, bs, rx)
             amu = oracle.bilinear_log(raw_freqs, raw_dists, raw_grid, f, d / 1000.0)
             garea = oracle.loglinear(raw_garea[env], f)
-            check("okumura", okumura_path_loss(link, env, curves).total_db,
+            check("okumura", okumura(link, env, curves)(link.distance_m).total_db,
                   oracle.okumura_total(f, d, bs, rx, amu, garea))
 
             # COST-231 Hata
             f = rng.uniform(1400.0, 2200.0)
             d = rng.uniform(500.0, 30_000.0)
             link = RadioLink(f, d, bs, rx)
-            check("cost231", cost231_hata_path_loss(link, env, mode).total_db,
+            check("cost231", cost231_hata(link, env, mode)(link.distance_m).total_db,
                   oracle.cost231_total(f, d, bs, rx, env_names[env], mode_name))
 
             # Walfisch-Ikegami LOS and NLOS
@@ -164,9 +164,9 @@ def test_criterion_3_oracle_equivalence():
             geometry = _random_geometry(rng, rx)
             wi_bs = rng.uniform(rx + 0.5, 100.0)
             link = RadioLink(f, d, wi_bs, rx)
-            check("wi_los", wi_los_path_loss(link).total_db,
+            check("wi_los", wi_los(link)(link.distance_m).total_db,
                   oracle.wi_los_total(f, d))
-            check("wi_nlos", wi_nlos_path_loss(geometry, link, mode).total_db,
+            check("wi_nlos", wi_nlos(geometry, link, mode)(link.distance_m).total_db,
                   oracle.wi_nlos_total(f, d, wi_bs, rx, geometry.street_width_m,
                                        geometry.building_separation_m,
                                        geometry.roof_height_m,
@@ -177,7 +177,7 @@ def test_criterion_3_oracle_equivalence():
             f = rng.uniform(150.0, 3000.0)
             d = rng.uniform(200.0, 30_000.0)
             link = RadioLink(f, d, bs, rx)
-            check("ericsson", ericsson_path_loss(link, mode=mode).total_db,
+            check("ericsson", ericsson(link, mode=mode)(link.distance_m).total_db,
                   oracle.ericsson_total(f, d, bs, rx, 36.2, 30.2, 12.0, 0.1, mode_name))
 
     elapsed = time.perf_counter() - started
@@ -202,10 +202,10 @@ def test_criterion_4_property_suites():
         env = rng.choice(list(Environment))
         mode = rng.choice(list(FidelityMode))
         geometry = _random_geometry(rng, rx)
-        for result in (sui_path_loss(link, env), cost231_hata_path_loss(link, env, mode),
-                       wi_los_path_loss(link), wi_nlos_path_loss(geometry, link, mode),
-                       ericsson_path_loss(link, mode=mode),
-                       okumura_path_loss(link, env, curves, clamp=True)):
+        for at in (sui(link, env), cost231_hata(link, env, mode), wi_los(link),
+                   wi_nlos(geometry, link, mode), ericsson(link, mode=mode),
+                   okumura(link, env, curves, clamp=True)):
+            result = at(link.distance_m)
             if abs(result.total_db - sum(v for _, v in result.components)) > 1e-9:
                 failures.append(("additivity", result))
 
@@ -215,19 +215,19 @@ def test_criterion_4_property_suites():
         if d1 == d2:
             continue
         hb = rng.uniform(10.0, 80.0)
-        if sui_path_loss(RadioLink(1900, d2, hb, 3), Environment.URBAN).total_db <= \
-                sui_path_loss(RadioLink(1900, d1, hb, 3), Environment.URBAN).total_db:
+        if sui(RadioLink(1900, d2, hb, 3), Environment.URBAN)(d2).total_db <= \
+                sui(RadioLink(1900, d1, hb, 3), Environment.URBAN)(d1).total_db:
             failures.append(("sui monotone", d1, d2))
         hb = rng.uniform(10.0, 200.0)
-        if cost231_hata_path_loss(RadioLink(1900, d2, hb, 3), Environment.URBAN).total_db <= \
-                cost231_hata_path_loss(RadioLink(1900, d1, hb, 3), Environment.URBAN).total_db:
+        if cost231_hata(RadioLink(1900, d2, hb, 3), Environment.URBAN)(d2).total_db <= \
+                cost231_hata(RadioLink(1900, d1, hb, 3), Environment.URBAN)(d1).total_db:
             failures.append(("cost231 monotone", d1, d2))
-        if wi_los_path_loss(RadioLink(1900, d2, 30, 3)).total_db <= \
-                wi_los_path_loss(RadioLink(1900, d1, 30, 3)).total_db:
+        if wi_los(RadioLink(1900, d2, 30, 3))(d2).total_db <= \
+                wi_los(RadioLink(1900, d1, 30, 3))(d1).total_db:
             failures.append(("wi monotone", d1, d2))
         hb = rng.uniform(1.5, 200.0)
-        if ericsson_path_loss(RadioLink(1900, d2, hb, 1.0)).total_db <= \
-                ericsson_path_loss(RadioLink(1900, d1, hb, 1.0)).total_db:
+        if ericsson(RadioLink(1900, d2, hb, 1.0))(d2).total_db <= \
+                ericsson(RadioLink(1900, d1, hb, 1.0))(d1).total_db:
             failures.append(("ericsson monotone", d1, d2))
 
     # SUI exponent ordering A > B > C for h_b in [10, 80]
@@ -243,8 +243,8 @@ def test_criterion_4_property_suites():
         rx = rng.uniform(1.0, 10.0)
         link = RadioLink(rng.uniform(100.0, 3000.0), rng.uniform(500.0, 50_000.0),
                          rng.uniform(rx + 1.0, 200.0), rx)
-        a = cost231_hata_path_loss(link, Environment.URBAN, FidelityMode.CORRECTED)
-        b = cost231_hata_path_loss(link, Environment.URBAN, FidelityMode.AS_PRINTED)
+        a = cost231_hata(link, Environment.URBAN, FidelityMode.CORRECTED)(link.distance_m)
+        b = cost231_hata(link, Environment.URBAN, FidelityMode.AS_PRINTED)(link.distance_m)
         if a.total_db != b.total_db:
             failures.append(("mode agreement", link))
 

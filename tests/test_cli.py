@@ -176,6 +176,8 @@ class TestRun:
         ["sweep", "--model", "walfisch_ikegami", "--roof-height-m", "inf"],
         ["pathloss", "--model", "ericsson9999", "--a1", "nan"],
         ["pathloss", "--model", "sui", "--a0", "inf"],
+        ["pathloss", "--model", "sui", "--freq-mhz", "1e305"],
+        ["pathloss", "--model", "sui", "--freq-mhz", "1e-310"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_finite_input_exits_1(self, argv):
         code, out, err = invoke_cli(argv)

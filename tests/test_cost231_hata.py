@@ -6,7 +6,7 @@ from pathcast import (
     Environment,
     FidelityMode,
     RadioLink,
-    cost231_hata_path_loss,
+    cost231_hata,
     hata_rx_correction,
 )
 
@@ -41,40 +41,40 @@ class TestPathLoss:
     def test_urban_5km(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
         for mode in FidelityMode:
-            result = cost231_hata_path_loss(link, Environment.URBAN, mode)
+            result = cost231_hata(link, Environment.URBAN, mode)(link.distance_m)
             assert result.total_db == pytest.approx(161.96720462100492, abs=1e-9)
 
     def test_urban_1km_distance_term_vanishes(self):
         link = RadioLink(1900.0, 1000.0, 30.0, 3.0)
-        result = cost231_hata_path_loss(link, Environment.URBAN)
+        result = cost231_hata(link, Environment.URBAN)(link.distance_m)
         assert result.component("distance") == 0.0
         assert result.total_db == pytest.approx(137.34608702261397, abs=1e-9)
 
     def test_urban_offset_is_3db(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        urban = cost231_hata_path_loss(link, Environment.URBAN)
+        urban = cost231_hata(link, Environment.URBAN)(link.distance_m)
         assert urban.component("environment") == 3.0
-        rural = cost231_hata_path_loss(link, Environment.RURAL)
+        rural = cost231_hata(link, Environment.RURAL)(link.distance_m)
         assert rural.component("environment") == 0.0
 
     def test_out_of_band_warning(self):
         link = RadioLink(2100.0, 5000.0, 30.0, 3.0)
-        result = cost231_hata_path_loss(link, Environment.URBAN)
+        result = cost231_hata(link, Environment.URBAN)(link.distance_m)
         assert any("validity" in w for w in result.warnings)
 
     def test_in_band_no_warning(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        assert cost231_hata_path_loss(link, Environment.URBAN).warnings == ()
+        assert cost231_hata(link, Environment.URBAN)(link.distance_m).warnings == ()
 
     def test_suburban_equals_rural(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        suburban = cost231_hata_path_loss(link, Environment.SUBURBAN)
-        rural = cost231_hata_path_loss(link, Environment.RURAL)
+        suburban = cost231_hata(link, Environment.SUBURBAN)(link.distance_m)
+        rural = cost231_hata(link, Environment.RURAL)(link.distance_m)
         assert suburban.total_db == rural.total_db
 
     def test_urban_modes_bit_identical(self):
         link = RadioLink(1777.0, 4321.0, 42.0, 2.5)
-        corrected = cost231_hata_path_loss(link, Environment.URBAN, FidelityMode.CORRECTED)
-        printed = cost231_hata_path_loss(link, Environment.URBAN, FidelityMode.AS_PRINTED)
+        corrected = cost231_hata(link, Environment.URBAN, FidelityMode.CORRECTED)(link.distance_m)
+        printed = cost231_hata(link, Environment.URBAN, FidelityMode.AS_PRINTED)(link.distance_m)
         assert corrected.total_db == printed.total_db
         assert corrected.components == printed.components

@@ -7,8 +7,8 @@ from pathcast import (
     EricssonCoefficients,
     FidelityMode,
     RadioLink,
+    ericsson,
     ericsson_gf,
-    ericsson_path_loss,
 )
 
 
@@ -29,19 +29,19 @@ class TestPathLoss:
 
     def test_as_printed_table_point(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = ericsson_path_loss(link, mode=FidelityMode.AS_PRINTED)
+        result = ericsson(link, mode=FidelityMode.AS_PRINTED)(link.distance_m)
         assert result.total_db == pytest.approx(165.95932758370014, abs=1e-9)
 
     def test_only_fixed_offset_survives(self):
         link = RadioLink(1.0, 1000.0, 1.0, 0.5)
-        result = ericsson_path_loss(link, EricssonCoefficients(0.0, 0.0, 0.0, 0.0),
-                                    FidelityMode.AS_PRINTED)
+        result = ericsson(link, EricssonCoefficients(0.0, 0.0, 0.0, 0.0),
+                          FidelityMode.AS_PRINTED)(link.distance_m)
         assert result.total_db == pytest.approx(-3.663939315118322, abs=1e-9)
 
     def test_corrected_restores_rx_height(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        printed = ericsson_path_loss(link, mode=FidelityMode.AS_PRINTED)
-        corrected = ericsson_path_loss(link, mode=FidelityMode.CORRECTED)
+        printed = ericsson(link, mode=FidelityMode.AS_PRINTED)(link.distance_m)
+        corrected = ericsson(link, mode=FidelityMode.CORRECTED)(link.distance_m)
         assert printed.total_db - corrected.total_db == pytest.approx(
             3.995904994342885, abs=1e-9)
 
@@ -53,14 +53,14 @@ class TestPathLoss:
 
     def test_custom_coefficients(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        doubled = ericsson_path_loss(link, EricssonCoefficients(72.4, 30.2, 12.0, 0.1),
-                                     FidelityMode.AS_PRINTED)
-        base = ericsson_path_loss(link, mode=FidelityMode.AS_PRINTED)
+        doubled = ericsson(link, EricssonCoefficients(72.4, 30.2, 12.0, 0.1),
+                           FidelityMode.AS_PRINTED)(link.distance_m)
+        base = ericsson(link, mode=FidelityMode.AS_PRINTED)(link.distance_m)
         assert doubled.total_db - base.total_db == pytest.approx(36.2, abs=1e-9)
 
     def test_component_labels(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = ericsson_path_loss(link)
+        result = ericsson(link)(link.distance_m)
         assert [label for label, _ in result.components] == [
             "constant", "distance", "bs_height", "bs_distance_cross",
             "rx_height_offset", "frequency_gain"]

@@ -1,5 +1,7 @@
 """Okumura model operations with stub curve tables."""
 
+import math
+
 import pytest
 
 from pathcast import (
@@ -8,8 +10,8 @@ from pathcast import (
     Environment,
     RadioLink,
     load_curves,
+    okumura,
     okumura_antenna_gains,
-    okumura_path_loss,
 )
 
 STUB_AMU20 = """\
@@ -56,12 +58,16 @@ class TestAntennaGains:
         with pytest.raises(DomainError):
             okumura_antenna_gains(0.0, 3.0)
 
+    def test_underflow(self):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            okumura_antenna_gains(30.0, 5e-324)
+
 
 class TestPathLoss:
     def test_stub_surface(self):
         curves = load_curves(STUB_AMU20)
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = okumura_path_loss(link, Environment.SUBURBAN, curves)
+        result = okumura(link, Environment.SUBURBAN, curves)(link.distance_m)
         assert result.total_db == pytest.approx(139.48043014654672, abs=1e-9)
         assert result.component("free_space") == pytest.approx(112.00225532766034, abs=1e-9)
         assert result.component("median_attenuation") == pytest.approx(20.0, abs=1e-9)
@@ -72,35 +78,48 @@ class TestPathLoss:
     def test_all_corrections_vanish(self):
         curves = load_curves(STUB_AMU0)
         link = RadioLink(1900.0, 5000.0, 200.0, 3.0)
-        result = okumura_path_loss(link, Environment.URBAN, curves)
+        result = okumura(link, Environment.URBAN, curves)(link.distance_m)
         assert result.total_db == pytest.approx(112.00225532766034, abs=1e-9)
 
     def test_frequency_below_grid(self):
         curves = load_curves(STUB_AMU20)
         link = RadioLink(50.0, 5000.0, 30.0, 3.0)
         with pytest.raises(BoundsError, match="frequency.*below grid minimum"):
-            okumura_path_loss(link, Environment.URBAN, curves)
+            okumura(link, Environment.URBAN, curves)(link.distance_m)
 
     def test_distance_above_grid(self):
         curves = load_curves(STUB_AMU20)
         link = RadioLink(1900.0, 150_000.0, 30.0, 3.0)
         with pytest.raises(BoundsError, match="distance.*above grid maximum"):
-            okumura_path_loss(link, Environment.URBAN, curves)
+            okumura(link, Environment.URBAN, curves)(link.distance_m)
 
     def test_clamp_annotates(self):
         curves = load_curves(STUB_AMU20)
         link = RadioLink(1900.0, 150_000.0, 30.0, 3.0)
-        result = okumura_path_loss(link, Environment.URBAN, curves, clamp=True)
+        result = okumura(link, Environment.URBAN, curves, clamp=True)(link.distance_m)
         assert any("clamped" in w for w in result.warnings)
-        at_edge = okumura_path_loss(
-            RadioLink(1900.0, 100_000.0, 30.0, 3.0), Environment.URBAN, curves)
+        at_edge = okumura(
+            RadioLink(1900.0, 100_000.0, 30.0, 3.0), Environment.URBAN, curves)(100_000.0)
         # the lookup clamps to the grid edge; the free-space term keeps the
         # true distance
         assert result.component("median_attenuation") == pytest.approx(
             at_edge.component("median_attenuation"), abs=1e-12)
 
+    @pytest.mark.parametrize("frequency_mhz", [1e305, 1e-310])
+    def test_clamp_refuses_unrepresentable_wavelength(self, frequency_mhz, bundled_curves):
+        with pytest.raises(DomainError, match="wavelength"):
+            okumura(RadioLink(frequency_mhz, 5000.0, 30.0, 3.0), Environment.URBAN,
+                    bundled_curves, clamp=True)(5000.0)
+
+    def test_clamp_free_space_underflow(self, bundled_curves):
+        at = okumura(RadioLink(1e-299, 5000.0, 30.0, 3.0), Environment.URBAN,
+                     bundled_curves, clamp=True)
+        assert math.isfinite(at(5000.0).total_db)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            at(1e-300)
+
     def test_bundled_table_point(self, bundled_curves):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = okumura_path_loss(link, Environment.URBAN, bundled_curves)
+        result = okumura(link, Environment.URBAN, bundled_curves)(link.distance_m)
         assert result.component("median_attenuation") == pytest.approx(33.83255218538436, abs=1e-9)
         assert result.total_db == pytest.approx(162.31298233193107, abs=1e-9)

@@ -5,30 +5,36 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcast import (
     DomainError,
     Environment,
+    EricssonCoefficients,
     FidelityMode,
     ModelId,
     PathLossResult,
+    PathcastError,
     RadioLink,
     SUI_TERRAIN_PARAMS,
+    Scenario,
     SuiTerrain,
     WiGeometry,
     amu_lookup,
     bind,
-    cost231_hata_path_loss,
+    cost231_hata,
     default_scenario,
-    ericsson_path_loss,
+    ericsson,
     evaluate,
-    okumura_path_loss,
+    load_default_curves,
+    okumura,
+    sui,
     sui_gamma,
-    sui_path_loss,
     sui_reference_loss,
     sweep,
-    wi_los_path_loss,
-    wi_nlos_path_loss,
+    wi_los,
+    wi_nlos,
 )
 
 N_CASES = 120
@@ -64,12 +70,12 @@ class TestComponentAdditivity:
             mode = rng.choice(list(FidelityMode))
             geometry = random_geometry(rng, link.rx_height_m)
             results = [
-                sui_path_loss(link, env, rng.random() < 0.5),
-                cost231_hata_path_loss(link, env, mode),
-                wi_los_path_loss(link),
-                wi_nlos_path_loss(geometry, link, mode),
-                ericsson_path_loss(link, mode=mode),
-                okumura_path_loss(link, env, bundled_curves, clamp=True),
+                sui(link, env, rng.random() < 0.5)(link.distance_m),
+                cost231_hata(link, env, mode)(link.distance_m),
+                wi_los(link)(link.distance_m),
+                wi_nlos(geometry, link, mode)(link.distance_m),
+                ericsson(link, mode=mode)(link.distance_m),
+                okumura(link, env, bundled_curves, clamp=True)(link.distance_m),
             ]
             for result in results:
                 assert abs(result.total_db - sum(v for _, v in result.components)) <= 1e-9
@@ -91,9 +97,9 @@ class TestDistanceMonotonicity:
         env = Environment.URBAN
         gamma = sui_gamma(SUI_TERRAIN_PARAMS[SuiTerrain.A], link.bs_height_m)
         assert gamma > 0
-        self._check(rng, lambda d: sui_path_loss(
+        self._check(rng, lambda d: sui(
             RadioLink(link.frequency_mhz, d, link.bs_height_m, link.rx_height_m),
-            env).total_db)
+            env)(d).total_db)
 
     def test_cost231_hata(self):
         rng = random.Random(2)
@@ -103,13 +109,13 @@ class TestDistanceMonotonicity:
             d1, d2 = sorted((rng.uniform(200, 60_000), rng.uniform(200, 60_000)))
             if d1 == d2:
                 continue
-            low = cost231_hata_path_loss(RadioLink(f, d1, hb, 3.0), Environment.URBAN)
-            high = cost231_hata_path_loss(RadioLink(f, d2, hb, 3.0), Environment.URBAN)
+            low = cost231_hata(RadioLink(f, d1, hb, 3.0), Environment.URBAN)(d1)
+            high = cost231_hata(RadioLink(f, d2, hb, 3.0), Environment.URBAN)(d2)
             assert high.total_db > low.total_db
 
     def test_wi_los(self):
         rng = random.Random(3)
-        self._check(rng, lambda d: wi_los_path_loss(RadioLink(1900.0, d, 30.0, 3.0)).total_db)
+        self._check(rng, lambda d: wi_los(RadioLink(1900.0, d, 30.0, 3.0))(d).total_db)
 
     def test_ericsson_default_coefficients(self):
         rng = random.Random(4)
@@ -119,8 +125,8 @@ class TestDistanceMonotonicity:
             if d1 == d2:
                 continue
             rx = 0.5 if hb < 3.0 else 3.0
-            low = ericsson_path_loss(RadioLink(1900.0, d1, hb, rx))
-            high = ericsson_path_loss(RadioLink(1900.0, d2, hb, rx))
+            low = ericsson(RadioLink(1900.0, d1, hb, rx))(d1)
+            high = ericsson(RadioLink(1900.0, d2, hb, rx))(d2)
             assert high.total_db > low.total_db
 
 
@@ -134,13 +140,13 @@ class TestFrequencyMonotonicity:
             assert sui_reference_loss(f2, 100.0) > sui_reference_loss(f1, 100.0)
             link1 = RadioLink(f1, 5000.0, 30.0, 3.0)
             link2 = RadioLink(f2, 5000.0, 30.0, 3.0)
-            assert wi_los_path_loss(link2).component("frequency") > \
-                wi_los_path_loss(link1).component("frequency")
-            nlos1 = wi_nlos_path_loss(WiGeometry(), link1)
-            nlos2 = wi_nlos_path_loss(WiGeometry(), link2)
+            assert wi_los(link2)(link2.distance_m).component("frequency") > \
+                wi_los(link1)(link1.distance_m).component("frequency")
+            nlos1 = wi_nlos(WiGeometry(), link1)(link1.distance_m)
+            nlos2 = wi_nlos(WiGeometry(), link2)(link2.distance_m)
             assert nlos2.component("free_space") > nlos1.component("free_space")
-            oku1 = okumura_path_loss(link1, Environment.URBAN, bundled_curves)
-            oku2 = okumura_path_loss(link2, Environment.URBAN, bundled_curves)
+            oku1 = okumura(link1, Environment.URBAN, bundled_curves)(link1.distance_m)
+            oku2 = okumura(link2, Environment.URBAN, bundled_curves)(link2.distance_m)
             assert oku2.component("free_space") > oku1.component("free_space")
 
 
@@ -159,16 +165,16 @@ class TestModeAgreement:
         rng = random.Random(7)
         for _ in range(N_CASES):
             link = random_link(rng)
-            urban_corr = cost231_hata_path_loss(link, Environment.URBAN,
-                                                FidelityMode.CORRECTED)
-            urban_printed = cost231_hata_path_loss(link, Environment.URBAN,
-                                                   FidelityMode.AS_PRINTED)
+            urban_corr = cost231_hata(link, Environment.URBAN,
+                                      FidelityMode.CORRECTED)(link.distance_m)
+            urban_printed = cost231_hata(link, Environment.URBAN,
+                                         FidelityMode.AS_PRINTED)(link.distance_m)
             assert urban_corr.total_db == urban_printed.total_db
             assert urban_corr.components == urban_printed.components
             # SUI and W-I LOS take no mode at all; equal inputs, equal outputs
             env = rng.choice(list(Environment))
-            assert sui_path_loss(link, env) == sui_path_loss(link, env)
-            assert wi_los_path_loss(link) == wi_los_path_loss(link)
+            assert sui(link, env)(link.distance_m) == sui(link, env)(link.distance_m)
+            assert wi_los(link)(link.distance_m) == wi_los(link)(link.distance_m)
 
 
 class TestInterpolationProperties:
@@ -211,10 +217,10 @@ class TestPurity:
             env = rng.choice(list(Environment))
             geometry = random_geometry(rng, link.rx_height_m)
             mode = rng.choice(list(FidelityMode))
-            assert wi_nlos_path_loss(geometry, link, mode) == \
-                wi_nlos_path_loss(geometry, link, mode)
-            assert okumura_path_loss(link, env, bundled_curves, clamp=True) == \
-                okumura_path_loss(link, env, bundled_curves, clamp=True)
+            assert wi_nlos(geometry, link, mode)(link.distance_m) == \
+                wi_nlos(geometry, link, mode)(link.distance_m)
+            assert okumura(link, env, bundled_curves, clamp=True)(link.distance_m) == \
+                okumura(link, env, bundled_curves, clamp=True)(link.distance_m)
 
 
 class TestResultInvariants:
@@ -262,3 +268,52 @@ class TestResultInvariants:
             assert result.components == \
                 plain.components + (("shadow_margin", margined.shadow_margin_db),)
             assert result.warnings == plain.warnings
+
+
+#: Where float arithmetic breaks: underflow to 0, overflow to inf, and NaN.
+_EDGE_FLOATS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1e305,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def _any_float(lo, hi):
+    """Arbitrary floats, edge values and a plausible range, in equal parts."""
+    return st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats(lo, hi))
+
+
+class TestFiniteOrPathcastError:
+    """Every evaluation gives a finite total or raises PathcastError, nothing else."""
+
+    @pytest.mark.parametrize("model", [ModelId.COST231_HATA, ModelId.WALFISCH_IKEGAMI,
+                                       ModelId.ERICSSON9999])
+    @pytest.mark.parametrize("environment", [Environment.URBAN, Environment.RURAL])
+    def test_distance_underflowing_in_km(self, model, environment):
+        at = bind(model, default_scenario(environment))
+        with pytest.raises(DomainError, match="underflows to 0 km"):
+            at(5e-324)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(link=st.tuples(_any_float(50.0, 3500.0), _any_float(1.0, 120_000.0),
+                          _any_float(1.0, 250.0), _any_float(0.5, 20.0),
+                          _any_float(1.0, 500.0)),
+           geometry=st.tuples(_any_float(1.0, 60.0), _any_float(1.0, 120.0),
+                              _any_float(1.0, 60.0), _any_float(0.0, 90.0),
+                              _any_float(0.1, 3.0)),
+           coefficients=st.tuples(*[_any_float(-100.0, 100.0)] * 4),
+           environment=st.sampled_from(Environment), mode=st.sampled_from(FidelityMode),
+           distance=_any_float(1.0, 120_000.0))
+    def test_any_input(self, link, geometry, coefficients, environment, mode, distance):
+        curves = load_default_curves()  # not a fixture: a falsifying example prints its arguments
+        def finite_or_rejected(make_at):
+            try:
+                total = make_at()(distance).total_db
+            except PathcastError:
+                return
+            assert math.isfinite(total)
+
+        finite_or_rejected(
+            lambda: okumura(RadioLink(*link), environment, curves, clamp=True))
+        for los in (False, True):
+            for model in ModelId:
+                finite_or_rejected(lambda: bind(model, Scenario(
+                    RadioLink(*link), environment, WiGeometry(*geometry, los=los),
+                    EricssonCoefficients(*coefficients), mode), curves))

@@ -16,9 +16,10 @@ from pathcast import (
     invert_cell_range,
     load_reference_rows,
     sweep,
-    wi_los_path_loss,
-    wi_nlos_path_loss,
+    wi_los,
+    wi_nlos,
 )
+from pathcast import scenario as scenario_module
 
 
 class TestDefaults:
@@ -62,12 +63,12 @@ class TestEvaluate:
         s = default_scenario(Environment.RURAL)
         result = evaluate(ModelId.WALFISCH_IKEGAMI, s)
         assert result.total_db == pytest.approx(126.38829213179307, abs=1e-9)
-        assert result == wi_los_path_loss(s.link)
+        assert result == wi_los(s.link)(s.link.distance_m)
 
     def test_wi_urban_is_nlos(self):
         s = default_scenario(Environment.URBAN)
-        assert evaluate(ModelId.WALFISCH_IKEGAMI, s) == wi_nlos_path_loss(
-            s.wi_geometry, s.link, s.mode)
+        assert evaluate(ModelId.WALFISCH_IKEGAMI, s) == wi_nlos(
+            s.wi_geometry, s.link, s.mode)(s.link.distance_m)
 
     def test_okumura_requires_curves(self):
         s = default_scenario(Environment.URBAN)
@@ -268,3 +269,23 @@ class TestInvertCellRange:
         s = default_scenario(Environment.URBAN, bs_height_m=800.0)
         with pytest.raises(DomainError, match="monotone"):
             invert_cell_range(ModelId.SUI, s, 150.0, 200.0, 5000.0)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
+    def test_no_distance_evaluated_twice(self, model, distance_m, bundled_curves, monkeypatch):
+        s = default_scenario(Environment.URBAN)
+        at_target = dataclasses.replace(s, link=dataclasses.replace(s.link, distance_m=distance_m))
+        target = evaluate(model, at_target, bundled_curves).total_db
+        seen = []
+        bind = scenario_module.bind
+
+        def recording_bind(*args):
+            at = bind(*args)
+
+            def recorded(d):
+                seen.append(d)
+                return at(d)
+            return recorded
+        monkeypatch.setattr(scenario_module, "bind", recording_bind)
+        invert_cell_range(model, s, target, 1000.0, 10000.0, bundled_curves)
+        assert len(seen) == len(set(seen)) > scenario_module._MONOTONE_SAMPLES

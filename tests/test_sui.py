@@ -9,10 +9,10 @@ from pathcast import (
     SUI_TERRAIN_PARAMS,
     SuiTerrain,
     SuiTerrainParams,
+    sui,
     sui_freq_correction,
     sui_gamma,
     sui_height_correction,
-    sui_path_loss,
     sui_reference_loss,
     sui_shadowing,
 )
@@ -65,6 +65,16 @@ class TestReferenceLoss:
         with pytest.raises(DomainError):
             sui_reference_loss(1900.0, 0.0)
 
+    @pytest.mark.parametrize("frequency_mhz", [1e305, 1e-310, float("nan")])
+    def test_wavelength_must_be_finite_and_nonzero(self, frequency_mhz):
+        # f * 1e6 overflows to inf (wavelength 0) or c / (f * 1e6) overflows to inf
+        with pytest.raises(DomainError):
+            sui_reference_loss(frequency_mhz, 100.0)
+
+    def test_log_argument_underflow(self):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            sui_reference_loss(1e-299, 1e-300)
+
 
 class TestFreqCorrection:
     def test_zero_at_2000(self):
@@ -77,6 +87,11 @@ class TestFreqCorrection:
         assert sui_freq_correction(2100.0) == pytest.approx(0.12713579441962855, abs=1e-9)
 
 
+    def test_frequency_without_finite_wavelength(self):
+        with pytest.raises(DomainError, match="wavelength"):
+            sui_freq_correction(5e-324)
+
+
 class TestHeightCorrection:
     def test_zero_at_2000m(self):
         for terrain in SuiTerrain:
@@ -87,6 +102,10 @@ class TestHeightCorrection:
 
     def test_terrain_c_at_3m(self):
         assert sui_height_correction(3.0, SuiTerrain.C) == pytest.approx(56.47817481888637, abs=1e-9)
+
+    def test_underflow(self):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            sui_height_correction(5e-324, SuiTerrain.A)
 
     def test_terrain_b_matches_a(self):
         assert sui_height_correction(3.0, SuiTerrain.B) == sui_height_correction(3.0, SuiTerrain.A)
@@ -110,7 +129,7 @@ class TestShadowing:
 class TestPathLoss:
     def test_urban_table_point(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = sui_path_loss(link, Environment.URBAN, include_shadowing=True)
+        result = sui(link, Environment.URBAN, include_shadowing=True)(link.distance_m)
         assert result.total_db == pytest.approx(199.17828966578986, abs=1e-9)
         assert [label for label, _ in result.components] == [
             "free_space_ref", "distance", "frequency_correction",
@@ -119,12 +138,12 @@ class TestPathLoss:
     def test_at_reference_distance_rejected(self):
         link = RadioLink(1900.0, 100.0, 30.0, 3.0)
         with pytest.raises(DomainError, match="reference distance"):
-            sui_path_loss(link, Environment.URBAN)
+            sui(link, Environment.URBAN)(link.distance_m)
 
     def test_shadowing_toggle(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        on = sui_path_loss(link, Environment.URBAN, include_shadowing=True)
-        off = sui_path_loss(link, Environment.URBAN, include_shadowing=False)
+        on = sui(link, Environment.URBAN, include_shadowing=True)(link.distance_m)
+        off = sui(link, Environment.URBAN, include_shadowing=False)(link.distance_m)
         assert on.total_db - off.total_db == pytest.approx(
             sui_shadowing(1900.0, Environment.URBAN), abs=1e-9)
         assert all(label != "shadowing" for label, _ in off.components)
@@ -134,12 +153,12 @@ class TestPathLoss:
         # because valid links require bs_height > rx_height
         assert sui_height_correction(2000.0, SuiTerrain.A) == 0.0
         link = RadioLink(1900.0, 200.0, 30.0, 3.0)
-        result = sui_path_loss(link, Environment.URBAN, include_shadowing=False)
+        result = sui(link, Environment.URBAN, include_shadowing=False)(link.distance_m)
         without_height = result.total_db - result.component("height_correction")
         assert without_height == pytest.approx(92.32358516476094, abs=1e-9)
 
     def test_custom_reference_distance(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0, sui_reference_distance_m=50.0)
-        result = sui_path_loss(link, Environment.URBAN, include_shadowing=False)
+        result = sui(link, Environment.URBAN, include_shadowing=False)(link.distance_m)
         assert result.component("free_space_ref") == pytest.approx(
             sui_reference_loss(1900.0, 50.0), abs=1e-12)

@@ -7,9 +7,8 @@ from pathcast import (
     FidelityMode,
     RadioLink,
     WiGeometry,
-    wi_los_path_loss,
-    wi_multiscreen,
-    wi_nlos_path_loss,
+    wi_los,
+    wi_nlos,
     wi_orientation_loss,
     wi_rooftop_to_street,
 )
@@ -21,20 +20,20 @@ URBAN_GEOMETRY = WiGeometry(street_width_m=25.0, building_separation_m=50.0,
 
 class TestLos:
     def test_both_logs_vanish(self):
-        result = wi_los_path_loss(RadioLink(1.0, 1000.0, 30.0, 3.0))
+        result = wi_los(RadioLink(1.0, 1000.0, 30.0, 3.0))(1000.0)
         assert result.total_db == pytest.approx(42.64, abs=1e-12)
 
     def test_1900mhz_5km(self):
-        result = wi_los_path_loss(RadioLink(1900.0, 5000.0, 30.0, 3.0))
+        result = wi_los(RadioLink(1900.0, 5000.0, 30.0, 3.0))(5000.0)
         assert result.total_db == pytest.approx(126.38829213179307, abs=1e-9)
 
     def test_2100mhz_5km(self):
-        result = wi_los_path_loss(RadioLink(2100.0, 5000.0, 30.0, 3.0))
+        result = wi_los(RadioLink(2100.0, 5000.0, 30.0, 3.0))(5000.0)
         assert result.total_db == pytest.approx(127.25760600741486, abs=1e-9)
 
     def test_bs_height_independent(self):
-        low = wi_los_path_loss(RadioLink(1900.0, 5000.0, 30.0, 3.0))
-        high = wi_los_path_loss(RadioLink(1900.0, 5000.0, 80.0, 3.0))
+        low = wi_los(RadioLink(1900.0, 5000.0, 30.0, 3.0))(5000.0)
+        high = wi_los(RadioLink(1900.0, 5000.0, 80.0, 3.0))(5000.0)
         assert low.total_db == high.total_db
 
 
@@ -90,44 +89,45 @@ class TestRooftopToStreet:
 class TestMultiscreen:
     def test_urban_defaults(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        assert wi_multiscreen(URBAN_GEOMETRY, link) == pytest.approx(
-            21.68553123539919, abs=1e-9)
+        result = wi_nlos(URBAN_GEOMETRY, link)(link.distance_m)
+        assert result.component("multiscreen") == pytest.approx(21.68553123539919, abs=1e-9)
 
     def test_log_terms_vanish(self):
         # d = 1 km and s_b = 1 m zero their terms; k_F*log(925) remains
         geometry = WiGeometry(building_separation_m=1.0, roof_height_m=15.0,
                               metro_factor_k=1.5)
         link = RadioLink(925.0, 1000.0, 30.0, 3.0)
-        assert wi_multiscreen(geometry, link) == pytest.approx(
-            20.46127338123722, abs=1e-9)
+        result = wi_nlos(geometry, link)(link.distance_m)
+        assert result.component("multiscreen") == pytest.approx(20.46127338123722, abs=1e-9)
 
     def test_bs_at_roof_height_zero_base_term(self):
         geometry = WiGeometry(building_separation_m=1.0, roof_height_m=15.0,
                               metro_factor_k=1.5)
         link = RadioLink(925.0, 1000.0, 15.0, 3.0)
-        assert wi_multiscreen(geometry, link) == pytest.approx(
-            42.13543306904387, abs=1e-9)
+        result = wi_nlos(geometry, link)(link.distance_m)
+        assert result.component("multiscreen") == pytest.approx(42.13543306904387, abs=1e-9)
 
     def test_as_printed_above_roof_differs(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        corrected = wi_multiscreen(URBAN_GEOMETRY, link, FidelityMode.CORRECTED)
-        printed = wi_multiscreen(URBAN_GEOMETRY, link, FidelityMode.AS_PRINTED)
-        assert printed != pytest.approx(corrected, abs=0.1)
+        corrected = wi_nlos(URBAN_GEOMETRY, link, FidelityMode.CORRECTED)(link.distance_m)
+        printed = wi_nlos(URBAN_GEOMETRY, link, FidelityMode.AS_PRINTED)(link.distance_m)
+        assert printed.component("multiscreen") != pytest.approx(
+            corrected.component("multiscreen"), abs=0.1)
 
     def test_below_roof_values(self):
         geometry = WiGeometry(building_separation_m=50.0, roof_height_m=15.0,
                               metro_factor_k=1.5)
         link = RadioLink(1900.0, 1000.0, 10.0, 3.0)
-        assert wi_multiscreen(geometry, link, FidelityMode.CORRECTED) == pytest.approx(
-            34.7782308451575, abs=1e-9)
-        assert wi_multiscreen(geometry, link, FidelityMode.AS_PRINTED) == pytest.approx(
-            31.70729426140214, abs=1e-9)
+        corrected = wi_nlos(geometry, link, FidelityMode.CORRECTED)(link.distance_m)
+        printed = wi_nlos(geometry, link, FidelityMode.AS_PRINTED)(link.distance_m)
+        assert corrected.component("multiscreen") == pytest.approx(34.7782308451575, abs=1e-9)
+        assert printed.component("multiscreen") == pytest.approx(31.70729426140214, abs=1e-9)
 
 
 class TestNlos:
     def test_urban_defaults(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = wi_nlos_path_loss(URBAN_GEOMETRY, link)
+        result = wi_nlos(URBAN_GEOMETRY, link)(link.distance_m)
         assert result.total_db == pytest.approx(157.80176418493656, abs=1e-9)
         assert result.component("free_space") == pytest.approx(112.00447210577696, abs=1e-9)
         assert result.component("rooftop_to_street") == pytest.approx(24.111760843760415, abs=1e-9)
@@ -137,7 +137,7 @@ class TestNlos:
         # a tall mast and a low frequency push the diffraction sum negative
         geometry = WiGeometry(orientation_deg=30.0, metro_factor_k=1.5)
         link = RadioLink(1.0, 1000.0, 200.0, 3.0)
-        result = wi_nlos_path_loss(geometry, link)
+        result = wi_nlos(geometry, link)(link.distance_m)
         assert result.total_db == pytest.approx(32.45, abs=1e-12)
         assert any("clamped" in w for w in result.warnings)
         assert result.component("diffraction_floor") == pytest.approx(
@@ -146,11 +146,11 @@ class TestNlos:
 
     def test_suburban_shift_is_componentwise(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        urban = wi_nlos_path_loss(URBAN_GEOMETRY, link)
+        urban = wi_nlos(URBAN_GEOMETRY, link)(link.distance_m)
         suburban_geometry = WiGeometry(street_width_m=25.0, building_separation_m=50.0,
                                        roof_height_m=15.0, orientation_deg=40.0,
                                        metro_factor_k=0.7)
-        suburban = wi_nlos_path_loss(suburban_geometry, link)
+        suburban = wi_nlos(suburban_geometry, link)(link.distance_m)
         assert suburban.total_db == pytest.approx(157.29197736467364, abs=1e-9)
         # the total moves exactly by the rooftop and multiscreen deltas
         delta = ((suburban.component("rooftop_to_street") - urban.component("rooftop_to_street"))
@@ -160,27 +160,27 @@ class TestNlos:
 
     def test_as_printed_urban_defaults(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = wi_nlos_path_loss(URBAN_GEOMETRY, link, FidelityMode.AS_PRINTED)
+        result = wi_nlos(URBAN_GEOMETRY, link, FidelityMode.AS_PRINTED)(link.distance_m)
         assert result.total_db == pytest.approx(173.21537766622149, abs=1e-9)
 
     def test_height_binding_warning(self):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        result = wi_nlos_path_loss(URBAN_GEOMETRY, link)
+        result = wi_nlos(URBAN_GEOMETRY, link)(link.distance_m)
         assert any("roof height" in w and "base-station" in w for w in result.warnings)
-        at_roof = wi_nlos_path_loss(URBAN_GEOMETRY, RadioLink(1900.0, 5000.0, 15.0, 3.0))
+        at_roof = wi_nlos(URBAN_GEOMETRY, RadioLink(1900.0, 5000.0, 15.0, 3.0))(5000.0)
         assert not any("base-station reading" in w for w in at_roof.warnings)
 
     def test_garbled_branch_warnings_as_printed(self):
         geometry = WiGeometry(roof_height_m=15.0, metro_factor_k=1.5)
         below_roof = RadioLink(1900.0, 1000.0, 10.0, 3.0)
-        result = wi_nlos_path_loss(geometry, below_roof, FidelityMode.AS_PRINTED)
+        result = wi_nlos(geometry, below_roof, FidelityMode.AS_PRINTED)(below_roof.distance_m)
         garbled = [w for w in result.warnings if w.startswith("garbled branch")]
         assert len(garbled) == 1  # only the base term lacks a printed branch at d >= 0.5
 
         short = RadioLink(1900.0, 400.0, 10.0, 3.0)
-        result = wi_nlos_path_loss(geometry, short, FidelityMode.AS_PRINTED)
+        result = wi_nlos(geometry, short, FidelityMode.AS_PRINTED)(short.distance_m)
         garbled = [w for w in result.warnings if w.startswith("garbled branch")]
         assert len(garbled) == 2  # printed k_A and k_D only cover d > 0.5
 
-        corrected = wi_nlos_path_loss(geometry, short, FidelityMode.CORRECTED)
+        corrected = wi_nlos(geometry, short, FidelityMode.CORRECTED)(short.distance_m)
         assert not any(w.startswith("garbled branch") for w in corrected.warnings)
