@@ -25,6 +25,12 @@ holds only if hoisting never reorders floating-point arithmetic: a binder may
 precompute a whole left-associated sub-expression (``10.0 * gamma`` out of
 ``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
 but never regroup or reorder terms.
+
+``at.branch_points`` is a sorted tuple of the distances (m) where the model's
+formula switches pieces, empty for a formula with one piece.  Between branch
+points every model is affine in log d or a sum of terms that never decrease
+with d, so losses ordered at the ends of a bracket and at each branch point
+inside it prove the loss monotone over the bracket.
 """
 
 from __future__ import annotations
@@ -207,6 +213,13 @@ def _check_frequency(frequency_mhz):
     return wavelength
 
 
+def _finite(value, what):
+    """Return ``value`` unless extreme inputs overflowed it to +-inf."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows")
+    return value
+
+
 def _log10_positive(value, what):
     """log10 of a positive quotient or product, which can still underflow to 0."""
     if value == 0.0:
@@ -222,7 +235,8 @@ def sui_gamma(params: SuiTerrainParams, bs_height_m: float) -> float:
     """Path-loss exponent gamma = a - b*h_b + c/h_b."""
     if bs_height_m <= 0:
         raise DomainError("base-station height must be positive")
-    return params.a - params.b * bs_height_m + params.c / bs_height_m
+    return _finite(params.a - params.b * bs_height_m + params.c / bs_height_m,
+                   "SUI exponent gamma")
 
 
 def sui_reference_loss(frequency_mhz: float, d0_m: float) -> float:
@@ -230,7 +244,8 @@ def sui_reference_loss(frequency_mhz: float, d0_m: float) -> float:
     wavelength = _check_frequency(frequency_mhz)
     if d0_m <= 0:
         raise DomainError("reference distance must be positive")
-    return 20.0 * _log10_positive(4.0 * math.pi * d0_m / wavelength, "4*pi*d0/lambda")
+    ratio = 4.0 * math.pi * d0_m / wavelength
+    return _finite(20.0 * _log10_positive(ratio, "4*pi*d0/lambda"), "free-space reference loss")
 
 
 def sui_freq_correction(frequency_mhz: float) -> float:
@@ -279,6 +294,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
         return PathLossResult(
             (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
+    at.branch_points = ()
     return at
 
 
@@ -326,6 +342,8 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         return PathLossResult(
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
+    # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
+    at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
     return at
 
 
@@ -348,11 +366,13 @@ def hata_rx_correction(frequency_mhz: float, rx_height_m: float,
     if frequency_mhz <= 0 or rx_height_m <= 0:
         raise DomainError("frequency and receiver height must be positive")
     if environment is Environment.URBAN:
-        return 3.2 * _log10(11.75 * rx_height_m) ** 2 - 4.97
-    lf = _log10(frequency_mhz)
-    if mode is FidelityMode.AS_PRINTED:
-        return 1.1 * lf - 0.7 * rx_height_m - (1.58 * frequency_mhz - 0.8)
-    return (1.1 * lf - 0.7) * rx_height_m - (1.56 * lf - 0.8)
+        value = 3.2 * _log10(11.75 * rx_height_m) ** 2 - 4.97
+    elif mode is FidelityMode.AS_PRINTED:
+        value = 1.1 * _log10(frequency_mhz) - 0.7 * rx_height_m - (1.58 * frequency_mhz - 0.8)
+    else:
+        lf = _log10(frequency_mhz)
+        value = (1.1 * lf - 0.7) * rx_height_m - (1.56 * lf - 0.8)
+    return _finite(value, "receiver correction a(h_r)")
 
 
 def cost231_hata(link: RadioLink, environment: Environment,
@@ -378,6 +398,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
         _check_distance(distance_m)
         return PathLossResult(
             head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
+    at.branch_points = ()
     return at
 
 
@@ -393,6 +414,7 @@ def wi_los(link: RadioLink):
         _check_distance(distance_m)
         return PathLossResult(
             (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
+    at.branch_points = ()
     return at
 
 
@@ -430,7 +452,8 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
                     mode: FidelityMode):
     """Bind L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b.
 
-    Returns ``at(d_km) -> (value, garbled-branch warnings)``.
+    Returns ``at(d_km) -> (value, garbled-branch warnings)``.  Its
+    ``branch_points`` are in metres, as on every binder's ``at``.
     """
     roof = geometry.roof_height_m
     delta = bs_height_m - roof  # BS height relative to the rooftops
@@ -448,6 +471,7 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
 
         def at(d_km):
             return base + k_d * _log10(d_km) + frequency_term - separation_term, ()
+        at.branch_points = ()  # k_d > 0: affine and increasing in log d
         return at
 
     scaled_delta = 0.8 * delta
@@ -477,6 +501,11 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
                     "multiscreen distance slope below rooftop at d <= 0.5 km")
             return (l_bsh + k_a + k_d * _log10(d_km) + frequency_term - separation_term,
                     warnings)
+        # Three pieces, d_km < 0.5 (L_BSH + k_A is a flat 108 dB), == 0.5
+        # (about 54 dB lower) and > 0.5 (k_A and k_D constant), each
+        # non-decreasing in d.  The neighbours of 500 m are the last and
+        # first distances in metres that fall in the outer pieces.
+        at.branch_points = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
         return at
 
     k_a_far = 54.0 - scaled_delta
@@ -485,6 +514,7 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
         # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
         k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
         return k_a + k_d_below * _log10(d_km) + frequency_term - separation_term, ()
+    at.branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
     return at
 
 
@@ -521,6 +551,8 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             components += (("diffraction_floor", -diffraction),)
             warnings += ("negative diffraction sum clamped to the free-space floor",)
         return PathLossResult(components, warnings)
+    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is
+    at.branch_points = multiscreen.branch_points
     return at
 
 
@@ -559,4 +591,5 @@ def ericsson(link: RadioLink,
         return PathLossResult(
             (constant, ("distance", coeffs.a1 * ld), bs_height,
              ("bs_distance_cross", cross * ld)) + tail)
+    at.branch_points = ()
     return at

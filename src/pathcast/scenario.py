@@ -130,7 +130,8 @@ def bind(model: ModelId, scenario: Scenario,
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
     geometry's LOS flag (rural defaults to LOS, urban/suburban to NLOS).  The
     scenario's shadow margin is appended as a labeled component only when
-    apply_shadow_margin is set.
+    apply_shadow_margin is set.  The evaluator carries the model's
+    ``branch_points`` (see :mod:`pathcast.propagation`).
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -158,6 +159,7 @@ def bind(model: ModelId, scenario: Scenario,
     def at_with_margin(distance_m: float) -> PathLossResult:
         result = at(distance_m)
         return PathLossResult(result.components + margin_component, result.warnings)
+    at_with_margin.branch_points = at.branch_points
     return at_with_margin
 
 
@@ -329,7 +331,6 @@ def compare_against_reference(reference, tolerance_db: float = 0.5,
 
 _INVERT_TOL_DB = 1e-6
 _INVERT_TOL_M = 1e-3
-_MONOTONE_SAMPLES = 17
 
 
 def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
@@ -338,22 +339,27 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     """Largest distance whose loss does not exceed ``max_loss_db``.
 
     Bisection over [d_min, d_max]; requires the loss to bracket the target
-    and to be monotone increasing over the bracket (checked by sampling).
-    The scenario is bound once, so each probe evaluates only the
+    and to be monotone increasing over the bracket.  Monotonicity is proved,
+    not sampled: between the model's branch points the loss is affine in
+    log d or a sum of non-decreasing terms, so losses ordered at d_min, at
+    each branch point inside the bracket and at d_max prove it.  The
+    scenario is bound once, so each evaluation computes only the
     distance-dependent terms.  The returned distance satisfies
     PL(d) <= max_loss within 1e-6 dB.
     """
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
+    if d_min_m <= 0:
+        raise DomainError("log spacing requires d_min > 0")
 
-    samples = sweep_distances(d_min_m, d_max_m, _MONOTONE_SAMPLES, "log")
     at = bind(model, scenario, curves)
 
     def loss(distance):
         return at(distance).total_db
 
-    values = [loss(d) for d in samples]
-    for (d_a, v_a), (d_b, v_b) in zip(zip(samples, values), zip(samples[1:], values[1:])):
+    checked = [d_min_m, *(d for d in at.branch_points if d_min_m < d < d_max_m), d_max_m]
+    values = [loss(d) for d in checked]
+    for (d_a, v_a), (d_b, v_b) in zip(zip(checked, values), zip(checked[1:], values[1:])):
         if v_b < v_a:
             raise DomainError(
                 f"loss is not monotone increasing over the bracket: "

@@ -3,6 +3,7 @@
 import pytest
 
 from pathcast import (
+    DomainError,
     Environment,
     FidelityMode,
     RadioLink,
@@ -35,6 +36,15 @@ class TestRxCorrection:
         assert hata_rx_correction(
             1900.0, 3.0, Environment.SUBURBAN, FidelityMode.AS_PRINTED
         ) == pytest.approx(-2999.6933710389517, abs=1e-9)
+
+    @pytest.mark.parametrize("frequency_mhz, rx_height_m, environment, mode", [
+        (1.2e308, 3.0, Environment.RURAL, FidelityMode.AS_PRINTED),  # 1.58 * f
+        (1900.0, 1.7e308, Environment.URBAN, FidelityMode.CORRECTED),  # 11.75 * h_r
+        (1900.0, 1.7e308, Environment.SUBURBAN, FidelityMode.CORRECTED),  # (...) * h_r
+    ])
+    def test_overflow(self, frequency_mhz, rx_height_m, environment, mode):
+        with pytest.raises(DomainError, match="receiver correction a\\(h_r\\) overflows"):
+            hata_rx_correction(frequency_mhz, rx_height_m, environment, mode)
 
 
 class TestPathLoss:

@@ -5,10 +5,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathcast import (
+    CurveTable,
     DomainError,
     Environment,
     EricssonCoefficients,
@@ -27,6 +28,7 @@ from pathcast import (
     default_scenario,
     ericsson,
     evaluate,
+    invert_cell_range,
     load_default_curves,
     okumura,
     sui,
@@ -317,3 +319,54 @@ class TestFiniteOrPathcastError:
                 finite_or_rejected(lambda: bind(model, Scenario(
                     RadioLink(*link), environment, WiGeometry(*geometry, los=los),
                     EricssonCoefficients(*coefficients), mode), curves))
+
+
+def _curve_table(dist_km, amu_db):
+    return CurveTable(freq_mhz=(100.0, 3000.0), dist_km=tuple(dist_km),
+                      amu_db=(tuple(amu_db), tuple(amu_db)),
+                      garea={Environment.URBAN: ((100.0, 0.0), (3000.0, 0.0))},
+                      source_tag="hypothesis grid")
+
+
+class TestCellRangeOnAnyCurveGrid:
+    """On any curve grid, dips included, inversion either refuses the bracket
+    or returns a distance beyond which the loss never comes back to the target."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(rises_db=st.lists(st.floats(-8.0, 12.0), min_size=8, max_size=8),
+           dip=st.none() | st.tuples(st.floats(0.1, 1.9), st.floats(0.005, 0.06),
+                                     st.floats(0.0, 15.0)),
+           position=st.floats(0.0, 1.0))
+    def test_largest_distance_or_domain_error(self, rises_db, dip, position):
+        # A_mu on nodes a quarter decade apart, 1-100 km; free space adds 5 dB
+        # per quarter decade, so a fall of more than that is a dip.  ``dip``
+        # adds nodes at log10(d_km) = centre - width, centre, centre + width
+        # and takes ``depth`` dB off at the centre: a dip narrower than the
+        # spacing of any fixed set of samples.
+        dist_km = [10.0 ** (i / 4) for i in range(9)]
+        amu_db = [20.0]
+        for rise in rises_db:
+            amu_db.append(amu_db[-1] + rise)
+        if dip is not None:
+            centre, width, depth = dip
+            base = _curve_table(dist_km, amu_db)
+            nodes = dict(zip(dist_km, amu_db))
+            for offset in (-width, 0.0, width):
+                d_km = 10.0 ** (centre + offset)
+                drop = depth if offset == 0.0 else 0.0
+                nodes[d_km] = amu_lookup(base, 1900.0, d_km * 1000.0) - drop
+            assume(len(nodes) == 12)
+            dist_km, amu_db = zip(*sorted(nodes.items()))
+        curves = _curve_table(dist_km, amu_db)
+        scenario = default_scenario(Environment.URBAN)
+        at = bind(ModelId.OKUMURA, scenario, curves)
+        d_min, d_max = 1000.0, 100_000.0
+        target = at(d_min * (d_max / d_min) ** position).total_db
+        try:
+            found = invert_cell_range(ModelId.OKUMURA, scenario, target, d_min, d_max, curves)
+        except DomainError:
+            return
+        dense = (found * (d_max / found) ** (i / 2000) for i in range(1, 2001))
+        beyond = [d for d in (*dense, *(d_km * 1000.0 for d_km in dist_km)) if found < d <= d_max]
+        # the bisection stops up to 1e-6 dB below the target
+        assert all(at(d).total_db > target - 2e-6 for d in beyond)

@@ -1,6 +1,7 @@
 """Scenario defaults, dispatch, sweeps, reference comparison, inversion."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -8,13 +9,23 @@ from pathcast import (
     BoundsError,
     DomainError,
     Environment,
+    EricssonCoefficients,
     FidelityMode,
     ModelId,
+    RadioLink,
+    WiGeometry,
+    amu_lookup,
     compare_against_reference,
+    cost231_hata,
     default_scenario,
+    ericsson,
     evaluate,
     invert_cell_range,
+    load_curves,
     load_reference_rows,
+    okumura,
+    serialize_curves,
+    sui,
     sweep,
     wi_los,
     wi_nlos,
@@ -244,6 +255,20 @@ class TestCompare:
             compare_against_reference(load_reference_rows(), 0.0, bundled_curves)
 
 
+def _dip_table(bundled):
+    """The bundled A_mu surface on a grid with nodes at 4.5, 5 and 5.5 km, read
+    back through the loader, with 8 dB taken off at 5 km: the default urban
+    Okumura loss falls from 160.76 dB at 4.5 km to 154.31 dB at 5 km."""
+    dist_km = (1.0, 2.0, 4.5, 5.0, 5.5) + tuple(d for d in bundled.dist_km if d >= 10.0)
+    amu_db = tuple(tuple(amu_lookup(bundled, f, d * 1000.0) - (8.0 if d == 5.0 else 0.0)
+                         for d in dist_km) for f in bundled.freq_mhz)
+    return load_curves(serialize_curves(
+        dataclasses.replace(bundled, dist_km=dist_km, amu_db=amu_db)))
+
+
+_PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
+
+
 class TestInvertCellRange:
     def test_round_trip_wi_los(self):
         s = default_scenario(Environment.RURAL)
@@ -270,6 +295,57 @@ class TestInvertCellRange:
         with pytest.raises(DomainError, match="monotone"):
             invert_cell_range(ModelId.SUI, s, 150.0, 200.0, 5000.0)
 
+    def test_dip_between_grid_nodes_detected(self, bundled_curves):
+        # 17 log-spaced samples over 1-100 km all rise on this table, so a
+        # sampled check passes it; the largest distance within 155 dB is
+        # about 5034 m
+        table = _dip_table(bundled_curves)
+        s = default_scenario(Environment.URBAN)
+        with pytest.raises(DomainError, match=r"PL\(4500.00 m\) = 160.7580 dB > "
+                                              r"PL\(5000.00 m\) = 154.3130 dB"):
+            invert_cell_range(ModelId.OKUMURA, s, 155.0, 1000.0, 100_000.0, table)
+
+    def test_as_printed_wi_drop_above_500_m_detected(self):
+        # below the roofs the printed k_A and k_D switch just above 500 m and
+        # the loss drops about 1.8 dB; the corrected k_A is continuous there
+        def scenario(mode):
+            return default_scenario(Environment.SUBURBAN, bs_height_m=18.6,
+                                    roof_height_m=19.9, mode=mode)
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, scenario(FidelityMode.AS_PRINTED))
+        drop = at(500.0).total_db - at(_PRINTED_BRANCH_POINTS[2]).total_db
+        assert drop == pytest.approx(1.8, abs=0.05)
+        target = evaluate(ModelId.WALFISCH_IKEGAMI, scenario(FidelityMode.CORRECTED)).total_db
+        with pytest.raises(DomainError, match=r"PL\(500.00 m\) = .* > PL\(500.00 m\)"):
+            invert_cell_range(ModelId.WALFISCH_IKEGAMI, scenario(FidelityMode.AS_PRINTED),
+                              target, 500.0, 8000.0)
+        distance = invert_cell_range(ModelId.WALFISCH_IKEGAMI, scenario(FidelityMode.CORRECTED),
+                                     target, 500.0, 8000.0)
+        assert distance == pytest.approx(5000.0, abs=0.01)
+
+    def test_every_binder_exposes_branch_points(self, bundled_curves):
+        table = _dip_table(bundled_curves)
+        link, at_roof = RadioLink(1900.0, 5000.0, 30.0, 3.0), RadioLink(1900.0, 5000.0, 40.0, 3.0)
+        above, below = WiGeometry(roof_height_m=15.0), WiGeometry(roof_height_m=40.0)
+        nodes = (1000.0, 2000.0, 4500.0, 5000.0, 5500.0, 10000.0, 20000.0, 30000.0,
+                 50000.0, 70000.0, 100000.0)
+        for env in Environment:
+            assert sui(link, env).branch_points == ()
+            assert okumura(link, env, table).branch_points == nodes
+            assert okumura(link, env, table, clamp=True).branch_points == nodes
+        assert wi_los(link).branch_points == ()
+        for mode in FidelityMode:
+            printed = mode is FidelityMode.AS_PRINTED
+            for env in Environment:
+                assert cost231_hata(link, env, mode).branch_points == ()
+            assert ericsson(link, EricssonCoefficients(), mode).branch_points == ()
+            assert wi_nlos(above, link, mode).branch_points == ()
+            for bs_at_or_below_roofs in (link, at_roof):
+                assert wi_nlos(below, bs_at_or_below_roofs, mode).branch_points == \
+                    (_PRINTED_BRANCH_POINTS if printed else ())
+        # the shadow-margin wrapper passes them on
+        s = default_scenario(Environment.URBAN, apply_shadow_margin=True)
+        assert scenario_module.bind(ModelId.OKUMURA, s, table).branch_points == nodes
+
     @pytest.mark.parametrize("model", list(ModelId))
     @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
     def test_no_distance_evaluated_twice(self, model, distance_m, bundled_curves, monkeypatch):
@@ -283,9 +359,23 @@ class TestInvertCellRange:
             at = bind(*args)
 
             def recorded(d):
-                seen.append(d)
-                return at(d)
+                result = at(d)
+                seen.append((d, result.total_db))
+                return result
+            recorded.branch_points = at.branch_points
             return recorded
         monkeypatch.setattr(scenario_module, "bind", recording_bind)
-        invert_cell_range(model, s, target, 1000.0, 10000.0, bundled_curves)
-        assert len(seen) == len(set(seen)) > scenario_module._MONOTONE_SAMPLES
+        found = invert_cell_range(model, s, target, 1000.0, 10000.0, bundled_curves)
+        # exactly 2 + interior branch points + bisection steps: d_min, the
+        # branch points inside the bracket and d_max, then one midpoint of the
+        # remaining bracket per step
+        interior = [d for d in bind(model, s, bundled_curves).branch_points
+                    if 1000.0 < d < 10000.0]
+        checked = [1000.0, *interior, 10000.0]
+        assert [d for d, _ in seen[:len(checked)]] == checked
+        lo, hi = 1000.0, 10000.0
+        for d, loss in seen[len(checked):]:
+            assert d == 0.5 * (lo + hi)
+            lo, hi = (d, hi) if loss <= target else (lo, d)
+        assert found == lo
+        assert len(seen) == len({d for d, _ in seen})

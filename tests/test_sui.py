@@ -45,6 +45,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             sui_gamma(SUI_TERRAIN_PARAMS[SuiTerrain.A], 0.0)
 
+    def test_overflow(self):
+        # c / h_b overflows to inf for a subnormal height
+        with pytest.raises(DomainError, match="SUI exponent gamma overflows"):
+            sui_gamma(SUI_TERRAIN_PARAMS[SuiTerrain.A], 5e-324)
+
 
 class TestReferenceLoss:
     def test_1900mhz_100m(self):
@@ -74,6 +79,11 @@ class TestReferenceLoss:
     def test_log_argument_underflow(self):
         with pytest.raises(DomainError, match="underflows to 0"):
             sui_reference_loss(1e-299, 1e-300)
+
+    def test_log_argument_overflow(self):
+        # 4*pi*d0/lambda overflows to inf
+        with pytest.raises(DomainError, match="free-space reference loss overflows"):
+            sui_reference_loss(1e5, 1.7e308)
 
 
 class TestFreqCorrection:
