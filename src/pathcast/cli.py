@@ -24,7 +24,7 @@ from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
 from .scenario import (DEFAULT_METRO_K, DEFAULT_ORIENTATION_DEG, DEFAULT_SHADOW_MARGIN_DB,
                        ModelId, Scenario, compare_against_reference, default_scenario,
-                       evaluate, invert_cell_range, load_reference_rows, sweep)
+                       evaluate, invert_cell_range, iter_sweep, load_reference_rows)
 
 CURVES_ENV_VAR = "PATHCAST_CURVES"
 
@@ -44,7 +44,8 @@ def _per_environment(defaults):
 
 
 _REQUIRED = object()
-_SWEEP, _INVERT, _DEFAULT_SCENARIO = map(_defaults, (sweep, invert_cell_range, default_scenario))
+_SWEEP, _INVERT, _DEFAULT_SCENARIO = map(_defaults,
+                                         (iter_sweep, invert_cell_range, default_scenario))
 
 # Field -> default_scenario keyword, for the fields passed straight through.
 _SCENARIO_KEYWORDS = {
@@ -235,16 +236,7 @@ def _curves_for(config, bundled_fallback: bool) -> Optional[CurveTable]:
     return load_default_curves() if bundled_fallback else None
 
 
-_SERIES_HEADER = "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db"
-
-
-def _series_csv(config, points):
-    middle = ",".join(["", config.model.value, config.environment.value,
-                       f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
-                       config.mode.value, ""])
-    lines = [_SERIES_HEADER]
-    lines.extend(f"{distance:.2f}{middle}{result.total_db:.2f}" for distance, result in points)
-    return "\n".join(lines) + "\n"
+_SERIES_HEADER = "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db\n"
 
 
 def _result_json_body(result: PathLossResult):
@@ -260,9 +252,45 @@ def _model_json(config):
             "mode": config.mode.value}
 
 
+def _emit_series(config, points, out):
+    """Sweep output; also ``pathloss --output csv`` as a one-point series.
+
+    Each point is formatted as soon as ``points`` yields it, into one buffer
+    that is written to ``out`` after the last point, so memory follows the
+    size of the output and an error part-way leaves ``out`` untouched.
+    """
+    buffer = io.StringIO()
+    write = buffer.write
+    if config.output == "csv":
+        middle = ",".join(["", config.model.value, config.environment.value,
+                           f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
+                           config.mode.value, ""])
+        write(_SERIES_HEADER)
+        for distance, result in points:
+            write(f"{distance:.2f}{middle}{result.total_db:.2f}\n")
+    elif config.output == "json":
+        # The envelope's dump, cut where its one-element series goes; each
+        # entry, dumped alone and indented to that depth, gives the same
+        # bytes as one dump of the whole tree (json escapes newlines).
+        head, tail = json.dumps(dict(_model_json(config), series=[None]),
+                                indent=2).rsplit("null", 1)
+        write(head)
+        separator = ""
+        for distance, result in points:
+            entry = json.dumps(dict(distance_m=distance, **_result_json_body(result)), indent=2)
+            write(separator + entry.replace("\n", "\n    "))
+            separator = ",\n    "
+        write(tail + "\n")
+    else:
+        write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
+        for distance, result in points:
+            write(f"{distance:>12.2f}  {result.total_db:>12.2f}\n")
+    out.write(buffer.getvalue())
+
+
 def _emit_pathloss(config, result, out):
     if config.output == "csv":
-        out.write(_series_csv(config, [(config.dist_m, result)]))
+        _emit_series(config, [(config.dist_m, result)], out)
     elif config.output == "json":
         body = dict(_model_json(config), inputs={
             "freq_mhz": config.freq_mhz, "distance_m": config.dist_m,
@@ -278,19 +306,6 @@ def _emit_pathloss(config, result, out):
         out.write(f"  {'total':<22}{result.total_db:>10.2f}\n")
         for warning in result.warnings:
             out.write(f"warning: {warning}\n")
-
-
-def _emit_sweep(config, points, out):
-    if config.output == "csv":
-        out.write(_series_csv(config, points))
-    elif config.output == "json":
-        body = dict(_model_json(config), series=[
-            dict(distance_m=distance, **_result_json_body(result)) for distance, result in points])
-        out.write(json.dumps(body, indent=2) + "\n")
-    else:
-        out.write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
-        for distance, result in points:
-            out.write(f"{distance:>12.2f}  {result.total_db:>12.2f}\n")
 
 
 def _emit_compare(config, ledger, out):
@@ -334,15 +349,6 @@ def _emit_compare(config, ledger, out):
     out.write(ledger.summary + "\n")
 
 
-def _emit_cell_range(config, distance, out):
-    if config.output == "csv":
-        out.write(f"distance_m\n{distance:.2f}\n")
-    elif config.output == "json":
-        out.write(json.dumps({"distance_m": distance}, indent=2) + "\n")
-    else:
-        out.write(f"{distance:.2f} m\n")
-
-
 def run(config, out=None, err=None) -> int:
     """Execute one parsed command; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -361,13 +367,15 @@ def run(config, out=None, err=None) -> int:
             result = evaluate(config.model, scenario, curves)
             _emit_pathloss(config, result, out)
         elif config.command == "sweep":
-            points = sweep(config.model, scenario, config.d_min_m, config.d_max_m,
-                           config.steps, curves, config.spacing)
-            _emit_sweep(config, points, out)
+            _emit_series(config, iter_sweep(config.model, scenario, config.d_min_m,
+                                            config.d_max_m, config.steps, curves,
+                                            config.spacing), out)
         elif config.command == "cell-range":
             distance = invert_cell_range(config.model, scenario, config.max_loss_db,
                                          config.d_min_m, config.d_max_m, curves)
-            _emit_cell_range(config, distance, out)
+            out.write({"csv": f"distance_m\n{distance:.2f}\n", "table": f"{distance:.2f} m\n",
+                       "json": json.dumps({"distance_m": distance}, indent=2) + "\n",
+                       }[config.output])
         else:
             raise PathcastError(f"unknown command {config.command!r}")
         return 0

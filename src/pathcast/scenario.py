@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 from .curves import CurveTable
 from .errors import BoundsError, DomainError, PathcastError
@@ -190,26 +190,33 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     return points
 
 
-def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
-          d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
-          spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
-    """Evaluate the model over a distance sweep; ascending and deterministic.
+def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
+               d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
+               spacing: str = "log") -> Iterator[tuple[float, PathLossResult]]:
+    """Evaluate the model over a distance sweep, yielding ``(distance, result)``
+    per point as it is computed; ascending and deterministic.
 
     The scenario is bound once and each point evaluates only the
     distance-dependent terms; every point equals :func:`evaluate` at that
     distance.  A failure names the distance it occurred at (the first one if
-    the scenario itself cannot be bound).
+    the scenario itself cannot be bound).  As in any generator, the argument
+    checks run when the first point is asked for.
     """
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
     distance = distances[0]
     try:
         at = bind(model, scenario, curves)
-        results = []
         for distance in distances:
-            results.append(at(distance))
+            yield distance, at(distance)
     except PathcastError as exc:
         raise DomainError(f"sweep aborted at {distance:.2f} m: {exc}") from exc
-    return tuple(zip(distances, results))
+
+
+def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
+          d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
+          spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
+    """Every point of :func:`iter_sweep` in one tuple; ascending and deterministic."""
+    return tuple(iter_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing))
 
 
 # --------------------------------------------------------------------------
@@ -230,11 +237,7 @@ class ReferenceRow:
     rural_db: float
 
     def printed(self, environment: Environment) -> float:
-        return {
-            Environment.URBAN: self.urban_db,
-            Environment.SUBURBAN: self.suburban_db,
-            Environment.RURAL: self.rural_db,
-        }[environment]
+        return getattr(self, f"{environment.value}_db")
 
 
 @dataclass(frozen=True)
@@ -267,19 +270,9 @@ class DiscrepancyLedger:
 def load_reference_rows() -> tuple[ReferenceRow, ...]:
     """The embedded reference table (19 printed rows)."""
     data = resources.files("pathcast.data").joinpath("table3.csv").read_text("utf-8")
-    rows = []
-    for record in csv.DictReader(io.StringIO(data)):
-        rows.append(ReferenceRow(
-            model=ModelId(record["model"]),
-            freq_mhz=float(record["freq_mhz"]),
-            dist_km=float(record["dist_km"]),
-            bs_m=float(record["bs_m"]),
-            rx_m=float(record["rx_m"]),
-            urban_db=float(record["urban_db"]),
-            suburban_db=float(record["suburban_db"]),
-            rural_db=float(record["rural_db"]),
-        ))
-    return tuple(rows)
+    numbers = ("freq_mhz", "dist_km", "bs_m", "rx_m", "urban_db", "suburban_db", "rural_db")
+    return tuple(ReferenceRow(ModelId(record["model"]), *(float(record[k]) for k in numbers))
+                 for record in csv.DictReader(io.StringIO(data)))
 
 
 def compare_against_reference(reference, tolerance_db: float = 0.5,
@@ -310,18 +303,13 @@ def compare_against_reference(reference, tolerance_db: float = 0.5,
             printed = row.printed(environment)
             try:
                 computed = evaluate(row.model, scenario, curves).total_db
+                delta = computed - printed
             except PathcastError as exc:
-                entries.append(LedgerEntry(
-                    row=row, environment=environment, printed_db=printed,
-                    computed_db=None, delta_db=None, verdict="mismatch",
-                    notes=tuple(notes + [f"evaluation failed: {exc}"])))
-                continue
-            delta = computed - printed
-            verdict = "match" if abs(delta) <= tolerance_db else "mismatch"
-            entries.append(LedgerEntry(
-                row=row, environment=environment, printed_db=printed,
-                computed_db=computed, delta_db=delta, verdict=verdict,
-                notes=tuple(notes)))
+                computed = delta = None
+                notes.append(f"evaluation failed: {exc}")
+            verdict = "match" if delta is not None and abs(delta) <= tolerance_db else "mismatch"
+            entries.append(LedgerEntry(row, environment, printed, computed, delta, verdict,
+                                       tuple(notes)))
     return DiscrepancyLedger(tuple(entries), tolerance_db, mode)
 
 
@@ -350,7 +338,7 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
     if d_min_m <= 0:
-        raise DomainError("log spacing requires d_min > 0")
+        raise DomainError("bracket requires d_min > 0")
 
     at = bind(model, scenario, curves)
 

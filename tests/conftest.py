@@ -1,5 +1,6 @@
 import contextlib
 import io
+from importlib import resources
 
 import pytest
 
@@ -10,6 +11,10 @@ from pathcast.cli import main as cli_main
 @pytest.fixture(scope="session")
 def bundled_curves():
     return load_default_curves()
+
+
+def bundled_curves_path():
+    return str(resources.files("pathcast.data").joinpath("okumura_curves.csv"))
 
 
 def invoke_cli(argv):

@@ -1,14 +1,16 @@
 """CLI argument parsing, precedence, exit codes and error mapping."""
 
+import io
 import json
 import re
+import tracemalloc
 
 import pytest
 
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
-from pathcast.cli import _scenario_from, parse_args
+from pathcast.cli import _scenario_from, parse_args, run
 
-from conftest import invoke_cli
+from conftest import bundled_curves_path, invoke_cli
 
 
 class TestParseArgs:
@@ -184,6 +186,38 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("output", ["csv", "json", "table"])
+    def test_sweep_failing_part_way_leaves_stdout_empty(self, output):
+        # 50-150 km in 20 log steps: the points up to 94.7 km are on the
+        # curve grid, the 13th is past its 100 km edge.
+        code, out, err = invoke_cli(["sweep", "--model", "okumura", "--curves",
+                                     bundled_curves_path(), "--d-min-m", "50000",
+                                     "--d-max-m", "150000", "--steps", "20",
+                                     "--output", output])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: sweep aborted at 100071.35 m: "
+                       "distance 100.071 km above grid maximum 100 km\n")
+
+    @pytest.mark.parametrize("output,argv", [
+        ("csv", ["--model", "walfisch_ikegami", "--d-min-m", "500", "--d-max-m", "8000"]),
+        ("json", ["--model", "walfisch_ikegami", "--d-min-m", "500", "--d-max-m", "8000"]),
+        ("table", ["--model", "sui"]),
+    ])
+    def test_sweep_memory_follows_output_size(self, output, argv):
+        # Holding one result object per point costs 8-15 times the output.
+        config = parse_args(["sweep", "--env", "urban", "--steps", "10000",
+                             "--output", output] + argv)
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            code = run(config, out, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err.getvalue()
+        assert peak < 6 * len(out.getvalue())
 
     def test_compare_mismatches_exit_0_by_default(self):
         code, out, _ = invoke_cli(["compare", "--tolerance-db", "0.5"])

@@ -1,17 +1,12 @@
 """Byte-exact golden tests for every CLI example documented in the README."""
 
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from conftest import invoke_cli
+from conftest import bundled_curves_path, invoke_cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def bundled_curves_path():
-    return str(resources.files("pathcast.data").joinpath("okumura_curves.csv"))
 
 
 GOLDEN_CASES = [
@@ -30,6 +25,12 @@ GOLDEN_CASES = [
     ("sweep_wi_rural.csv",
      ["sweep", "--model", "walfisch_ikegami", "--env", "rural", "--freq-mhz", "1900",
       "--d-min-m", "1000", "--d-max-m", "5000", "--steps", "5"]),
+    ("sweep_hata_2100_margin.json",
+     ["sweep", "--model", "cost231_hata", "--env", "urban", "--freq-mhz", "2100",
+      "--steps", "3", "--apply-shadow-margin", "--output", "json"]),
+    ("sweep_sui_suburban.txt",
+     ["sweep", "--model", "sui", "--env", "suburban", "--d-min-m", "500", "--d-max-m", "8000",
+      "--steps", "5", "--output", "table"]),
     ("compare_default.csv",
      ["compare", "--tolerance-db", "0.5"]),
     ("cellrange_wi_rural.csv",

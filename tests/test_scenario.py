@@ -1,6 +1,7 @@
 """Scenario defaults, dispatch, sweeps, reference comparison, inversion."""
 
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -152,10 +153,25 @@ class TestSweep:
     @pytest.mark.parametrize("d_min", [0.0, -1000.0, float("-inf")])
     def test_log_spacing_needs_positive_start(self, d_min):
         s = default_scenario(Environment.RURAL)
-        with pytest.raises(DomainError, match="d_min > 0"):
+        with pytest.raises(DomainError, match="log spacing requires d_min > 0"):
             sweep(ModelId.WALFISCH_IKEGAMI, s, d_min, 5000.0, steps=3)
-        with pytest.raises(DomainError, match="d_min > 0"):
+        with pytest.raises(DomainError, match="bracket requires d_min > 0"):
             invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, 120.0, d_min, 5000.0)
+
+    def test_iter_sweep_yields_the_points_before_a_failure(self, bundled_curves):
+        s = default_scenario(Environment.URBAN)
+        seen = []
+        with pytest.raises(DomainError, match="sweep aborted at 100071.35 m: distance 100.071 km"):
+            for point in scenario_module.iter_sweep(ModelId.OKUMURA, s, 50_000.0, 150_000.0,
+                                                    20, bundled_curves):
+                seen.append(point)
+        assert len(seen) == 12
+        fresh = default_scenario(Environment.URBAN, distance_m=50_000.0)
+        assert seen[0][1] == evaluate(ModelId.OKUMURA, fresh, bundled_curves)
+
+    def test_sweep_takes_iter_sweep_parameters(self):
+        assert inspect.signature(sweep).parameters == \
+            inspect.signature(scenario_module.iter_sweep).parameters
 
     def test_default_range(self):
         s = default_scenario(Environment.RURAL)
