@@ -189,7 +189,7 @@ class TestRun:
 
     @pytest.mark.parametrize("output", ["csv", "json", "table"])
     def test_sweep_failing_part_way_leaves_stdout_empty(self, output):
-        # 50-150 km in 20 log steps: the points up to 94.7 km are on the
+        # 50-150 km in 20 log steps: the points up to 94.4 km are on the
         # curve grid, the 13th is past its 100 km edge.
         code, out, err = invoke_cli(["sweep", "--model", "okumura", "--curves",
                                      bundled_curves_path(), "--d-min-m", "50000",
