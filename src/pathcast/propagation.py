@@ -18,7 +18,10 @@ distance once, and returns ``at(distance_m) -> PathLossResult``.  ``at``
 ignores ``link.distance_m``; it checks the distance, computes only the
 distance-dependent components and builds the :class:`PathLossResult` in the
 model's component order, joining them to component tuples the binder built
-once.  The loss at the link's own distance is
+once.  The labels of every layout a binder can emit are checked once, when it
+binds, so ``at`` only sums the components and checks that the total is
+finite; ``PathLossResult(...)`` itself checks the labels on every call.  The
+loss at the link's own distance is
 ``binder(link, ...)(link.distance_m)``, and a sweep over a bound model
 returns exactly what a fresh binding returns at each point.  That equality
 holds only if hoisting never reorders floating-point arithmetic: a binder may
@@ -172,20 +175,41 @@ class PathLossResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        by_label = dict(self.components)
-        if not by_label:
-            raise DomainError("a path-loss result needs at least one component")
-        if len(by_label) != len(self.components):
-            raise DomainError("component labels must be unique")
-        total = 0.0  # a plain left fold: sum() compensates floats from Python 3.12 on
-        for value in by_label.values():
-            total += value
-        if not math.isfinite(total):
-            raise DomainError("path-loss total must be finite")
-        object.__setattr__(self, "total_db", total)
+        _check_labels([label for label, _ in self.components])
+        _fill(self, self.components, self.warnings)
 
     def component(self, label: str) -> float:
         return dict(self.components)[label]
+
+
+_new_result = object.__new__
+# The slots' own descriptors: a frozen dataclass's __setattr__ refuses every write
+_set_total = PathLossResult.total_db.__set__
+_set_components = PathLossResult.components.__set__
+_set_warnings = PathLossResult.warnings.__set__
+
+
+def _check_labels(labels):
+    """Reject an empty layout or a repeated label."""
+    if not labels:
+        raise DomainError("a path-loss result needs at least one component")
+    if len(set(labels)) != len(labels):
+        raise DomainError("component labels must be unique")
+
+
+def _fill(result, components, warnings=()):
+    """Set the slots of ``result``, whose component labels are already checked;
+    the total is a plain left fold (sum() compensates floats from Python 3.12
+    on) and must be finite."""
+    total = 0.0
+    for _, value in components:
+        total += value
+    if not math.isfinite(total):
+        raise DomainError("path-loss total must be finite")
+    _set_total(result, total)
+    _set_components(result, components)
+    _set_warnings(result, warnings)
+    return result
 
 
 def _check_finite(instance):
@@ -286,14 +310,15 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     )
     if include_shadowing:
         tail += (("shadowing", sui_shadowing(link.frequency_mhz, environment)),)
+    _check_labels(("free_space_ref", "distance", *(label for label, _ in tail)))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         if distance_m <= d0:
             raise DomainError(
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
-        return PathLossResult(
-            (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
+        return _fill(_new_result(PathLossResult),
+                     (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
     at.branch_points = ()
     return at
 
@@ -326,6 +351,8 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
     area = None
+    _check_labels(("free_space", "median_attenuation", "bs_height_gain", "rx_height_gain",
+                   "area_gain"))
 
     def at(distance_m: float) -> PathLossResult:
         nonlocal area
@@ -339,7 +366,8 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
             area = ("area_gain", -garea_lookup(curves, f, environment))
         free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
                                             "4*pi*d/lambda")
-        return PathLossResult(
+        return _fill(
+            _new_result(PathLossResult),
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
@@ -393,11 +421,12 @@ def cost231_hata(link: RadioLink, environment: Environment,
     )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
+    _check_labels((*(label for label, _ in head), "distance", "environment"))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
-        return PathLossResult(
-            head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
+        return _fill(_new_result(PathLossResult),
+                     head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
     at.branch_points = ()
     return at
 
@@ -409,10 +438,12 @@ def cost231_hata(link: RadioLink, environment: Environment,
 def wi_los(link: RadioLink):
     """Bind the line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
     frequency = ("frequency", 20.0 * _log10(link.frequency_mhz))
+    _check_labels(("constant", "distance", "frequency"))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
-        return PathLossResult(
+        return _fill(
+            _new_result(PathLossResult),
             (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
     at.branch_points = ()
     return at
@@ -538,6 +569,9 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             f"height symbols bound to roof height {geometry.roof_height_m:g} m; "
             f"the base-station reading ({link.bs_height_m:g} m) would shift the "
             f"rooftop term by {shift:+.2f} dB",)
+    layout = ("free_space", "rooftop_to_street", "multiscreen")
+    _check_labels(layout)
+    _check_labels(layout + ("diffraction_floor",))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -550,7 +584,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         if diffraction < 0.0:
             components += (("diffraction_floor", -diffraction),)
             warnings += ("negative diffraction sum clamped to the free-space floor",)
-        return PathLossResult(components, warnings)
+        return _fill(_new_result(PathLossResult), components, warnings)
     # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is
     at.branch_points = multiscreen.branch_points
     return at
@@ -584,11 +618,14 @@ def ericsson(link: RadioLink,
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2
     constant, bs_height = ("constant", coeffs.a0), ("bs_height", coeffs.a2 * lb)
     tail = (("rx_height_offset", -offset), ("frequency_gain", ericsson_gf(link.frequency_mhz)))
+    _check_labels(("constant", "distance", "bs_height", "bs_distance_cross",
+                   *(label for label, _ in tail)))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         ld = _log10(distance_m / 1000.0)
-        return PathLossResult(
+        return _fill(
+            _new_result(PathLossResult),
             (constant, ("distance", coeffs.a1 * ld), bs_height,
              ("bs_distance_cross", cross * ld)) + tail)
     at.branch_points = ()

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from typing import Iterator, Optional
 
 from .curves import CurveTable
@@ -170,8 +171,13 @@ def evaluate(model: ModelId, scenario: Scenario,
 
 
 def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
-                    spacing: str = "log") -> list[float]:
-    """Inclusive distance samples, log-spaced by default."""
+                    spacing: str = "log") -> Iterator[float]:
+    """Inclusive distance samples, log-spaced by default: ``d_min_m`` and
+    ``d_max_m`` exactly, then ``steps - 2`` computed between them.
+
+    The arguments are checked on the call; the distances are computed one at
+    a time as they are consumed.
+    """
     if steps < 2:
         raise DomainError("a sweep needs at least 2 steps")
     if not d_min_m < d_max_m:
@@ -180,14 +186,13 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
         if d_min_m <= 0:
             raise DomainError("log spacing requires d_min > 0")
         ratio = d_max_m / d_min_m
-        points = [d_min_m * ratio ** (i / (steps - 1)) for i in range(steps)]
+        inner = (d_min_m * ratio ** (i / (steps - 1)) for i in range(1, steps - 1))
     elif spacing == "linear":
         span = d_max_m - d_min_m
-        points = [d_min_m + span * i / (steps - 1) for i in range(steps)]
+        inner = (d_min_m + span * i / (steps - 1) for i in range(1, steps - 1))
     else:
         raise DomainError(f"unknown spacing {spacing!r} (expected log or linear)")
-    points[0], points[-1] = d_min_m, d_max_m
-    return points
+    return chain((d_min_m,), inner, (d_max_m,))
 
 
 def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
@@ -203,7 +208,7 @@ def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
     checks run when the first point is asked for.
     """
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
-    distance = distances[0]
+    distance = d_min_m
     try:
         at = bind(model, scenario, curves)
         for distance in distances:

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathcast import (
@@ -272,6 +272,55 @@ class TestResultInvariants:
             assert result.warnings == plain.warnings
 
 
+#: One scenario per binder layout: SUI with and without shadowing, WI NLOS
+#: with the BS above the roofs (with the diffraction floor), below them in
+#: both modes, and WI LOS.
+_LAYOUT_SCENARIOS = (
+    default_scenario(Environment.URBAN),
+    default_scenario(Environment.SUBURBAN, include_sui_shadowing=False,
+                     mode=FidelityMode.AS_PRINTED),
+    default_scenario(Environment.URBAN, frequency_mhz=150.0, bs_height_m=200.0,
+                     roof_height_m=3.5, street_width_m=60.0, orientation_deg=0.0,
+                     building_separation_m=100.0),
+    default_scenario(Environment.URBAN, bs_height_m=12.0),
+    default_scenario(Environment.URBAN, bs_height_m=12.0, mode=FidelityMode.AS_PRINTED),
+    default_scenario(Environment.RURAL),
+)
+
+
+class TestBinderResults:
+    """Results the binders build through the fold-only path."""
+
+    def test_every_layout_is_checked_when_bound(self, monkeypatch, bundled_curves):
+        checked = []
+        monkeypatch.setattr("pathcast.propagation._check_labels",
+                            lambda labels: checked.append(tuple(labels)))
+        emitted = set()
+        for scenario in _LAYOUT_SCENARIOS:
+            for model in ModelId:
+                checked.clear()
+                at = bind(model, scenario, bundled_curves)
+                layouts = set(checked)
+                for d in (1000.0, 5000.0, 20_000.0):
+                    labels = tuple(label for label, _ in at(d).components)
+                    assert labels in layouts
+                    emitted.add(labels)
+        assert ("free_space", "rooftop_to_street", "multiscreen", "diffraction_floor") in emitted
+        assert len(emitted) == 8  # SUI twice, WI NLOS twice, one each for the others
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_replace_rebuilds_through_the_public_checks(self, model, bundled_curves):
+        result = bind(model, default_scenario(Environment.URBAN), bundled_curves)(5000.0)
+        replaced = dataclasses.replace(result, warnings=("x",))
+        assert replaced.total_db == result.total_db
+        assert (replaced.components, replaced.warnings) == (result.components, ("x",))
+        with pytest.raises(DomainError, match="unique"):
+            dataclasses.replace(result, components=(("a", 1.0), ("a", 2.0)))
+        assert not hasattr(result, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.total_db = 0.0
+
+
 #: Where float arithmetic breaks: underflow to 0, overflow to inf, and NaN.
 _EDGE_FLOATS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1e305,
                 1.7976931348623157e308, math.inf, -math.inf, math.nan)
@@ -282,8 +331,16 @@ def _any_float(lo, hi):
     return st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats(lo, hi))
 
 
+def _any_tuple(*ranges):
+    """A tuple of ``_any_float``, or in equal part one wholly in the plausible
+    ranges, so that every model branch also gets finite results."""
+    return st.one_of(st.tuples(*(_any_float(lo, hi) for lo, hi in ranges)),
+                     st.tuples(*(st.floats(lo, hi) for lo, hi in ranges)))
+
+
 class TestFiniteOrPathcastError:
-    """Every evaluation gives a finite total or raises PathcastError, nothing else."""
+    """Every evaluation gives a finite total or raises PathcastError, nothing else;
+    a finite result equals the public constructor's result over its parts."""
 
     @pytest.mark.parametrize("model", [ModelId.COST231_HATA, ModelId.WALFISCH_IKEGAMI,
                                        ModelId.ERICSSON9999])
@@ -294,23 +351,36 @@ class TestFiniteOrPathcastError:
             at(5e-324)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(link=st.tuples(_any_float(50.0, 3500.0), _any_float(1.0, 120_000.0),
-                          _any_float(1.0, 250.0), _any_float(0.5, 20.0),
-                          _any_float(1.0, 500.0)),
-           geometry=st.tuples(_any_float(1.0, 60.0), _any_float(1.0, 120.0),
-                              _any_float(1.0, 60.0), _any_float(0.0, 90.0),
-                              _any_float(0.1, 3.0)),
-           coefficients=st.tuples(*[_any_float(-100.0, 100.0)] * 4),
+    @given(link=_any_tuple((50.0, 3500.0), (1.0, 120_000.0), (1.0, 250.0), (0.5, 20.0),
+                           (1.0, 500.0)),
+           geometry=_any_tuple((1.0, 60.0), (1.0, 120.0), (1.0, 60.0), (0.0, 90.0), (0.1, 3.0)),
+           coefficients=_any_tuple(*[(-100.0, 100.0)] * 4),
            environment=st.sampled_from(Environment), mode=st.sampled_from(FidelityMode),
-           distance=_any_float(1.0, 120_000.0))
-    def test_any_input(self, link, geometry, coefficients, environment, mode, distance):
+           distance=_any_float(1.0, 120_000.0),
+           margin=st.none() | _any_float(0.0, 12.0), sui_shadowing=st.booleans())
+    # The default urban scenario, its margin applied and SUI shadowing left out
+    @example(link=(1900.0, 5000.0, 30.0, 3.0, 100.0), geometry=(25.0, 50.0, 15.0, 30.0, 1.5),
+             coefficients=(36.2, 30.2, 12.0, 0.1), environment=Environment.URBAN,
+             mode=FidelityMode.CORRECTED, distance=5000.0, margin=10.6, sui_shadowing=False)
+    # The BS far above roofs a little over the receiver: the diffraction floor
+    @example(link=(150.0, 5000.0, 200.0, 3.0, 100.0), geometry=(60.0, 100.0, 3.5, 0.0, 1.5),
+             coefficients=(36.2, 30.2, 12.0, 0.1), environment=Environment.URBAN,
+             mode=FidelityMode.CORRECTED, distance=5000.0, margin=None, sui_shadowing=True)
+    def test_any_input(self, link, geometry, coefficients, environment, mode, distance,
+                       margin, sui_shadowing):
         curves = load_default_curves()  # not a fixture: a falsifying example prints its arguments
         def finite_or_rejected(make_at):
             try:
-                total = make_at()(distance).total_db
+                result = make_at()(distance)
             except PathcastError:
                 return
-            assert math.isfinite(total)
+            assert math.isfinite(result.total_db)
+            # binders check labels when they bind; the public constructor on every call
+            rebuilt = PathLossResult(result.components, result.warnings)
+            assert rebuilt == result
+            assert hash(rebuilt) == hash(result)
+            assert repr(rebuilt) == repr(result)
+            assert rebuilt.total_db.hex() == result.total_db.hex()
 
         finite_or_rejected(
             lambda: okumura(RadioLink(*link), environment, curves, clamp=True))
@@ -318,7 +388,10 @@ class TestFiniteOrPathcastError:
             for model in ModelId:
                 finite_or_rejected(lambda: bind(model, Scenario(
                     RadioLink(*link), environment, WiGeometry(*geometry, los=los),
-                    EricssonCoefficients(*coefficients), mode), curves))
+                    EricssonCoefficients(*coefficients), mode,
+                    shadow_margin_db=0.0 if margin is None else margin,
+                    apply_shadow_margin=margin is not None,
+                    include_sui_shadowing=sui_shadowing), curves))
 
 
 def _curve_table(dist_km, amu_db):
