@@ -8,7 +8,6 @@ from .curves import (
     garea_lookup,
     load_curves,
     load_default_curves,
-    serialize_curves,
 )
 from .errors import (
     BoundsError,
@@ -19,32 +18,18 @@ from .errors import (
 )
 from .propagation import (
     LIGHT_SPEED_M_S,
-    SUI_TERRAIN_PARAMS,
-    TERRAIN_FOR_ENVIRONMENT,
     Environment,
     EricssonCoefficients,
     FidelityMode,
     PathLossResult,
     RadioLink,
-    SuiTerrain,
-    SuiTerrainParams,
     WiGeometry,
     cost231_hata,
     ericsson,
-    ericsson_gf,
-    hata_rx_correction,
     okumura,
-    okumura_antenna_gains,
     sui,
-    sui_freq_correction,
-    sui_gamma,
-    sui_height_correction,
-    sui_reference_loss,
-    sui_shadowing,
     wi_los,
     wi_nlos,
-    wi_orientation_loss,
-    wi_rooftop_to_street,
 )
 from .scenario import (
     DiscrepancyLedger,

@@ -145,20 +145,6 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
     )
 
 
-def serialize_curves(table: CurveTable) -> str:
-    """Inverse of load_curves: load_curves(serialize_curves(t)) == t."""
-    lines = ["AMU," + ",".join(repr(d) for d in table.dist_km)]
-    for freq, row in zip(table.freq_mhz, table.amu_db):
-        lines.append(repr(freq) + "," + ",".join(repr(v) for v in row))
-    lines.append("")
-    lines.append("GAREA,freq_mhz,environment,gain_db")
-    for env in Environment:
-        for freq, gain in table.garea.get(env, ()):
-            lines.append(f"{freq!r},{env.value},{gain!r}")
-    lines.append(f"# source: {table.source_tag}")
-    return "\n".join(lines) + "\n"
-
-
 def load_default_curves() -> CurveTable:
     """The bundled digitization of the published curve family."""
     data = resources.files("pathcast.data").joinpath("okumura_curves.csv").read_bytes()

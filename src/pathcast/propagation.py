@@ -12,10 +12,15 @@ source's printed formulas verbatim, falling back to the corrected branch
 (with a warning) where the printed branch set has gaps.
 
 Each model has one entry point, its binder (``sui``, ``okumura``,
-``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``).  It takes the link
-and the model's other inputs, computes every term that does not depend on
-distance once, and returns ``at(distance_m) -> PathLossResult``.  ``at``
-ignores ``link.distance_m``; it checks the distance, computes only the
+``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``), and the binders are
+the whole model API: every formula term is computed inside its binder.  A
+binder takes the link and the model's other inputs, computes every term that
+does not depend on distance once, and returns
+``at(distance_m) -> PathLossResult``.  :class:`RadioLink` and
+:class:`WiGeometry` check every input range when they are built, so a binder
+checks only what valid inputs can still overflow to inf or underflow to 0,
+plus the rooftop term's roof-above-receiver condition, which spans the two.
+``at`` ignores ``link.distance_m``; it checks the distance, computes only the
 distance-dependent components and builds the :class:`PathLossResult` in the
 model's component order, joining them to component tuples the binder built
 once.  The labels of every layout a binder can emit are checked once, when it
@@ -60,39 +65,14 @@ class Environment(Enum):
     RURAL = "rural"
 
 
-class SuiTerrain(Enum):
-    """SUI terrain class, densest (A) to flattest (C)."""
-
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-#: Each environment maps to exactly one SUI terrain class.
-TERRAIN_FOR_ENVIRONMENT = {
-    Environment.URBAN: SuiTerrain.A,
-    Environment.SUBURBAN: SuiTerrain.B,
-    Environment.RURAL: SuiTerrain.C,
-}
-
-
-@dataclass(frozen=True)
-class SuiTerrainParams:
-    """SUI path-loss exponent parameters (a dimensionless, b per meter, c meters)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b < 0 or self.c < 0:
-            raise DomainError("SUI terrain parameters require a > 0, b >= 0, c >= 0")
-
-
-SUI_TERRAIN_PARAMS = {
-    SuiTerrain.A: SuiTerrainParams(4.6, 0.0075, 12.6),
-    SuiTerrain.B: SuiTerrainParams(4.0, 0.0065, 17.1),
-    SuiTerrain.C: SuiTerrainParams(3.6, 0.005, 20.0),
+# SUI terrain per environment: urban is terrain A (densest), suburban B and
+# rural C (flattest).  Each row is (a, b per m, c in m) of the exponent
+# gamma = a - b*h_b + c/h_b, the slope of X_h = slope*log10(h_r/2000) and the
+# shadowing constant alpha in dB.
+_SUI_TERRAIN = {
+    Environment.URBAN: (4.6, 0.0075, 12.6, -10.8, 6.6),
+    Environment.SUBURBAN: (4.0, 0.0065, 17.1, -10.8, 5.2),
+    Environment.RURAL: (3.6, 0.005, 20.0, -20.0, 5.2),
 }
 
 
@@ -112,7 +92,11 @@ class RadioLink:
 
     def __post_init__(self):
         _check_finite(self)
-        _check_frequency(self.frequency_mhz)
+        if not self.frequency_mhz > 0:
+            raise DomainError("frequency must be positive")
+        if self.wavelength_m in (0.0, math.inf):
+            raise DomainError(
+                f"frequency {self.frequency_mhz:g} MHz has no finite, nonzero wavelength")
         _check_distance(self.distance_m)
         if not self.bs_height_m > self.rx_height_m > 0:
             raise DomainError("heights must satisfy bs_height > rx_height > 0")
@@ -121,7 +105,7 @@ class RadioLink:
 
     @property
     def wavelength_m(self) -> float:
-        return _check_frequency(self.frequency_mhz)
+        return LIGHT_SPEED_M_S / (self.frequency_mhz * 1e6)
 
 
 @dataclass(frozen=True)
@@ -227,16 +211,6 @@ def _check_distance(distance_m):
                           else f"distance {distance_m:g} m underflows to 0 km")
 
 
-def _check_frequency(frequency_mhz):
-    """Return the wavelength c/f, which must be finite and nonzero for f > 0."""
-    if not frequency_mhz > 0:
-        raise DomainError("frequency must be positive")
-    wavelength = LIGHT_SPEED_M_S / (frequency_mhz * 1e6)
-    if wavelength == 0.0 or wavelength == math.inf:
-        raise DomainError(f"frequency {frequency_mhz:g} MHz has no finite, nonzero wavelength")
-    return wavelength
-
-
 def _finite(value, what):
     """Return ``value`` unless extreme inputs overflowed it to +-inf."""
     if not math.isfinite(value):
@@ -255,61 +229,27 @@ def _log10_positive(value, what):
 # SUI
 # --------------------------------------------------------------------------
 
-def sui_gamma(params: SuiTerrainParams, bs_height_m: float) -> float:
-    """Path-loss exponent gamma = a - b*h_b + c/h_b."""
-    if bs_height_m <= 0:
-        raise DomainError("base-station height must be positive")
-    return _finite(params.a - params.b * bs_height_m + params.c / bs_height_m,
-                   "SUI exponent gamma")
-
-
-def sui_reference_loss(frequency_mhz: float, d0_m: float) -> float:
-    """Free-space loss at the reference distance: 20*log10(4*pi*d0/lambda)."""
-    wavelength = _check_frequency(frequency_mhz)
-    if d0_m <= 0:
-        raise DomainError("reference distance must be positive")
-    ratio = 4.0 * math.pi * d0_m / wavelength
-    return _finite(20.0 * _log10_positive(ratio, "4*pi*d0/lambda"), "free-space reference loss")
-
-
-def sui_freq_correction(frequency_mhz: float) -> float:
-    """Frequency correction X_f = 6*log10(f/2000)."""
-    _check_frequency(frequency_mhz)
-    return 6.0 * _log10(frequency_mhz / 2000.0)
-
-
-def sui_height_correction(rx_height_m: float, terrain: SuiTerrain) -> float:
-    """Receiver-height correction X_h; terrain C uses the steeper -20 slope."""
-    if rx_height_m <= 0:
-        raise DomainError("receiver height must be positive")
-    slope = -20.0 if terrain is SuiTerrain.C else -10.8
-    return slope * _log10_positive(rx_height_m / 2000.0, "h_r/2000")
-
-
-def sui_shadowing(frequency_mhz: float, environment: Environment) -> float:
-    """Closed-form shadowing term 0.65*(log f)^2 - 1.3*log f + alpha.
-
-    alpha is bound by environment name: 6.6 dB urban, 5.2 dB suburban/rural.
-    Deterministic by design; no random sampling.
-    """
-    _check_frequency(frequency_mhz)
-    alpha = 6.6 if environment is Environment.URBAN else 5.2
-    lf = _log10(frequency_mhz)
-    return 0.65 * lf * lf - 1.3 * lf + alpha
-
-
 def sui(link: RadioLink, environment: Environment, include_shadowing: bool = True):
-    """Bind SUI: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S); d must exceed d0."""
+    """Bind SUI: A + 10*gamma*log10(d/d0) + X_f + X_h (+ S); d must exceed d0.
+
+    A = 20*log10(4*pi*d0/lambda) is free space at d0, X_f = 6*log10(f/2000)
+    and S = 0.65*(log f)^2 - 1.3*log f + alpha is the closed-form shadowing
+    term, deterministic by design.
+    """
     d0 = link.sui_reference_distance_m
-    terrain = TERRAIN_FOR_ENVIRONMENT[environment]
-    slope = 10.0 * sui_gamma(SUI_TERRAIN_PARAMS[terrain], link.bs_height_m)
-    free_space_ref = ("free_space_ref", sui_reference_loss(link.frequency_mhz, d0))
+    a, b, c, height_slope, alpha = _SUI_TERRAIN[environment]
+    h_b, freq = link.bs_height_m, link.frequency_mhz
+    slope = 10.0 * _finite(a - b * h_b + c / h_b, "SUI exponent gamma")
+    reference = 20.0 * _log10_positive(4.0 * math.pi * d0 / link.wavelength_m, "4*pi*d0/lambda")
+    free_space_ref = ("free_space_ref", _finite(reference, "free-space reference loss"))
     tail = (
-        ("frequency_correction", sui_freq_correction(link.frequency_mhz)),
-        ("height_correction", sui_height_correction(link.rx_height_m, terrain)),
+        ("frequency_correction", 6.0 * _log10(freq / 2000.0)),
+        ("height_correction",
+         height_slope * _log10_positive(link.rx_height_m / 2000.0, "h_r/2000")),
     )
     if include_shadowing:
-        tail += (("shadowing", sui_shadowing(link.frequency_mhz, environment)),)
+        lf = _log10(freq)
+        tail += (("shadowing", 0.65 * lf * lf - 1.3 * lf + alpha),)
     _check_labels(("free_space_ref", "distance", *(label for label, _ in tail)))
 
     def at(distance_m: float) -> PathLossResult:
@@ -327,16 +267,9 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
 # Okumura
 # --------------------------------------------------------------------------
 
-def okumura_antenna_gains(bs_height_m: float, rx_height_m: float) -> tuple[float, float]:
-    """Antenna gain factors G(h_b) = 20*log10(h_b/200), G(h_r) = 10*log10(h_r/3)."""
-    if bs_height_m <= 0 or rx_height_m <= 0:
-        raise DomainError("antenna heights must be positive")
-    return (20.0 * _log10_positive(bs_height_m / 200.0, "h_b/200"),
-            10.0 * _log10_positive(rx_height_m / 3.0, "h_r/3"))
-
-
 def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
-    """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env).
+    """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env), with
+    the antenna gains G(h_b) = 20*log10(h_b/200) and G(h_r) = 10*log10(h_r/3).
 
     ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
     uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
@@ -346,7 +279,8 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     """
     from .curves import amu_lookup, clamp_to_grid, garea_lookup
 
-    g_bs, g_rx = okumura_antenna_gains(link.bs_height_m, link.rx_height_m)
+    g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")
+    g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
     bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
@@ -382,30 +316,23 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
 COST231_VALID_MHZ = (1500.0, 2000.0)
 
 
-def hata_rx_correction(frequency_mhz: float, rx_height_m: float,
-                       environment: Environment,
-                       mode: FidelityMode = FidelityMode.CORRECTED) -> float:
-    """Receiver correction a(h_r).
-
-    Urban: 3.2*(log10(11.75*h_r))^2 - 4.97 in both modes.  Suburban/rural:
-    the standard small-city term in corrected mode; the misprinted variant
-    (0.7 multiplying h_r alone, 1.58*f in place of 1.56*log f) as printed.
-    """
-    if frequency_mhz <= 0 or rx_height_m <= 0:
-        raise DomainError("frequency and receiver height must be positive")
-    if environment is Environment.URBAN:
-        value = 3.2 * _log10(11.75 * rx_height_m) ** 2 - 4.97
-    elif mode is FidelityMode.AS_PRINTED:
-        value = 1.1 * _log10(frequency_mhz) - 0.7 * rx_height_m - (1.58 * frequency_mhz - 0.8)
-    else:
-        lf = _log10(frequency_mhz)
-        value = (1.1 * lf - 0.7) * rx_height_m - (1.56 * lf - 0.8)
-    return _finite(value, "receiver correction a(h_r)")
-
-
 def cost231_hata(link: RadioLink, environment: Environment,
                  mode: FidelityMode = FidelityMode.CORRECTED):
-    """Bind COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km."""
+    """Bind COST-231 Hata median loss; c = 3 dB urban, 0 otherwise; d in km.
+
+    The receiver correction a(h_r) is 3.2*(log10(11.75*h_r))^2 - 4.97 urban in
+    both modes.  Suburban/rural: the standard small-city term in corrected
+    mode; the misprinted variant (0.7 multiplying h_r alone, 1.58*f in place
+    of 1.56*log f) as printed.
+    """
+    freq, h_r = link.frequency_mhz, link.rx_height_m
+    if environment is Environment.URBAN:
+        rx_correction = 3.2 * _log10(11.75 * h_r) ** 2 - 4.97
+    elif mode is FidelityMode.AS_PRINTED:
+        rx_correction = 1.1 * _log10(freq) - 0.7 * h_r - (1.58 * freq - 0.8)
+    else:
+        lf = _log10(freq)
+        rx_correction = (1.1 * lf - 0.7) * h_r - (1.56 * lf - 0.8)
     lo, hi = COST231_VALID_MHZ
     warnings = ()
     if not lo <= link.frequency_mhz <= hi:
@@ -416,8 +343,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
         ("constant", 46.3),
         ("frequency", 33.9 * _log10(link.frequency_mhz)),
         ("bs_height", -13.82 * _log10(link.bs_height_m)),
-        ("rx_correction", -hata_rx_correction(link.frequency_mhz, link.rx_height_m,
-                                              environment, mode)),
+        ("rx_correction", -_finite(rx_correction, "receiver correction a(h_r)")),
     )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
@@ -447,36 +373,6 @@ def wi_los(link: RadioLink):
             (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
     at.branch_points = ()
     return at
-
-
-def wi_orientation_loss(orientation_deg: float) -> float:
-    """Street-orientation correction, piecewise over [0,35), [35,55), [55,90]."""
-    a = orientation_deg
-    if not 0.0 <= a <= 90.0:
-        raise DomainError("street orientation must lie in [0, 90] degrees")
-    if a < 35.0:
-        return -10.0 + 0.354 * a
-    if a < 55.0:
-        return 2.5 + 0.075 * (a - 35.0)
-    return 4.0 - 0.114 * (a - 55.0)
-
-
-def wi_rooftop_to_street(geometry: WiGeometry, frequency_mhz: float,
-                         rx_height_m: float) -> float:
-    """Rooftop-to-street diffraction L_RTS.
-
-    The height difference is read as roof height minus receiver height (the
-    printed form reuses the base-station symbol; see wi_nlos for
-    the warning surfacing the alternative reading).
-    """
-    _check_frequency(frequency_mhz)
-    drop = geometry.roof_height_m - rx_height_m
-    if drop <= 0:
-        raise DomainError(
-            "rooftop term undefined: roof height must exceed receiver height")
-    return (-16.9 - 10.0 * _log10(geometry.street_width_m)
-            + 10.0 * _log10(frequency_mhz) + 20.0 * _log10(drop)
-            + wi_orientation_loss(geometry.orientation_deg))
 
 
 def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: float,
@@ -553,11 +449,26 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             mode: FidelityMode = FidelityMode.CORRECTED):
     """Bind the NLOS total: free space + rooftop-to-street + multi-screen diffraction.
 
-    A negative diffraction sum is clamped to the free-space floor and
-    reported as a warning.
+    The rooftop-to-street term reads its height difference as roof height
+    minus receiver height; the printed form reuses the base-station symbol,
+    and a warning gives the shift of that reading.  Its street-orientation
+    correction is piecewise over [0, 35), [35, 55) and [55, 90] degrees.  A
+    negative diffraction sum is clamped to the free-space floor and reported
+    as a warning.
     """
     frequency_term = 20.0 * _log10(link.frequency_mhz)
-    rts = wi_rooftop_to_street(geometry, link.frequency_mhz, link.rx_height_m)
+    drop = geometry.roof_height_m - link.rx_height_m
+    if drop <= 0:
+        raise DomainError("rooftop term undefined: roof height must exceed receiver height")
+    angle = geometry.orientation_deg
+    if angle < 35.0:
+        orientation = -10.0 + 0.354 * angle
+    elif angle < 55.0:
+        orientation = 2.5 + 0.075 * (angle - 35.0)
+    else:
+        orientation = 4.0 - 0.114 * (angle - 55.0)
+    rts = (-16.9 - 10.0 * _log10(geometry.street_width_m)
+           + 10.0 * _log10(link.frequency_mhz) + 20.0 * _log10(drop) + orientation)
     rooftop = ("rooftop_to_street", rts)
     multiscreen = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m, mode)
 
@@ -594,17 +505,11 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
 # Ericsson 9999
 # --------------------------------------------------------------------------
 
-def ericsson_gf(frequency_mhz: float) -> float:
-    """Frequency term g(f) = 44.49*log10(f) - 4.78*(log10(f))^2."""
-    _check_frequency(frequency_mhz)
-    lf = _log10(frequency_mhz)
-    return 44.49 * lf - 4.78 * lf * lf
-
-
 def ericsson(link: RadioLink,
              coeffs: EricssonCoefficients = EricssonCoefficients(),
              mode: FidelityMode = FidelityMode.CORRECTED):
-    """Bind Ericsson 9999 with adjustable a0..a3 coefficients.
+    """Bind Ericsson 9999 with adjustable a0..a3 coefficients and the frequency
+    gain g(f) = 44.49*log10(f) - 4.78*(log10(f))^2.
 
     The fixed receiver-height offset is 3.2*(log10(11.75))^2 exactly as
     printed; corrected mode restores the receiver height inside the log,
@@ -617,7 +522,8 @@ def ericsson(link: RadioLink,
     else:
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2
     constant, bs_height = ("constant", coeffs.a0), ("bs_height", coeffs.a2 * lb)
-    tail = (("rx_height_offset", -offset), ("frequency_gain", ericsson_gf(link.frequency_mhz)))
+    lf = _log10(link.frequency_mhz)
+    tail = (("rx_height_offset", -offset), ("frequency_gain", 44.49 * lf - 4.78 * lf * lf))
     _check_labels(("constant", "distance", "bs_height", "bs_distance_cross",
                    *(label for label, _ in tail)))
 

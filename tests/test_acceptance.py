@@ -12,8 +12,6 @@ from pathcast import (
     FidelityMode,
     ModelId,
     RadioLink,
-    SUI_TERRAIN_PARAMS,
-    SuiTerrain,
     WiGeometry,
     amu_lookup,
     compare_against_reference,
@@ -26,7 +24,6 @@ from pathcast import (
     load_reference_rows,
     okumura,
     sui,
-    sui_gamma,
     sweep,
     wi_los,
     wi_nlos,
@@ -233,8 +230,9 @@ def test_criterion_4_property_suites():
     # SUI exponent ordering A > B > C for h_b in [10, 80]
     for _ in range(100):
         hb = rng.uniform(10.0, 80.0)
-        g = [sui_gamma(SUI_TERRAIN_PARAMS[t], hb)
-             for t in (SuiTerrain.A, SuiTerrain.B, SuiTerrain.C)]
+        # 10*gamma at 10*d0, urban (A), suburban (B) and rural (C)
+        g = [sui(RadioLink(1900, 1000, hb, 3), env)(1000).component("distance")
+             for env in (Environment.URBAN, Environment.SUBURBAN, Environment.RURAL)]
         if not g[0] > g[1] > g[2]:
             failures.append(("gamma ordering", hb, g))
 

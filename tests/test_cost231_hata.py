@@ -8,43 +8,46 @@ from pathcast import (
     FidelityMode,
     RadioLink,
     cost231_hata,
-    hata_rx_correction,
 )
+
+
+def _rx_correction(rx_height_m, environment, mode=FidelityMode.CORRECTED,
+                   frequency_mhz=1900.0, bs_height_m=30.0):
+    """a(h_r), which the binder subtracts as its rx_correction component."""
+    link = RadioLink(frequency_mhz, 5000.0, bs_height_m, rx_height_m)
+    return -cost231_hata(link, environment, mode)(link.distance_m).component("rx_correction")
 
 
 class TestRxCorrection:
     def test_urban_log_term_vanishes(self):
-        assert hata_rx_correction(1900.0, 1.0 / 11.75, Environment.URBAN) == pytest.approx(
-            -4.97, abs=1e-9)
+        assert _rx_correction(1.0 / 11.75, Environment.URBAN) == pytest.approx(-4.97, abs=1e-9)
 
     def test_urban_3m(self):
-        assert hata_rx_correction(1900.0, 3.0, Environment.URBAN) == pytest.approx(
+        assert _rx_correction(3.0, Environment.URBAN) == pytest.approx(
             2.689844309461207, abs=1e-9)
 
     def test_urban_mode_independent(self):
-        corrected = hata_rx_correction(1900.0, 3.0, Environment.URBAN, FidelityMode.CORRECTED)
-        printed = hata_rx_correction(1900.0, 3.0, Environment.URBAN, FidelityMode.AS_PRINTED)
+        corrected = _rx_correction(3.0, Environment.URBAN, FidelityMode.CORRECTED)
+        printed = _rx_correction(3.0, Environment.URBAN, FidelityMode.AS_PRINTED)
         assert corrected == printed
 
     def test_suburban_corrected(self):
-        assert hata_rx_correction(
-            1900.0, 3.0, Environment.SUBURBAN, FidelityMode.CORRECTED
-        ) == pytest.approx(4.405031265657922, abs=1e-9)
+        assert _rx_correction(3.0, Environment.SUBURBAN, FidelityMode.CORRECTED) == \
+            pytest.approx(4.405031265657922, abs=1e-9)
 
     def test_suburban_as_printed_is_garbled(self):
         # the misprinted variant collapses to a huge negative value
-        assert hata_rx_correction(
-            1900.0, 3.0, Environment.SUBURBAN, FidelityMode.AS_PRINTED
-        ) == pytest.approx(-2999.6933710389517, abs=1e-9)
+        assert _rx_correction(3.0, Environment.SUBURBAN, FidelityMode.AS_PRINTED) == \
+            pytest.approx(-2999.6933710389517, abs=1e-9)
 
     @pytest.mark.parametrize("frequency_mhz, rx_height_m, environment, mode", [
-        (1.2e308, 3.0, Environment.RURAL, FidelityMode.AS_PRINTED),  # 1.58 * f
         (1900.0, 1.7e308, Environment.URBAN, FidelityMode.CORRECTED),  # 11.75 * h_r
         (1900.0, 1.7e308, Environment.SUBURBAN, FidelityMode.CORRECTED),  # (...) * h_r
     ])
     def test_overflow(self, frequency_mhz, rx_height_m, environment, mode):
+        link = RadioLink(frequency_mhz, 5000.0, 1.75e308, rx_height_m)
         with pytest.raises(DomainError, match="receiver correction a\\(h_r\\) overflows"):
-            hata_rx_correction(frequency_mhz, rx_height_m, environment, mode)
+            cost231_hata(link, environment, mode)
 
 
 class TestPathLoss:

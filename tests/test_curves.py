@@ -1,4 +1,4 @@
-"""Curve table loading, validation, interpolation and round-tripping."""
+"""Curve table loading, validation and interpolation."""
 
 import math
 
@@ -12,7 +12,6 @@ from pathcast import (
     amu_lookup,
     garea_lookup,
     load_curves,
-    serialize_curves,
 )
 from pathcast.curves import clamp_to_grid
 
@@ -96,11 +95,6 @@ class TestLoad:
         bad = VALID.replace("100,rural,20.0", "inf,rural,20.0")
         with pytest.raises(CurveParseError, match="line 12: non-finite"):
             load_curves(bad)
-
-    def test_round_trip_identity(self, bundled_curves):
-        assert load_curves(serialize_curves(bundled_curves)) == bundled_curves
-        table = load_curves(VALID)
-        assert load_curves(serialize_curves(table)) == table
 
 
 class TestAmuLookup:

@@ -8,19 +8,23 @@ from pathcast import (
     FidelityMode,
     RadioLink,
     ericsson,
-    ericsson_gf,
 )
+
+
+def _frequency_gain(frequency_mhz):
+    link = RadioLink(frequency_mhz, 5000.0, 30.0, 3.0)
+    return ericsson(link)(link.distance_m).component("frequency_gain")
 
 
 class TestFrequencyGain:
     def test_vanishes_at_1mhz(self):
-        assert ericsson_gf(1.0) == 0.0
+        assert _frequency_gain(1.0) == 0.0
 
     def test_1900(self):
-        assert ericsson_gf(1900.0) == pytest.approx(94.48567136625311, abs=1e-9)
+        assert _frequency_gain(1900.0) == pytest.approx(94.48567136625311, abs=1e-9)
 
     def test_2100(self):
-        assert ericsson_gf(2100.0) == pytest.approx(95.04800224050689, abs=1e-9)
+        assert _frequency_gain(2100.0) == pytest.approx(95.04800224050689, abs=1e-9)
 
 
 class TestPathLoss:

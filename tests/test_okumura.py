@@ -11,7 +11,6 @@ from pathcast import (
     RadioLink,
     load_curves,
     okumura,
-    okumura_antenna_gains,
 )
 
 STUB_AMU20 = """\
@@ -41,26 +40,37 @@ GAREA,freq_mhz,environment,gain_db
 """
 
 
+def _antenna_gains(bs_height_m, rx_height_m):
+    """(G(h_b), G(h_r)), which the binder subtracts as its height-gain components."""
+    link = RadioLink(1900.0, 5000.0, bs_height_m, rx_height_m)
+    result = okumura(link, Environment.URBAN, load_curves(STUB_AMU0))(link.distance_m)
+    return -result.component("bs_height_gain"), -result.component("rx_height_gain")
+
+
 class TestAntennaGains:
     def test_reference_heights_vanish(self):
-        assert okumura_antenna_gains(200.0, 3.0) == (0.0, 0.0)
+        assert _antenna_gains(200.0, 3.0) == (0.0, 0.0)
 
     def test_30m_bs(self):
-        g_bs, g_rx = okumura_antenna_gains(30.0, 3.0)
+        g_bs, g_rx = _antenna_gains(30.0, 3.0)
         assert g_bs == pytest.approx(-16.478174818886377, abs=1e-9)
         assert g_rx == 0.0
 
     def test_80m_bs(self):
-        g_bs, _ = okumura_antenna_gains(80.0, 3.0)
+        g_bs, _ = _antenna_gains(80.0, 3.0)
         assert g_bs == pytest.approx(-7.958800173440752, abs=1e-9)
 
     def test_nonpositive_height(self):
-        with pytest.raises(DomainError):
-            okumura_antenna_gains(0.0, 3.0)
+        with pytest.raises(DomainError, match="^heights must satisfy bs_height > rx_height > 0$"):
+            RadioLink(1900.0, 5000.0, 0.0, 3.0)
 
     def test_underflow(self):
-        with pytest.raises(DomainError, match="underflows to 0"):
-            okumura_antenna_gains(30.0, 5e-324)
+        with pytest.raises(DomainError, match="h_r/3 underflows to 0"):
+            okumura(RadioLink(1900.0, 5000.0, 30.0, 5e-324), Environment.URBAN,
+                    load_curves(STUB_AMU0))
+        with pytest.raises(DomainError, match="h_b/200 underflows to 0"):
+            okumura(RadioLink(1900.0, 5000.0, 1e-322, 5e-324), Environment.URBAN,
+                    load_curves(STUB_AMU0))
 
 
 class TestPathLoss:

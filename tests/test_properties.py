@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,9 +19,7 @@ from pathcast import (
     PathLossResult,
     PathcastError,
     RadioLink,
-    SUI_TERRAIN_PARAMS,
     Scenario,
-    SuiTerrain,
     WiGeometry,
     amu_lookup,
     bind,
@@ -32,8 +31,6 @@ from pathcast import (
     load_default_curves,
     okumura,
     sui,
-    sui_gamma,
-    sui_reference_loss,
     sweep,
     wi_los,
     wi_nlos,
@@ -97,8 +94,7 @@ class TestDistanceMonotonicity:
         rng = random.Random(1)
         link = random_link(rng, d_lo=150.0)
         env = Environment.URBAN
-        gamma = sui_gamma(SUI_TERRAIN_PARAMS[SuiTerrain.A], link.bs_height_m)
-        assert gamma > 0
+        assert sui(link, env)(1000.0).component("distance") > 0  # 10*gamma at 10*d0
         self._check(rng, lambda d: sui(
             RadioLink(link.frequency_mhz, d, link.bs_height_m, link.rx_height_m),
             env)(d).total_db)
@@ -139,9 +135,10 @@ class TestFrequencyMonotonicity:
             f1, f2 = sorted((rng.uniform(100, 3000), rng.uniform(100, 3000)))
             if f1 == f2:
                 continue
-            assert sui_reference_loss(f2, 100.0) > sui_reference_loss(f1, 100.0)
             link1 = RadioLink(f1, 5000.0, 30.0, 3.0)
             link2 = RadioLink(f2, 5000.0, 30.0, 3.0)
+            assert sui(link2, Environment.URBAN)(5000.0).component("free_space_ref") > \
+                sui(link1, Environment.URBAN)(5000.0).component("free_space_ref")
             assert wi_los(link2)(link2.distance_m).component("frequency") > \
                 wi_los(link1)(link1.distance_m).component("frequency")
             nlos1 = wi_nlos(WiGeometry(), link1)(link1.distance_m)
@@ -157,8 +154,9 @@ class TestSuiGammaOrdering:
         rng = random.Random(6)
         for _ in range(N_CASES):
             hb = rng.uniform(10.0, 80.0)
-            gammas = [sui_gamma(SUI_TERRAIN_PARAMS[t], hb) for t in
-                      (SuiTerrain.A, SuiTerrain.B, SuiTerrain.C)]
+            # 10*gamma at 10*d0, urban (A), suburban (B) and rural (C)
+            gammas = [sui(RadioLink(1900.0, 1000.0, hb, 3.0), env)(1000.0).component("distance")
+                      for env in (Environment.URBAN, Environment.SUBURBAN, Environment.RURAL)]
             assert gammas[0] > gammas[1] > gammas[2]
 
 
@@ -336,6 +334,44 @@ def _any_tuple(*ranges):
     ranges, so that every model branch also gets finite results."""
     return st.one_of(st.tuples(*(_any_float(lo, hi) for lo, hi in ranges)),
                      st.tuples(*(st.floats(lo, hi) for lo, hi in ranges)))
+
+
+_LINK = dict(frequency_mhz=1900.0, distance_m=5000.0, bs_height_m=30.0, rx_height_m=3.0,
+             sui_reference_distance_m=100.0)
+_HEIGHTS = "heights must satisfy bs_height > rx_height > 0"
+_STREET = "street width and building separation must be positive"
+_ORIENTATION = "street orientation must lie in [0, 90] degrees"
+
+
+class TestInputRanges:
+    """RadioLink and WiGeometry check every input range when they are built; the
+    binders rely on them and check only what valid inputs can overflow."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("frequency_mhz", 0.0, "frequency must be positive"),
+        ("frequency_mhz", -1900.0, "frequency must be positive"),
+        ("bs_height_m", 3.0, _HEIGHTS),
+        ("rx_height_m", 0.0, _HEIGHTS),
+        ("sui_reference_distance_m", 0.0, "SUI reference distance must be positive"),
+        ("street_width_m", 0.0, _STREET),
+        ("building_separation_m", 0.0, _STREET),
+        ("roof_height_m", 0.0, "roof height must be positive"),
+        ("orientation_deg", -0.001, _ORIENTATION),
+        ("orientation_deg", 90.001, _ORIENTATION),
+        ("orientation_deg", 0.0, None),
+        ("orientation_deg", 90.0, None),
+    ])
+    def test_checked_when_built(self, field, value, message):
+        if field in _LINK:
+            make = lambda: RadioLink(**{**_LINK, field: value})
+        else:
+            make = lambda: WiGeometry(**{field: value})
+        if message is None:
+            result = wi_nlos(make(), RadioLink(**_LINK))(5000.0)
+            assert math.isfinite(result.total_db)
+            return
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 class TestFiniteOrPathcastError:

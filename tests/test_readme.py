@@ -1,9 +1,28 @@
-"""The README's Python examples run against the current API."""
+"""The README's Python examples run against the current API, and the API is
+the public surface the README lists."""
 
 import re
+import types
 from pathlib import Path
 
+import pathcast
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = sorted([
+    # models: the binders and their inputs and results
+    "sui", "okumura", "cost231_hata", "wi_los", "wi_nlos", "ericsson",
+    "RadioLink", "WiGeometry", "EricssonCoefficients", "Environment", "FidelityMode",
+    "PathLossResult", "LIGHT_SPEED_M_S",
+    # scenarios, sweeps, inversion and the reference comparison
+    "ModelId", "Scenario", "default_scenario", "bind", "evaluate", "sweep",
+    "invert_cell_range", "compare_against_reference", "load_reference_rows",
+    "ReferenceRow", "LedgerEntry", "DiscrepancyLedger",
+    # curve tables
+    "CurveTable", "load_curves", "load_default_curves", "amu_lookup", "garea_lookup",
+    # errors
+    "PathcastError", "DomainError", "BoundsError", "CurveLookupError", "CurveParseError",
+])
 
 
 def test_python_examples_run(capsys):
@@ -12,3 +31,11 @@ def test_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "clamped to grid edge" in capsys.readouterr().out
+
+
+def test_public_names_are_the_listed_surface():
+    names = sorted(name for name, value in vars(pathcast).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    library = README.read_text("utf-8").split("\n## Library\n", 1)[1]
+    assert [name for name in PUBLIC_NAMES if f"`{name}`" not in library] == []

@@ -25,7 +25,6 @@ from pathcast import (
     load_curves,
     load_reference_rows,
     okumura,
-    serialize_curves,
     sui,
     sweep,
     wi_los,
@@ -272,14 +271,21 @@ class TestCompare:
 
 
 def _dip_table(bundled):
-    """The bundled A_mu surface on a grid with nodes at 4.5, 5 and 5.5 km, read
-    back through the loader, with 8 dB taken off at 5 km: the default urban
-    Okumura loss falls from 160.76 dB at 4.5 km to 154.31 dB at 5 km."""
+    """The bundled A_mu surface on a grid with nodes at 4.5, 5 and 5.5 km, with
+    8 dB taken off at 5 km, written as curve CSV and read back through the
+    loader: the default urban Okumura loss falls from 160.76 dB at 4.5 km to
+    154.31 dB at 5 km."""
     dist_km = (1.0, 2.0, 4.5, 5.0, 5.5) + tuple(d for d in bundled.dist_km if d >= 10.0)
-    amu_db = tuple(tuple(amu_lookup(bundled, f, d * 1000.0) - (8.0 if d == 5.0 else 0.0)
-                         for d in dist_km) for f in bundled.freq_mhz)
-    return load_curves(serialize_curves(
-        dataclasses.replace(bundled, dist_km=dist_km, amu_db=amu_db)))
+    lines = ["AMU," + ",".join(map(repr, dist_km))]
+    for f in bundled.freq_mhz:
+        amu_db = (amu_lookup(bundled, f, d * 1000.0) - (8.0 if d == 5.0 else 0.0)
+                  for d in dist_km)
+        lines.append(",".join(map(repr, (f, *amu_db))))
+    lines.append("GAREA,freq_mhz,environment,gain_db")
+    lines += [f"{f!r},{env.value},{gain!r}"
+              for env, rows in bundled.garea.items() for f, gain in rows]
+    lines.append("# source: bundled surface with a dip at 5 km")
+    return load_curves("\n".join(lines))
 
 
 _PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))

@@ -9,8 +9,6 @@ from pathcast import (
     WiGeometry,
     wi_los,
     wi_nlos,
-    wi_orientation_loss,
-    wi_rooftop_to_street,
 )
 
 URBAN_GEOMETRY = WiGeometry(street_width_m=25.0, building_separation_m=50.0,
@@ -37,28 +35,42 @@ class TestLos:
         assert low.total_db == high.total_db
 
 
+def _rooftop(geometry, frequency_mhz, rx_height_m):
+    """L_RTS, the NLOS binder's rooftop_to_street component."""
+    link = RadioLink(frequency_mhz, 1000.0, 30.0, rx_height_m)
+    return wi_nlos(geometry, link)(link.distance_m).component("rooftop_to_street")
+
+
+def _orientation_loss(angle_deg):
+    # a 10 m street, 10 MHz and the roof 1 m above the receiver leave
+    # L_RTS = -16.9 + L_ori
+    geometry = WiGeometry(street_width_m=10.0, roof_height_m=4.0, orientation_deg=angle_deg)
+    return _rooftop(geometry, 10.0, 3.0) + 16.9
+
+
 class TestOrientation:
     def test_branch_values(self):
-        assert wi_orientation_loss(0.0) == -10.0
-        assert wi_orientation_loss(35.0) == 2.5
-        assert wi_orientation_loss(30.0) == pytest.approx(0.62, abs=1e-9)
-        assert wi_orientation_loss(90.0) == pytest.approx(0.01, abs=1e-9)
-        assert wi_orientation_loss(40.0) == pytest.approx(2.875, abs=1e-12)
+        assert _orientation_loss(0.0) == -10.0
+        assert _orientation_loss(35.0) == 2.5
+        assert _orientation_loss(30.0) == pytest.approx(0.62, abs=1e-9)
+        assert _orientation_loss(90.0) == pytest.approx(0.01, abs=1e-9)
+        assert _orientation_loss(40.0) == pytest.approx(2.875, abs=1e-12)
 
     def test_branch_boundaries(self):
         # fixed discontinuities of the piecewise definition, no smoothing
-        assert wi_orientation_loss(34.999) == pytest.approx(2.389646, abs=1e-9)
-        assert wi_orientation_loss(35.0) - wi_orientation_loss(34.999) == pytest.approx(
+        assert _orientation_loss(34.999) == pytest.approx(2.389646, abs=1e-9)
+        assert _orientation_loss(35.0) - _orientation_loss(34.999) == pytest.approx(
             0.110354, abs=1e-9)
-        assert wi_orientation_loss(54.999) == pytest.approx(3.999925, abs=1e-9)
-        assert wi_orientation_loss(55.0) - wi_orientation_loss(54.999) == pytest.approx(
+        assert _orientation_loss(54.999) == pytest.approx(3.999925, abs=1e-9)
+        assert _orientation_loss(55.0) - _orientation_loss(54.999) == pytest.approx(
             7.5e-5, abs=1e-9)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            wi_orientation_loss(-0.001)
-        with pytest.raises(DomainError):
-            wi_orientation_loss(90.001)
+        message = "^street orientation must lie in \\[0, 90\\] degrees$"
+        with pytest.raises(DomainError, match=message):
+            WiGeometry(orientation_deg=-0.001)
+        with pytest.raises(DomainError, match=message):
+            WiGeometry(orientation_deg=90.001)
 
 
 class TestGeometry:
@@ -72,18 +84,18 @@ class TestGeometry:
 
 class TestRooftopToStreet:
     def test_urban_defaults(self):
-        assert wi_rooftop_to_street(URBAN_GEOMETRY, 1900.0, 3.0) == pytest.approx(
+        assert _rooftop(URBAN_GEOMETRY, 1900.0, 3.0) == pytest.approx(
             24.111760843760415, abs=1e-9)
 
     def test_all_terms_unity(self):
         geometry = WiGeometry(street_width_m=10.0, building_separation_m=50.0,
                               roof_height_m=4.0, orientation_deg=0.0)
-        assert wi_rooftop_to_street(geometry, 10.0, 3.0) == pytest.approx(-26.9, abs=1e-12)
+        assert _rooftop(geometry, 10.0, 3.0) == pytest.approx(-26.9, abs=1e-12)
 
     def test_roof_at_receiver_height_rejected(self):
         geometry = WiGeometry(roof_height_m=3.0)
         with pytest.raises(DomainError, match="rooftop term undefined"):
-            wi_rooftop_to_street(geometry, 1900.0, 3.0)
+            wi_nlos(geometry, RadioLink(1900.0, 5000.0, 30.0, 3.0))
 
 
 class TestMultiscreen:
