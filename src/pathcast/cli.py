@@ -168,7 +168,9 @@ def _load_config_file(parser, path):
             raw = json.load(fh)
     except FileNotFoundError:
         parser.error(f"--config: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
+    except ValueError as exc:  # malformed JSON, non-UTF-8 bytes or an over-long integer
         parser.error(f"--config: invalid JSON: {exc}")
     if not isinstance(raw, dict):
         parser.error("--config: top-level value must be an object")
@@ -229,11 +231,11 @@ def _scenario_from(config) -> Scenario:
         keyword: getattr(config, name) for name, keyword in _SCENARIO_KEYWORDS.items()})
 
 
-def _curves_for(config, bundled_fallback: bool) -> Optional[CurveTable]:
+def _curves_for(config) -> Optional[CurveTable]:
     if config.curves:
         with open(config.curves, "rb") as fh:
             return load_curves(fh)
-    return load_default_curves() if bundled_fallback else None
+    return None
 
 
 _SERIES_HEADER = "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db\n"
@@ -252,14 +254,9 @@ def _model_json(config):
             "mode": config.mode.value}
 
 
-def _emit_series(config, points, out):
-    """Sweep output; also ``pathloss --output csv`` as a one-point series.
-
-    Each point is formatted as soon as ``points`` yields it, into one buffer
-    that is written to ``out`` after the last point, so memory follows the
-    size of the output and an error part-way leaves ``out`` untouched.
-    """
-    buffer = io.StringIO()
+def _series(config, points, buffer):
+    """Sweep output, also ``pathloss --output csv`` as a one-point series; each
+    point is formatted as ``points`` yields it, so no result is held."""
     write = buffer.write
     if config.output == "csv":
         middle = ",".join(["", config.model.value, config.environment.value,
@@ -285,30 +282,40 @@ def _emit_series(config, points, out):
         write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
         for distance, result in points:
             write(f"{distance:>12.2f}  {result.total_db:>12.2f}\n")
-    out.write(buffer.getvalue())
 
 
-def _emit_pathloss(config, result, out):
+def _pathloss(config, buffer):
+    result = evaluate(config.model, _scenario_from(config), _curves_for(config))
     if config.output == "csv":
-        _emit_series(config, [(config.dist_m, result)], out)
+        _series(config, [(config.dist_m, result)], buffer)
     elif config.output == "json":
         body = dict(_model_json(config), inputs={
             "freq_mhz": config.freq_mhz, "distance_m": config.dist_m,
             "bs_m": config.bs_m, "rx_m": config.rx_m}, **_result_json_body(result))
-        out.write(json.dumps(body, indent=2) + "\n")
+        buffer.write(json.dumps(body, indent=2) + "\n")
     else:
-        out.write(f"model: {config.model.value}   environment: {config.environment.value}"
-                  f"   mode: {config.mode.value}\n")
-        out.write(f"freq {config.freq_mhz:.2f} MHz   distance {config.dist_m:.2f} m   "
-                  f"bs {config.bs_m:.2f} m   rx {config.rx_m:.2f} m\n")
+        buffer.write(f"model: {config.model.value}   environment: {config.environment.value}"
+                     f"   mode: {config.mode.value}\n")
+        buffer.write(f"freq {config.freq_mhz:.2f} MHz   distance {config.dist_m:.2f} m   "
+                     f"bs {config.bs_m:.2f} m   rx {config.rx_m:.2f} m\n")
         for label, value in result.components:
-            out.write(f"  {label:<22}{value:>10.2f}\n")
-        out.write(f"  {'total':<22}{result.total_db:>10.2f}\n")
+            buffer.write(f"  {label:<22}{value:>10.2f}\n")
+        buffer.write(f"  {'total':<22}{result.total_db:>10.2f}\n")
         for warning in result.warnings:
-            out.write(f"warning: {warning}\n")
+            buffer.write(f"warning: {warning}\n")
 
 
-def _emit_compare(config, ledger, out):
+def _sweep(config, buffer):
+    _series(config, iter_sweep(config.model, _scenario_from(config), config.d_min_m,
+                               config.d_max_m, config.steps, _curves_for(config),
+                               config.spacing), buffer)
+
+
+def _compare(config, buffer) -> int:
+    curves = _curves_for(config) or load_default_curves()
+    ledger = compare_against_reference(
+        load_reference_rows(), config.tolerance_db, curves, config.mode)
+    code = 3 if config.strict and ledger.matched < len(ledger.entries) else 0
     if config.output == "json":
         body = {
             "tolerance_db": ledger.tolerance_db,
@@ -321,10 +328,9 @@ def _emit_compare(config, ledger, out):
                 verdict=e.verdict, notes=list(e.notes)) for e in ledger.entries],
             "summary": ledger.summary,
         }
-        out.write(json.dumps(body, indent=2) + "\n")
-        return
+        buffer.write(json.dumps(body, indent=2) + "\n")
+        return code
     if config.output == "csv":
-        buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["model", "freq_mhz", "dist_km", "bs_m", "rx_m", "environment",
                          "mode", "printed_db", "computed_db", "delta_db", "verdict", "notes"])
@@ -338,50 +344,41 @@ def _emit_compare(config, ledger, out):
                 "" if e.delta_db is None else f"{e.delta_db:.2f}",
                 e.verdict, "; ".join(e.notes),
             ])
-        out.write(buffer.getvalue())
     else:
         for e in ledger.entries:
             computed = "-" if e.computed_db is None else f"{e.computed_db:8.2f}"
             delta = "-" if e.delta_db is None else f"{e.delta_db:+8.2f}"
-            out.write(f"{e.row.model.value:<18}{e.row.freq_mhz:>7.0f}{e.row.bs_m:>5.0f}"
-                      f"  {e.environment.value:<9}{e.printed_db:>8.2f}{computed:>10}"
-                      f"{delta:>10}  {e.verdict}\n")
-    out.write(ledger.summary + "\n")
+            buffer.write(f"{e.row.model.value:<18}{e.row.freq_mhz:>7.0f}{e.row.bs_m:>5.0f}"
+                         f"  {e.environment.value:<9}{e.printed_db:>8.2f}{computed:>10}"
+                         f"{delta:>10}  {e.verdict}\n")
+    buffer.write(ledger.summary + "\n")
+    return code
+
+
+def _cell_range(config, buffer):
+    distance = invert_cell_range(config.model, _scenario_from(config), config.max_loss_db,
+                                 config.d_min_m, config.d_max_m, _curves_for(config))
+    buffer.write({"csv": f"distance_m\n{distance:.2f}\n", "table": f"{distance:.2f} m\n",
+                  "json": json.dumps({"distance_m": distance}, indent=2) + "\n",
+                  }[config.output])
+
+
+_RUN = {"pathloss": _pathloss, "sweep": _sweep, "compare": _compare, "cell-range": _cell_range}
 
 
 def run(config, out=None, err=None) -> int:
-    """Execute one parsed command; returns the process exit code."""
+    """Execute one parsed command; returns the process exit code.  The command
+    writes into one buffer that goes to ``out`` only if it succeeds."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    buffer = io.StringIO()
     try:
-        if config.command == "compare":
-            curves = _curves_for(config, bundled_fallback=True)
-            ledger = compare_against_reference(
-                load_reference_rows(), config.tolerance_db, curves, config.mode)
-            _emit_compare(config, ledger, out)
-            return 3 if config.strict and ledger.matched < len(ledger.entries) else 0
-
-        scenario = _scenario_from(config)
-        curves = _curves_for(config, bundled_fallback=False)
-        if config.command == "pathloss":
-            result = evaluate(config.model, scenario, curves)
-            _emit_pathloss(config, result, out)
-        elif config.command == "sweep":
-            _emit_series(config, iter_sweep(config.model, scenario, config.d_min_m,
-                                            config.d_max_m, config.steps, curves,
-                                            config.spacing), out)
-        elif config.command == "cell-range":
-            distance = invert_cell_range(config.model, scenario, config.max_loss_db,
-                                         config.d_min_m, config.d_max_m, curves)
-            out.write({"csv": f"distance_m\n{distance:.2f}\n", "table": f"{distance:.2f} m\n",
-                       "json": json.dumps({"distance_m": distance}, indent=2) + "\n",
-                       }[config.output])
-        else:
-            raise PathcastError(f"unknown command {config.command!r}")
-        return 0
-    except (FileNotFoundError, PathcastError) as exc:
+        code = _RUN[config.command](config, buffer) or 0  # only compare sets a code
+    except (OSError, PathcastError) as exc:
         print(f"error: {exc}", file=err)
         return 1
+    out.write(buffer.getvalue())
+    return code
 
 
 def main(argv=None) -> int:

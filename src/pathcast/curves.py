@@ -64,7 +64,12 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the valid prefix plus one character ends on the undecodable line
+            lineno = len((source[:exc.start].decode("utf-8") + "x").splitlines())
+            raise CurveParseError(f"line {lineno}: not UTF-8 ({exc.reason})") from None
 
     dist_km: list[float] = []
     freq_mhz: list[float] = []

@@ -23,10 +23,12 @@ plus the rooftop term's roof-above-receiver condition, which spans the two.
 ``at`` ignores ``link.distance_m``; it checks the distance, computes only the
 distance-dependent components and builds the :class:`PathLossResult` in the
 model's component order, joining them to component tuples the binder built
-once.  The labels of every layout a binder can emit are checked once, when it
-binds, so ``at`` only sums the components and checks that the total is
-finite; ``PathLossResult(...)`` itself checks the labels on every call.  The
-loss at the link's own distance is
+once.  A binder's labels are string literals in its own code, and the
+shadow-margin wrapper of :func:`pathcast.scenario.bind` adds only
+``shadow_margin``, which no binder emits, so both build results without a
+label check: they only sum the components and check that the total is
+finite.  Labels are checked in one place, ``PathLossResult(...)``, where a
+caller's own components come in.  The loss at the link's own distance is
 ``binder(link, ...)(link.distance_m)``, and a sweep over a bound model
 returns exactly what a fresh binding returns at each point.  That equality
 holds only if hoisting never reorders floating-point arithmetic: a binder may
@@ -159,7 +161,11 @@ class PathLossResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _check_labels([label for label, _ in self.components])
+        labels = [label for label, _ in self.components]
+        if not labels:
+            raise DomainError("a path-loss result needs at least one component")
+        if len(set(labels)) != len(labels):
+            raise DomainError("component labels must be unique")
         _fill(self, self.components, self.warnings)
 
     def component(self, label: str) -> float:
@@ -173,18 +179,10 @@ _set_components = PathLossResult.components.__set__
 _set_warnings = PathLossResult.warnings.__set__
 
 
-def _check_labels(labels):
-    """Reject an empty layout or a repeated label."""
-    if not labels:
-        raise DomainError("a path-loss result needs at least one component")
-    if len(set(labels)) != len(labels):
-        raise DomainError("component labels must be unique")
-
-
 def _fill(result, components, warnings=()):
-    """Set the slots of ``result``, whose component labels are already checked;
-    the total is a plain left fold (sum() compensates floats from Python 3.12
-    on) and must be finite."""
+    """Set the slots of ``result``, whose component labels are unique; the
+    total is a plain left fold (sum() compensates floats from Python 3.12 on)
+    and must be finite."""
     total = 0.0
     for _, value in components:
         total += value
@@ -250,7 +248,6 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     if include_shadowing:
         lf = _log10(freq)
         tail += (("shadowing", 0.65 * lf * lf - 1.3 * lf + alpha),)
-    _check_labels(("free_space_ref", "distance", *(label for label, _ in tail)))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -285,8 +282,6 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
     area = None
-    _check_labels(("free_space", "median_attenuation", "bs_height_gain", "rx_height_gain",
-                   "area_gain"))
 
     def at(distance_m: float) -> PathLossResult:
         nonlocal area
@@ -347,7 +342,6 @@ def cost231_hata(link: RadioLink, environment: Environment,
     )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
-    _check_labels((*(label for label, _ in head), "distance", "environment"))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -364,7 +358,6 @@ def cost231_hata(link: RadioLink, environment: Environment,
 def wi_los(link: RadioLink):
     """Bind the line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
     frequency = ("frequency", 20.0 * _log10(link.frequency_mhz))
-    _check_labels(("constant", "distance", "frequency"))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -480,9 +473,6 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             f"height symbols bound to roof height {geometry.roof_height_m:g} m; "
             f"the base-station reading ({link.bs_height_m:g} m) would shift the "
             f"rooftop term by {shift:+.2f} dB",)
-    layout = ("free_space", "rooftop_to_street", "multiscreen")
-    _check_labels(layout)
-    _check_labels(layout + ("diffraction_floor",))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -524,8 +514,6 @@ def ericsson(link: RadioLink,
     constant, bs_height = ("constant", coeffs.a0), ("bs_height", coeffs.a2 * lb)
     lf = _log10(link.frequency_mhz)
     tail = (("rx_height_offset", -offset), ("frequency_gain", 44.49 * lf - 4.78 * lf * lf))
-    _check_labels(("constant", "distance", "bs_height", "bs_distance_cross",
-                   *(label for label, _ in tail)))
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)

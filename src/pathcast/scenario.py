@@ -1,7 +1,8 @@
 """Scenario binding, model dispatch, distance sweeps, reference comparison and
 cell-range inversion.
 
-A Scenario is one fully-bound evaluation context.  Defaults reproduce the
+A Scenario is one fully-bound evaluation context with no field defaults;
+:func:`default_scenario` is their one source.  Its defaults reproduce the
 simulation parameters of the embedded comparison: 1900/2100 MHz, 5 km, BS
 30/80 m, receiver 3 m, street width 25 m, building separation 50 m, roof
 height 15 m, orientation 30 deg urban / 40 deg suburban, shadow margin
@@ -29,6 +30,8 @@ from .propagation import (
     PathLossResult,
     RadioLink,
     WiGeometry,
+    _fill,
+    _new_result,
     cost231_hata,
     ericsson,
     okumura,
@@ -68,11 +71,11 @@ class Scenario:
     link: RadioLink
     environment: Environment
     wi_geometry: WiGeometry
-    ericsson: EricssonCoefficients = EricssonCoefficients()
-    mode: FidelityMode = FidelityMode.CORRECTED
-    shadow_margin_db: float = 10.6
-    apply_shadow_margin: bool = False
-    include_sui_shadowing: bool = True
+    ericsson: EricssonCoefficients
+    mode: FidelityMode
+    shadow_margin_db: float
+    apply_shadow_margin: bool
+    include_sui_shadowing: bool
 
 
 def default_scenario(environment: Environment,
@@ -130,9 +133,10 @@ def bind(model: ModelId, scenario: Scenario,
     The returned evaluator ignores ``scenario.link.distance_m`` and computes
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
     geometry's LOS flag (rural defaults to LOS, urban/suburban to NLOS).  The
-    scenario's shadow margin is appended as a labeled component only when
-    apply_shadow_margin is set.  The evaluator carries the model's
-    ``branch_points`` (see :mod:`pathcast.propagation`).
+    scenario's shadow margin is appended as a ``shadow_margin`` component, a
+    label no binder emits, only when apply_shadow_margin is set.  The
+    evaluator carries the model's ``branch_points`` (see
+    :mod:`pathcast.propagation`).
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -159,7 +163,8 @@ def bind(model: ModelId, scenario: Scenario,
 
     def at_with_margin(distance_m: float) -> PathLossResult:
         result = at(distance_m)
-        return PathLossResult(result.components + margin_component, result.warnings)
+        return _fill(_new_result(PathLossResult), result.components + margin_component,
+                     result.warnings)
     at_with_margin.branch_points = at.branch_points
     return at_with_margin
 

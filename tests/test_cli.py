@@ -134,12 +134,25 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert repr(field) in capsys.readouterr().err
 
-    def test_malformed_json_rejected(self, tmp_path):
+    def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.json"
-        path.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["pathloss", "--model", "sui", "--config", str(path)])
-        assert exc.value.code == 2
+        # malformed, not UTF-8, and an integer too long for int()
+        for content in (b"{not json", b'{"freq_mhz": \xff}', b'{"steps": 1' + b"0" * 5000 + b"}"):
+            path.write_bytes(content)
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["pathloss", "--model", "sui", "--config", str(path)])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--config: invalid JSON" in err
+
+    def test_unreadable_config_rejected(self, tmp_path, capsys):
+        for path, reason in ((tmp_path / "missing.json", "file not found"),
+                             (tmp_path, "Is a directory")):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["pathloss", "--model", "sui", "--config", str(path)])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--config: " in err and reason in err
 
 
 class TestRun:
@@ -149,11 +162,15 @@ class TestRun:
         assert "curve table required" in err
         assert out == ""
 
-    def test_missing_curve_file_exits_1(self):
-        code, _, err = invoke_cli(["pathloss", "--model", "okumura",
-                                   "--curves", "/nonexistent/curves.csv"])
-        assert code == 1
-        assert "curves.csv" in err
+    def test_missing_curve_file_exits_1(self, tmp_path):
+        (tmp_path / "latin1.csv").write_bytes(b"AMU,1,2\n\xe9\n")
+        for path, reason in (("/nonexistent/curves.csv", "curves.csv"),
+                             (tmp_path, "Is a directory"),
+                             (tmp_path / "latin1.csv", "line 2: not UTF-8")):
+            for command in (["pathloss", "--model", "okumura"], ["compare"]):
+                code, out, err = invoke_cli([*command, "--curves", str(path)])
+                assert code == 1
+                assert out == "" and err.startswith("error: ") and reason in err
 
     def test_domain_error_exits_1(self):
         code, _, err = invoke_cli(["pathloss", "--model", "sui", "--dist-m", "50"])

@@ -76,6 +76,14 @@ class TestLoad:
         with pytest.raises(CurveParseError, match="line 4"):
             load_curves(bad)
 
+    def test_non_utf8_names_line(self, tmp_path):
+        with pytest.raises(CurveParseError, match="line 2: not UTF-8"):
+            load_curves(b"AMU,1,2\n\xff\n")
+        path = tmp_path / "curves.csv"
+        path.write_bytes(VALID.encode("utf-8").replace(b"1000,15.0", b"1000,\xe9"))
+        with open(path, "rb") as fh, pytest.raises(CurveParseError, match="line 4: not UTF-8"):
+            load_curves(fh)
+
     def test_unknown_environment(self):
         bad = VALID.replace("100,rural,20.0", "100,open,20.0")
         with pytest.raises(CurveParseError, match="environment"):

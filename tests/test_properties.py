@@ -289,22 +289,19 @@ _LAYOUT_SCENARIOS = (
 class TestBinderResults:
     """Results the binders build through the fold-only path."""
 
-    def test_every_layout_is_checked_when_bound(self, monkeypatch, bundled_curves):
-        checked = []
-        monkeypatch.setattr("pathcast.propagation._check_labels",
-                            lambda labels: checked.append(tuple(labels)))
+    def test_every_layout_rebuilds_through_the_public_constructor(self, bundled_curves):
         emitted = set()
         for scenario in _LAYOUT_SCENARIOS:
-            for model in ModelId:
-                checked.clear()
-                at = bind(model, scenario, bundled_curves)
-                layouts = set(checked)
-                for d in (1000.0, 5000.0, 20_000.0):
-                    labels = tuple(label for label, _ in at(d).components)
-                    assert labels in layouts
-                    emitted.add(labels)
+            for margined in (scenario, dataclasses.replace(scenario, apply_shadow_margin=True)):
+                for model in ModelId:
+                    at = bind(model, margined, bundled_curves)
+                    for d in (1000.0, 5000.0, 20_000.0):
+                        result = at(d)
+                        assert PathLossResult(result.components, result.warnings) == result
+                        emitted.add(tuple(label for label, _ in result.components))
         assert ("free_space", "rooftop_to_street", "multiscreen", "diffraction_floor") in emitted
-        assert len(emitted) == 8  # SUI twice, WI NLOS twice, one each for the others
+        # SUI twice, WI NLOS twice and one each for the others, with and without the margin
+        assert len(emitted) == 16
 
     @pytest.mark.parametrize("model", list(ModelId))
     def test_replace_rebuilds_through_the_public_checks(self, model, bundled_curves):
@@ -411,7 +408,7 @@ class TestFiniteOrPathcastError:
             except PathcastError:
                 return
             assert math.isfinite(result.total_db)
-            # binders check labels when they bind; the public constructor on every call
+            # binders build results without the public constructor's label check
             rebuilt = PathLossResult(result.components, result.warnings)
             assert rebuilt == result
             assert hash(rebuilt) == hash(result)

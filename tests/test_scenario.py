@@ -14,6 +14,7 @@ from pathcast import (
     FidelityMode,
     ModelId,
     RadioLink,
+    Scenario,
     WiGeometry,
     amu_lookup,
     compare_against_reference,
@@ -67,6 +68,12 @@ class TestDefaults:
         assert s.link.frequency_mhz == 2100.0
         assert s.wi_geometry.orientation_deg == 12.0
         assert s.wi_geometry.los is True
+
+    def test_scenario_has_no_field_defaults(self):
+        # default_scenario is the one source, with the margin per environment
+        s = default_scenario(Environment.RURAL)
+        with pytest.raises(TypeError):
+            Scenario(s.link, s.environment, s.wi_geometry)
 
 
 class TestEvaluate:
