@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import inspect
 import io
 import json
@@ -170,7 +171,8 @@ def _load_config_file(parser, path):
         parser.error(f"--config: file not found: {path}")
     except OSError as exc:
         parser.error(f"--config: {exc}")
-    except ValueError as exc:  # malformed JSON, non-UTF-8 bytes or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, non-UTF-8 bytes, an over-long integer or nesting too deep
         parser.error(f"--config: invalid JSON: {exc}")
     if not isinstance(raw, dict):
         parser.error("--config: top-level value must be an object")
@@ -232,10 +234,17 @@ def _scenario_from(config) -> Scenario:
 
 
 def _curves_for(config) -> Optional[CurveTable]:
-    if config.curves:
-        with open(config.curves, "rb") as fh:
-            return load_curves(fh)
-    return None
+    """The --curves table, parsed only where it is read: by compare and by
+    the okumura model."""
+    read = config.command == "compare" or config.model is ModelId.OKUMURA
+    if not (config.curves and read):
+        return None
+    try:
+        fh = open(config.curves, "rb")
+    except ValueError as exc:  # a NUL byte, which only a --config string can carry
+        raise OSError(errno.EINVAL, str(exc), config.curves) from None
+    with fh:
+        return load_curves(fh)
 
 
 _SERIES_HEADER = "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db\n"

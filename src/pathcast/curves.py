@@ -3,7 +3,10 @@
 The published curves exist only as drawings, so the surface ships as a
 replaceable CSV asset with a mandatory provenance tag.  Interpolation runs in
 (log f, log d) space because the curves are drawn on log axes.  Tables are
-immutable after load; lookups are pure.
+immutable after load; lookups are pure.  :func:`amu_at_frequency` binds the
+A_mu surface to one frequency and returns a per-distance lookup, so a model
+evaluated at many distances does the frequency work once;
+:func:`amu_lookup` is that lookup for a single (f, d) pair.
 
 CSV format (UTF-8, '#' comments ignored):
 
@@ -182,24 +185,43 @@ def _segment(samples, value):
     return min(max(i, 0), len(samples) - 2)
 
 
+def amu_at_frequency(table: CurveTable, frequency_mhz: float):
+    """Bind the A_mu surface to one frequency; returns ``at(distance_m)``.
+
+    The frequency's bound check, segment search and log-f weight are done
+    here, once; ``at`` does only the distance work and returns exactly what
+    :func:`amu_lookup` returns for the same pair.  An off-grid frequency
+    raises here, an off-grid distance in ``at``.
+    """
+    _check_bounds(frequency_mhz, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
+    fi = _segment(table.freq_mhz, frequency_mhz)
+    f0, f1 = table.freq_mhz[fi], table.freq_mhz[fi + 1]
+    tf = (math.log10(frequency_mhz) - math.log10(f0)) / (math.log10(f1) - math.log10(f0))
+    row0, row1 = table.amu_db[fi], table.amu_db[fi + 1]
+    dists = table.dist_km
+    d_lo, d_hi = dists[0], dists[-1]
+    log_dists = tuple(math.log10(d) for d in dists)
+
+    def at(distance_m: float) -> float:
+        dist_km = distance_m / 1000.0
+        _check_bounds(dist_km, d_lo, d_hi, "distance", "km")
+        di = _segment(dists, dist_km)
+        l0, l1 = log_dists[di], log_dists[di + 1]
+        td = (math.log10(dist_km) - l0) / (l1 - l0)
+        low = row0[di] * (1.0 - td) + row0[di + 1] * td
+        high = row1[di] * (1.0 - td) + row1[di + 1] * td
+        return low * (1.0 - tf) + high * tf
+    return at
+
+
 def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> float:
     """Median attenuation, bilinear in (log f, log d); exact at grid nodes.
 
-    Out-of-grid points raise; :func:`clamp_to_grid` pins them to the edge.
+    Out-of-grid points raise (frequency checked first); :func:`clamp_to_grid`
+    pins them to the edge.  For many distances at one frequency, bind once
+    with :func:`amu_at_frequency`.
     """
-    dist_km = distance_m / 1000.0
-    _check_bounds(frequency_mhz, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
-    _check_bounds(dist_km, table.dist_km[0], table.dist_km[-1], "distance", "km")
-
-    fi = _segment(table.freq_mhz, frequency_mhz)
-    di = _segment(table.dist_km, dist_km)
-    f0, f1 = table.freq_mhz[fi], table.freq_mhz[fi + 1]
-    d0, d1 = table.dist_km[di], table.dist_km[di + 1]
-    tf = (math.log10(frequency_mhz) - math.log10(f0)) / (math.log10(f1) - math.log10(f0))
-    td = (math.log10(dist_km) - math.log10(d0)) / (math.log10(d1) - math.log10(d0))
-    low = table.amu_db[fi][di] * (1.0 - td) + table.amu_db[fi][di + 1] * td
-    high = table.amu_db[fi + 1][di] * (1.0 - td) + table.amu_db[fi + 1][di + 1] * td
-    return low * (1.0 - tf) + high * tf
+    return amu_at_frequency(table, frequency_mhz)(distance_m)
 
 
 def garea_lookup(table: CurveTable, frequency_mhz: float,

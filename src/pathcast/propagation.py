@@ -271,26 +271,30 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
     uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
     ``clamp`` is set, in which case the clamped axes are reported as warnings.
-    The area gain is looked up at the first point whose A_mu lookup
-    succeeds, so a point reports the same error as a fresh evaluation.
+    The A_mu lookup is bound to the (clamped) frequency at the first point
+    with a valid distance, and kept only once the frequency is on the grid;
+    the area gain is looked up at the first point whose A_mu lookup
+    succeeds.  So a point reports the same error as a fresh evaluation.
     """
-    from .curves import amu_lookup, clamp_to_grid, garea_lookup
+    from .curves import amu_at_frequency, clamp_to_grid, garea_lookup
 
     g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")
     g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
     bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
-    area = None
+    amu_at = area = None
 
     def at(distance_m: float) -> PathLossResult:
-        nonlocal area
+        nonlocal amu_at, area
         _check_distance(distance_m)
         warnings = ()
         f, dist = freq, distance_m
         if clamp:
             f, dist, warnings = clamp_to_grid(curves, f, dist)
-        amu = amu_lookup(curves, f, dist)
+        if amu_at is None:
+            amu_at = amu_at_frequency(curves, f)
+        amu = amu_at(dist)
         if area is None:
             area = ("area_gain", -garea_lookup(curves, f, environment))
         free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,

@@ -145,6 +145,13 @@ class TestConfigFile:
             out, err = capsys.readouterr()
             assert out == "" and "--config: invalid JSON" in err
 
+    def test_deeply_nested_config_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke_cli(["pathloss", "--model", "sui", "--config", str(path)])
+        assert code == 2
+        assert out == "" and "--config: invalid JSON: " in err
+
     def test_unreadable_config_rejected(self, tmp_path, capsys):
         for path, reason in ((tmp_path / "missing.json", "file not found"),
                              (tmp_path, "Is a directory")):
@@ -171,6 +178,31 @@ class TestRun:
                 code, out, err = invoke_cli([*command, "--curves", str(path)])
                 assert code == 1
                 assert out == "" and err.startswith("error: ") and reason in err
+
+    def test_nul_in_curves_path_exits_1(self, tmp_path):
+        path = tmp_path / "nul.json"
+        path.write_text(json.dumps({"curves": "a\u0000b"}))
+        for command in (["pathloss", "--model", "okumura"], ["compare"]):
+            code, out, err = invoke_cli([*command, "--config", str(path)])
+            assert code == 1
+            assert out == "" and err.startswith("error: ") and "null byte" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pathloss", "--model", "sui"],
+        ["pathloss", "--model", "cost231_hata", "--output", "json"],
+        ["sweep", "--model", "walfisch_ikegami", "--steps", "3"],
+        ["cell-range", "--model", "walfisch_ikegami", "--env", "rural",
+         "--max-loss-db", "126.3883"],
+    ])
+    def test_curves_unread_by_other_models(self, argv, monkeypatch):
+        """Only okumura and compare read the curve table, so no other command
+        opens the --curves or $PATHCAST_CURVES file."""
+        monkeypatch.delenv("PATHCAST_CURVES", raising=False)
+        expected = invoke_cli(argv)
+        assert expected[0] == 0
+        assert invoke_cli([*argv, "--curves", "/nonexistent/curves.csv"]) == expected
+        monkeypatch.setenv("PATHCAST_CURVES", "/nonexistent/curves.csv")
+        assert invoke_cli(argv) == expected
 
     def test_domain_error_exits_1(self):
         code, _, err = invoke_cli(["pathloss", "--model", "sui", "--dist-m", "50"])

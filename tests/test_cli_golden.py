@@ -1,4 +1,5 @@
-"""Byte-exact golden tests for every CLI example documented in the README."""
+"""Byte-exact golden tests for every CLI example documented in the README,
+plus an Okumura sweep off a frequency node that crosses every grid cell."""
 
 from pathlib import Path
 
@@ -31,6 +32,10 @@ GOLDEN_CASES = [
     ("sweep_sui_suburban.txt",
      ["sweep", "--model", "sui", "--env", "suburban", "--d-min-m", "500", "--d-max-m", "8000",
       "--steps", "5", "--output", "table"]),
+    ("sweep_okumura_suburban.csv",
+     ["sweep", "--model", "okumura", "--env", "suburban", "--freq-mhz", "1234.5",
+      "--curves", bundled_curves_path(), "--d-min-m", "1000", "--d-max-m", "100000",
+      "--steps", "60"]),
     ("compare_default.csv",
      ["compare", "--tolerance-db", "0.5"]),
     ("cellrange_wi_rural.csv",

@@ -13,7 +13,7 @@ from pathcast import (
     garea_lookup,
     load_curves,
 )
-from pathcast.curves import clamp_to_grid
+from pathcast.curves import amu_at_frequency, clamp_to_grid
 
 import oracle
 
@@ -152,6 +152,29 @@ class TestAmuLookup:
         independent = oracle.bilinear_log(anchor_freqs, anchor_dists, anchor_amu, 1900.0, 5.0)
         assert amu_lookup(bundled_curves, 1900.0, 5000.0) == pytest.approx(
             independent, abs=1.5)
+
+
+class TestAmuAtFrequency:
+    def test_agrees_with_the_oracle(self, bundled_curves):
+        t = bundled_curves
+        freqs = t.freq_mhz + tuple(math.sqrt(a * b) for a, b in zip(t.freq_mhz, t.freq_mhz[1:]))
+        dists_km = t.dist_km + tuple(a + (b - a) / 3 for a, b in zip(t.dist_km, t.dist_km[1:]))
+        for freq in freqs:
+            at = amu_at_frequency(t, freq)
+            for d_km in dists_km:
+                value = at(d_km * 1000.0)
+                assert value == amu_lookup(t, freq, d_km * 1000.0)
+                assert value == pytest.approx(
+                    oracle.bilinear_log(t.freq_mhz, t.dist_km, t.amu_db, freq, d_km), abs=1e-9)
+
+    def test_frequency_checked_when_bound_distance_when_called(self):
+        table = load_curves(VALID)
+        with pytest.raises(BoundsError, match="^frequency 3500 MHz above grid maximum 3000 MHz$"):
+            amu_at_frequency(table, 3500.0)
+        at = amu_at_frequency(table, 1000.0)
+        with pytest.raises(BoundsError, match="^distance 150 km above grid maximum 100 km$"):
+            at(150_000.0)
+        assert at(10_000.0) == 25.0
 
 
 class TestGareaLookup:

@@ -8,10 +8,14 @@ from pathcast import (
     BoundsError,
     DomainError,
     Environment,
+    ModelId,
     RadioLink,
+    amu_lookup,
+    default_scenario,
     load_curves,
     okumura,
 )
+from pathcast.scenario import iter_sweep
 
 STUB_AMU20 = """\
 AMU,1,100
@@ -133,3 +137,44 @@ class TestPathLoss:
         result = okumura(link, Environment.URBAN, bundled_curves)(link.distance_m)
         assert result.component("median_attenuation") == pytest.approx(33.83255218538436, abs=1e-9)
         assert result.total_db == pytest.approx(162.31298233193107, abs=1e-9)
+
+
+class TestBoundLookup:
+    """The A_mu lookup is bound to the frequency at the first point; the
+    error order is still distance, frequency, then grid distance."""
+
+    FREQ_BELOW = "^frequency 50 MHz below grid minimum 100 MHz$"
+
+    def test_off_grid_frequency_raises_on_every_call(self, bundled_curves):
+        at = okumura(RadioLink(50.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves)
+        with pytest.raises(DomainError, match="^distance must be positive$"):
+            at(-5000.0)
+        for distance_m in (5000.0, 500.0, 150_000.0, 5000.0):
+            with pytest.raises(BoundsError, match=self.FREQ_BELOW):
+                at(distance_m)
+
+    def test_sweep_aborts_at_d_min(self, bundled_curves):
+        scenario = default_scenario(Environment.URBAN, frequency_mhz=50.0)
+        for d_min_m in (500.0, 5000.0):
+            with pytest.raises(DomainError, match=f"^sweep aborted at {d_min_m:.2f} m: "
+                                                  "frequency 50 MHz below grid minimum"):
+                list(iter_sweep(ModelId.OKUMURA, scenario, d_min_m, 150_000.0, 5,
+                                bundled_curves))
+
+    def test_off_grid_distance_keeps_the_binding(self, bundled_curves):
+        at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves)
+        with pytest.raises(BoundsError, match="^distance 0.5 km below grid minimum 1 km$"):
+            at(500.0)
+        assert at(5000.0).component("median_attenuation") == amu_lookup(
+            bundled_curves, 1900.0, 5000.0)
+
+    def test_clamp_warns_frequency_then_distance(self, bundled_curves):
+        at = okumura(RadioLink(50.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves,
+                     clamp=True)
+        for distance_m, edge_m in ((150_000.0, 100_000.0), (500.0, 1000.0)):
+            result = at(distance_m)
+            assert result.warnings == (
+                "frequency 50 MHz clamped to grid edge 100 MHz",
+                f"distance {distance_m:g} m clamped to grid edge {edge_m:g} m")
+            assert result.component("median_attenuation") == amu_lookup(
+                bundled_curves, 100.0, edge_m)
