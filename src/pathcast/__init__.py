@@ -8,6 +8,7 @@ from .curves import (
     garea_lookup,
     load_curves,
     load_default_curves,
+    okumura,
 )
 from .errors import (
     BoundsError,
@@ -26,7 +27,6 @@ from .propagation import (
     WiGeometry,
     cost231_hata,
     ericsson,
-    okumura,
     sui,
     wi_los,
     wi_nlos,

@@ -1,4 +1,11 @@
-"""Okumura median-attenuation and area-gain curve tables.
+"""Okumura's model and the median-attenuation and area-gain curve tables it reads.
+
+Okumura is the one model that reads measured curves, not a closed form, so
+its binder :func:`okumura` lives here with the table and keeps the binder
+contract of :mod:`pathcast.propagation`.  Its ``at.branch_points`` are the
+grid's distance nodes.  It binds its lookups at the first point that reaches
+them, so each point raises what a fresh binding would: a bad distance, then
+an off-grid frequency, an off-grid distance, then a missing area gain.
 
 The published curves exist only as drawings, so the surface ships as a
 replaceable CSV asset with a mandatory provenance tag.  Interpolation runs in
@@ -16,6 +23,9 @@ CSV format (UTF-8, '#' comments ignored):
     GAREA,freq_mhz,environment,gain_db
     <freq>,<urban|suburban|rural>,<gain>
     # source: <free text>            required provenance tag
+
+Interpolation divides by log10 gaps, so every axis (distances, frequency rows,
+each environment's sorted area gains) must be positive, strictly rising in log10.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Union
 
-from .errors import BoundsError, CurveLookupError, CurveParseError
-from .propagation import Environment
+from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
+from .propagation import (Environment, PathLossResult, RadioLink, _check_distance, _fill,
+                          _log10_positive, _new_result)
 
 _ENVIRONMENTS = {env.value: env for env in Environment}
 
@@ -43,8 +54,17 @@ class CurveTable:
     source_tag: str
 
 
-def _strictly_increasing(values) -> bool:
-    return all(b > a for a, b in zip(values, values[1:]))
+def _check_log_axis(samples, what):
+    """Reject an axis of (value, line number) pairs that log interpolation
+    cannot use: each value must be positive, its log10 above the last one's."""
+    previous = None
+    for value, lineno in samples:
+        if not value > 0.0:
+            raise CurveParseError(f"line {lineno}: {what} must be positive, got {value:g}")
+        if previous is not None and not math.log10(value) > math.log10(previous):
+            raise CurveParseError(f"line {lineno}: {what} must be strictly increasing "
+                                  f"in log10, got {value!r} after {previous!r}")
+        previous = value
 
 
 def _parse_floats(fields, lineno):
@@ -76,8 +96,9 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
 
     dist_km: list[float] = []
     freq_mhz: list[float] = []
+    freq_lines: list[int] = []
     rows: list[tuple[float, ...]] = []
-    garea: dict[Environment, list[tuple[float, float]]] = {}
+    garea: dict[Environment, list[tuple[float, float, int]]] = {}
     source_tag = None
     section = None
 
@@ -95,8 +116,7 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             dist_km = _parse_floats(fields[1:], lineno)
             if len(dist_km) < 2:
                 raise CurveParseError(f"line {lineno}: at least 2 distance samples required")
-            if not _strictly_increasing(dist_km):
-                raise CurveParseError(f"line {lineno}: distances must be strictly increasing")
+            _check_log_axis([(d, lineno) for d in dist_km], "distances")
             section = "amu"
         elif fields[0] == "GAREA":
             if fields != ["GAREA", "freq_mhz", "environment", "gain_db"]:
@@ -109,6 +129,7 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
                     f"line {lineno}: expected {len(dist_km)} attenuation values, "
                     f"got {len(values) - 1} (grid must be rectangular)")
             freq_mhz.append(values[0])
+            freq_lines.append(lineno)
             rows.append(tuple(values[1:]))
         elif section == "garea":
             if len(fields) != 3:
@@ -124,7 +145,7 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             if env is Environment.URBAN and gain != 0.0:
                 raise CurveParseError(
                     f"line {lineno}: urban area gain must be 0 dB (reference environment)")
-            garea.setdefault(env, []).append((freq, gain))
+            garea.setdefault(env, []).append((freq, gain, lineno))
         else:
             raise CurveParseError(f"line {lineno}: data before the AMU header")
 
@@ -132,17 +153,16 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
         raise CurveParseError("line 1: missing AMU header")
     if len(freq_mhz) < 2:
         raise CurveParseError("at least 2 frequency samples required")
-    if not _strictly_increasing(freq_mhz):
-        raise CurveParseError("frequencies must be strictly increasing")
+    _check_log_axis(zip(freq_mhz, freq_lines), "frequencies")
     if source_tag is None:
         raise CurveParseError("missing required '# source:' provenance line")
 
     garea_sorted = {}
-    for env, pairs in garea.items():
-        pairs.sort()
-        if any(b[0] == a[0] for a, b in zip(pairs, pairs[1:])):
-            raise CurveParseError(f"duplicate area-gain frequency for {env.value}")
-        garea_sorted[env] = tuple(pairs)
+    for env, entries in garea.items():
+        entries.sort()
+        _check_log_axis([(f, lineno) for f, _, lineno in entries],
+                        f"{env.value} area-gain frequencies, once sorted,")
+        garea_sorted[env] = tuple((f, gain) for f, gain, _ in entries)
 
     return CurveTable(
         freq_mhz=tuple(freq_mhz),
@@ -239,3 +259,47 @@ def garea_lookup(table: CurveTable, frequency_mhz: float,
     f0, f1 = freqs[i], freqs[i + 1]
     t = (math.log10(frequency_mhz) - math.log10(f0)) / (math.log10(f1) - math.log10(f0))
     return rows[i][1] * (1.0 - t) + rows[i + 1][1] * t
+
+
+def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
+    """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env), with
+    the antenna gains G(h_b) = 20*log10(h_b/200) and G(h_r) = 10*log10(h_r/3).
+
+    ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
+    uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
+    ``clamp`` is set, in which case the clamped axes are reported as warnings.
+    The A_mu lookup is bound to the (clamped) frequency at the first point
+    with a valid distance, and kept only once the frequency is on the grid;
+    the area gain is looked up at the first point whose A_mu lookup
+    succeeds.  So a point reports the same error as a fresh evaluation.
+    """
+    if curves is None:
+        raise DomainError("curve table required for the okumura model")
+    g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")
+    g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
+    bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
+    freq = link.frequency_mhz
+    wavelength = link.wavelength_m
+    amu_at = area = None
+
+    def at(distance_m: float) -> PathLossResult:
+        nonlocal amu_at, area
+        _check_distance(distance_m)
+        warnings = ()
+        f, dist = freq, distance_m
+        if clamp:
+            f, dist, warnings = clamp_to_grid(curves, f, dist)
+        if amu_at is None:
+            amu_at = amu_at_frequency(curves, f)
+        amu = amu_at(dist)
+        if area is None:
+            area = ("area_gain", -garea_lookup(curves, f, environment))
+        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
+                                            "4*pi*d/lambda")
+        return _fill(
+            _new_result(PathLossResult),
+            (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
+            warnings)
+    # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
+    at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
+    return at

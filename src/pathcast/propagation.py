@@ -1,5 +1,6 @@
-"""Empirical path-loss models: SUI, Okumura, COST-231 Hata, COST-231
-Walfisch-Ikegami and Ericsson 9999.
+"""Closed-form empirical path-loss models: SUI, COST-231 Hata, COST-231
+Walfisch-Ikegami and Ericsson 9999.  Okumura reads measured curves, so its
+binder, :func:`pathcast.curves.okumura`, lives with its table.
 
 All operations are pure functions over immutable inputs.  External units are
 meters and MHz everywhere; models that are natively written in km convert
@@ -11,9 +12,9 @@ standard literature definitions, ``AS_PRINTED`` follows the comparison
 source's printed formulas verbatim, falling back to the corrected branch
 (with a warning) where the printed branch set has gaps.
 
-Each model has one entry point, its binder (``sui``, ``okumura``,
-``cost231_hata``, ``wi_los``, ``wi_nlos``, ``ericsson``), and the binders are
-the whole model API: every formula term is computed inside its binder.  A
+Each model has one entry point, its binder (here ``sui``, ``cost231_hata``,
+``wi_los``, ``wi_nlos`` and ``ericsson``), and the binders are the whole
+model API: every formula term is computed inside its binder.  A
 binder takes the link and the model's other inputs, computes every term that
 does not depend on distance once, and returns
 ``at(distance_m) -> PathLossResult``.  :class:`RadioLink` and
@@ -257,54 +258,6 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         return _fill(_new_result(PathLossResult),
                      (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
     at.branch_points = ()
-    return at
-
-
-# --------------------------------------------------------------------------
-# Okumura
-# --------------------------------------------------------------------------
-
-def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
-    """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env), with
-    the antenna gains G(h_b) = 20*log10(h_b/200) and G(h_r) = 10*log10(h_r/3).
-
-    ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
-    uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
-    ``clamp`` is set, in which case the clamped axes are reported as warnings.
-    The A_mu lookup is bound to the (clamped) frequency at the first point
-    with a valid distance, and kept only once the frequency is on the grid;
-    the area gain is looked up at the first point whose A_mu lookup
-    succeeds.  So a point reports the same error as a fresh evaluation.
-    """
-    from .curves import amu_at_frequency, clamp_to_grid, garea_lookup
-
-    g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")
-    g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
-    bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
-    freq = link.frequency_mhz
-    wavelength = link.wavelength_m
-    amu_at = area = None
-
-    def at(distance_m: float) -> PathLossResult:
-        nonlocal amu_at, area
-        _check_distance(distance_m)
-        warnings = ()
-        f, dist = freq, distance_m
-        if clamp:
-            f, dist, warnings = clamp_to_grid(curves, f, dist)
-        if amu_at is None:
-            amu_at = amu_at_frequency(curves, f)
-        amu = amu_at(dist)
-        if area is None:
-            area = ("area_gain", -garea_lookup(curves, f, environment))
-        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
-                                            "4*pi*d/lambda")
-        return _fill(
-            _new_result(PathLossResult),
-            (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
-            warnings)
-    # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
-    at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
     return at
 
 

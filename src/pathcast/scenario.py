@@ -21,7 +21,7 @@ from importlib import resources
 from itertools import chain
 from typing import Iterator, Optional
 
-from .curves import CurveTable
+from .curves import CurveTable, okumura
 from .errors import BoundsError, DomainError, PathcastError
 from .propagation import (
     Environment,
@@ -34,7 +34,6 @@ from .propagation import (
     _new_result,
     cost231_hata,
     ericsson,
-    okumura,
     sui,
     wi_los,
     wi_nlos,
@@ -142,8 +141,6 @@ def bind(model: ModelId, scenario: Scenario,
     if model is ModelId.SUI:
         at = sui(link, scenario.environment, scenario.include_sui_shadowing)
     elif model is ModelId.OKUMURA:
-        if curves is None:
-            raise DomainError("curve table required for the okumura model")
         at = okumura(link, scenario.environment, curves)
     elif model is ModelId.COST231_HATA:
         at = cost231_hata(link, scenario.environment, scenario.mode)

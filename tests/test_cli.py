@@ -10,7 +10,7 @@ import pytest
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
 from pathcast.cli import _scenario_from, parse_args, run
 
-from conftest import bundled_curves_path, invoke_cli
+from conftest import LOG_AXIS_DEFECTS, bundled_curves_path, defective_curves, invoke_cli
 
 
 class TestParseArgs:
@@ -178,6 +178,17 @@ class TestRun:
                 code, out, err = invoke_cli([*command, "--curves", str(path)])
                 assert code == 1
                 assert out == "" and err.startswith("error: ") and reason in err
+
+    @pytest.mark.parametrize("old,new,message", [case[1:] for case in LOG_AXIS_DEFECTS],
+                             ids=[case[0] for case in LOG_AXIS_DEFECTS])
+    def test_log_axis_defect_exits_1(self, tmp_path, old, new, message):
+        path = tmp_path / "curves.csv"
+        path.write_text(defective_curves(old, new))
+        okumura = ["--model", "okumura", "--env", "rural", "--freq-mhz", "100"]
+        for command in (["pathloss", *okumura, "--dist-m", "1000"], ["sweep", *okumura],
+                        ["cell-range", *okumura, "--max-loss-db", "130"], ["compare"]):
+            code, out, err = invoke_cli([*command, "--curves", str(path)])
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_nul_in_curves_path_exits_1(self, tmp_path):
         path = tmp_path / "nul.json"

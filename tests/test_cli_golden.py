@@ -1,5 +1,8 @@
 """Byte-exact golden tests for every CLI example documented in the README,
-plus an Okumura sweep off a frequency node that crosses every grid cell."""
+plus an Okumura sweep off a frequency node that crosses every grid cell and
+two JSON outputs that pin every bit of their floats: the whole ledger, 12 of
+its cells Okumura on the bundled table, and an Okumura breakdown with its
+component labels in order."""
 
 from pathlib import Path
 
@@ -38,6 +41,11 @@ GOLDEN_CASES = [
       "--steps", "60"]),
     ("compare_default.csv",
      ["compare", "--tolerance-db", "0.5"]),
+    ("compare_default.json",
+     ["compare", "--output", "json"]),
+    ("pathloss_okumura_rural.json",
+     ["pathloss", "--model", "okumura", "--env", "rural", "--output", "json",
+      "--curves", bundled_curves_path()]),
     ("cellrange_wi_rural.csv",
      ["cell-range", "--model", "walfisch_ikegami", "--env", "rural",
       "--freq-mhz", "1900", "--max-loss-db", "126.3883",

@@ -1,6 +1,7 @@
 """Curve table loading, validation and interpolation."""
 
 import math
+import re
 
 import pytest
 
@@ -16,23 +17,7 @@ from pathcast import (
 from pathcast.curves import amu_at_frequency, clamp_to_grid
 
 import oracle
-
-VALID = """\
-# comment line
-AMU,1,10,100
-100,10.0,20.0,30.0
-1000,15.0,25.0,35.0
-3000,18.0,28.0,38.0
-
-GAREA,freq_mhz,environment,gain_db
-100,urban,0
-3000,urban,0
-100,suburban,5.0
-3000,suburban,11.0
-100,rural,20.0
-3000,rural,31.0
-# source: unit-test fixture
-"""
+from conftest import LOG_AXIS_DEFECTS, VALID_CURVES as VALID, defective_curves
 
 
 class TestLoad:
@@ -103,6 +88,12 @@ class TestLoad:
         bad = VALID.replace("100,rural,20.0", "inf,rural,20.0")
         with pytest.raises(CurveParseError, match="line 12: non-finite"):
             load_curves(bad)
+
+    @pytest.mark.parametrize("old,new,message", [case[1:] for case in LOG_AXIS_DEFECTS],
+                             ids=[case[0] for case in LOG_AXIS_DEFECTS])
+    def test_log_axis_defect_names_line(self, old, new, message):
+        with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
+            load_curves(defective_curves(old, new))
 
 
 class TestAmuLookup:

@@ -1,9 +1,12 @@
 """Okumura model operations with stub curve tables."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import pathcast
 from pathcast import (
     BoundsError,
     DomainError,
@@ -178,3 +181,28 @@ class TestBoundLookup:
                 f"distance {distance_m:g} m clamped to grid edge {edge_m:g} m")
             assert result.component("median_attenuation") == amu_lookup(
                 bundled_curves, 100.0, edge_m)
+
+
+class TestHome:
+    """The binder lives in pathcast.curves, with the table it reads."""
+
+    def test_missing_table_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^curve table required for the okumura model$"):
+            okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, None)
+
+    def test_every_name_is_the_curves_binder(self):
+        assert pathcast.okumura is pathcast.curves.okumura
+        assert pathcast.scenario.okumura is pathcast.curves.okumura
+        assert not hasattr(pathcast.propagation, "okumura")
+
+    def test_propagation_imports_nothing_from_curves(self):
+        """curves imports propagation, so an import back would be a cycle."""
+        tree = ast.parse(Path(pathcast.propagation.__file__).read_text("utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("curves" in name.split(".") for name in names), ast.dump(node)

@@ -1,9 +1,11 @@
 """Property suites over seeded random inputs (>= 100 cases each)."""
 
 import dataclasses
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +37,10 @@ from pathcast import (
     wi_los,
     wi_nlos,
 )
+from pathcast.cli import _COMMANDS, _FIELDS, _REQUIRED, _command_fields
+
+from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
+                      invoke_cli)
 
 N_CASES = 120
 
@@ -476,3 +482,120 @@ class TestCellRangeOnAnyCurveGrid:
         beyond = [d for d in (*dense, *(d_km * 1000.0 for d_km in dist_km)) if found < d <= d_max]
         # the bisection stops up to 1e-6 dB below the target
         assert all(at(d).total_db > target - 2e-6 for d in beyond)
+
+
+# Float text at the edges of what float() accepts, and any float's repr
+_FLOAT_EDGES = (st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e309", "-1e309", "5e-324",
+                                 "1e-310", "2.2250738585072014e-308", "1e308"])
+                | st.floats().map(repr))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 60) | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=8)
+_CURVE_LINES = VALID_CURVES.splitlines()
+_CURVES = (
+    st.sampled_from([VALID_CURVES, Path(bundled_curves_path()).read_text("utf-8")])
+    | st.tuples(st.integers(0, len(_CURVE_LINES) - 1),
+                st.text("0123456789.,-+eainf ", max_size=24)).map(
+        lambda edit: "\n".join(_CURVE_LINES[:edit[0]] + [edit[1]] + _CURVE_LINES[edit[0] + 1:]))
+).map(str.encode) | st.binary(max_size=48)
+
+
+def _json_number(text):
+    try:
+        return float(text)  # nan and inf go out as JSON's NaN and Infinity
+    except ValueError:
+        return text
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv, --config text or None, --curves bytes or None).  Each field the
+    command takes is left out, given as a flag or put in the config; about
+    one value in thirty is of a kind the field refuses.  ``--steps`` is capped,
+    because a sweep holds its whole output until it succeeds."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, config = [command], {}
+    for name, kind, default, choices, _ in _command_fields(command):
+        places = ["flag", "config"] if default is _REQUIRED else [None, None, "flag", "config"]
+        place = draw(st.sampled_from(places))
+        if name == "curves" or place is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if draw(st.integers(0, 29)) == 29 and (place == "config" or kind is not bool):
+            value = "bogus"
+        elif kind is bool:
+            value = draw(st.booleans())
+        elif choices:
+            value = draw(st.sampled_from(choices))
+        elif kind is int:
+            value = draw(st.integers(-2, 60))
+        else:  # one in ten at an edge, the rest in the models' working ranges
+            edge = draw(st.integers(0, 9)) == 9
+            value = draw(_FLOAT_EDGES if edge else st.floats(0.5, 5000.0).map(repr))
+        if place == "config":
+            config[name] = _json_number(value) if kind is float else value
+        elif kind is bool:
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv.append(f"{flag}={value}")  # "=" lets a value start with "-"
+    if draw(st.integers(0, 9)) == 9:
+        config[draw(st.sampled_from([name for name, *_ in _FIELDS]) | st.text(max_size=4))] = (
+            draw(_JSON))
+    text = json.dumps(config) if config else None
+    if draw(st.integers(0, 19)) == 19:
+        text = json.dumps(draw(_JSON))
+    return argv, text, draw(st.none() | _CURVES)
+
+
+def _finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), f"non-finite number printed: {text}"
+    return value
+
+
+def _reject(constant):
+    raise AssertionError(f"non-finite number printed: {constant}")
+
+
+def _grid_examples(test):
+    """The log-axis defects, which once crashed the sweep with a traceback."""
+    sweep = ["sweep", "--model", "okumura", "--env", "rural", "--freq-mhz", "100",
+             "--d-max-m", "100000"]
+    for _, old, new, _ in LOG_AXIS_DEFECTS:
+        test = example(case=(sweep, None, defective_curves(old, new).encode()))(test)
+    return test
+
+
+class TestCliMain:
+    """Any argv, --config and curve file through cli.main gives an exit code
+    in {0, 1, 2, 3} and no traceback; exits 1 and 2 print nothing on stdout,
+    and exits 0 and 3 print only finite numbers."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(case=_cli_cases())
+    @example(case=(["pathloss", "--model", "sui"], "[" * 100_000 + "]" * 100_000, None))
+    @_grid_examples
+    def test_any_invocation(self, case, tmp_path_factory):
+        argv, config, curves = case
+        directory = tmp_path_factory.getbasetemp()
+        if config is not None:
+            (directory / "cli_main.json").write_text(config)
+            argv = [*argv, "--config", str(directory / "cli_main.json")]
+        if curves is not None:
+            (directory / "cli_main.csv").write_bytes(curves)
+            argv = [*argv, "--curves", str(directory / "cli_main.csv")]
+        code, out, err = invoke_cli(argv)
+        assert code in (0, 1, 2, 3), err
+        if code in (1, 2):
+            assert out == ""
+            assert err.startswith("error: ") if code == 1 else "error:" in err
+        elif out.startswith("{"):
+            json.loads(out, parse_float=_finite_float, parse_constant=_reject)
+        else:
+            for token in re.split(r"[\s,]+", out):
+                try:
+                    _finite_float(token)
+                except ValueError:
+                    continue
