@@ -104,10 +104,11 @@ _FIELDS = [
 ]
 
 # Command -> (summary, the fields only it takes).  A (default, help) pair
-# replaces the table's for that command; every command takes the fields that
-# no command lists.
+# replaces the table's for that command.  Every command takes the fields that
+# no command lists, but compare, whose scenarios are the reference table's
+# rows, takes only the _SHARED ones.
 _COMMANDS = {
-    "pathloss": ("evaluate one scenario", {"model": None}),
+    "pathloss": ("evaluate one scenario", {"model": None, "dist_m": None}),
     "sweep": ("path loss over a distance sweep", {
         "model": None, "steps": None, "spacing": None,
         "d_min_m": (_SWEEP["d_min_m"], "sweep start distance in meters"),
@@ -120,6 +121,7 @@ _COMMANDS = {
         "d_max_m": (_INVERT["d_max_m"], "bracket end in meters")}),
 }
 _OWNED = {name for _, own in _COMMANDS.values() for name in own}
+_SHARED = {"mode", "curves", "output"}
 
 # --config value rule per field type: (accepted JSON types, what the error asks for).
 _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
@@ -130,7 +132,7 @@ def _command_fields(command):
     """The table rows ``command`` takes, in table order, with its own defaults."""
     own = _COMMANDS[command][1]
     for name, kind, default, choices, text in _FIELDS:
-        if name in own or name not in _OWNED:
+        if name in own or name not in _OWNED and (name in _SHARED or command != "compare"):
             default, text = own.get(name) or (default, text)
             yield name, kind, default, choices, text
 

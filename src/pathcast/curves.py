@@ -45,7 +45,12 @@ _ENVIRONMENTS = {env.value: env for env in Environment}
 
 @dataclass(frozen=True)
 class CurveTable:
-    """Sampled A_mu(f,d) surface plus per-environment area-gain rows."""
+    """Sampled A_mu(f,d) surface plus per-environment area-gain rows.
+
+    Built directly, it checks what :func:`load_curves` checks, without line
+    numbers: every number finite, at least 2 nodes on each A_mu axis, a
+    rectangular grid, and axes that log interpolation can use.
+    """
 
     freq_mhz: tuple[float, ...]
     dist_km: tuple[float, ...]
@@ -53,16 +58,35 @@ class CurveTable:
     garea: dict[Environment, tuple[tuple[float, float], ...]]  # env -> ((f, gain), ...)
     source_tag: str
 
+    def __post_init__(self):
+        for value in (*self.freq_mhz, *self.dist_km, *(v for row in self.amu_db for v in row),
+                      *(v for rows in self.garea.values() for row in rows for v in row)):
+            if not math.isfinite(value):
+                raise CurveParseError(f"non-finite value {value!r}")
+        for axis, what in ((self.dist_km, "distance"), (self.freq_mhz, "frequency")):
+            if len(axis) < 2:
+                raise CurveParseError(f"at least 2 {what} samples required")
+        if len(self.amu_db) != len(self.freq_mhz) or any(
+                len(row) != len(self.dist_km) for row in self.amu_db):
+            raise CurveParseError("expected one attenuation row per frequency and one value "
+                                  "per distance (grid must be rectangular)")
+        _check_log_axis(self.dist_km, "distances")
+        _check_log_axis(self.freq_mhz, "frequencies")
+        for env, rows in self.garea.items():
+            _check_log_axis([f for f, _ in rows], f"{env.value} area-gain frequencies")
 
-def _check_log_axis(samples, what):
-    """Reject an axis of (value, line number) pairs that log interpolation
-    cannot use: each value must be positive, its log10 above the last one's."""
+
+def _check_log_axis(values, what, lines=None):
+    """Reject an axis that log interpolation cannot use: each value must be
+    positive, its log10 above the last one's.  ``lines`` holds each value's
+    line number, for the message."""
     previous = None
-    for value, lineno in samples:
+    for i, value in enumerate(values):
+        where = f"line {lines[i]}: " if lines else ""
         if not value > 0.0:
-            raise CurveParseError(f"line {lineno}: {what} must be positive, got {value:g}")
+            raise CurveParseError(f"{where}{what} must be positive, got {value:g}")
         if previous is not None and not math.log10(value) > math.log10(previous):
-            raise CurveParseError(f"line {lineno}: {what} must be strictly increasing "
+            raise CurveParseError(f"{where}{what} must be strictly increasing "
                                   f"in log10, got {value!r} after {previous!r}")
         previous = value
 
@@ -116,7 +140,7 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             dist_km = _parse_floats(fields[1:], lineno)
             if len(dist_km) < 2:
                 raise CurveParseError(f"line {lineno}: at least 2 distance samples required")
-            _check_log_axis([(d, lineno) for d in dist_km], "distances")
+            _check_log_axis(dist_km, "distances", [lineno] * len(dist_km))
             section = "amu"
         elif fields[0] == "GAREA":
             if fields != ["GAREA", "freq_mhz", "environment", "gain_db"]:
@@ -153,15 +177,16 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
         raise CurveParseError("line 1: missing AMU header")
     if len(freq_mhz) < 2:
         raise CurveParseError("at least 2 frequency samples required")
-    _check_log_axis(zip(freq_mhz, freq_lines), "frequencies")
+    _check_log_axis(freq_mhz, "frequencies", freq_lines)
     if source_tag is None:
         raise CurveParseError("missing required '# source:' provenance line")
 
     garea_sorted = {}
     for env, entries in garea.items():
         entries.sort()
-        _check_log_axis([(f, lineno) for f, _, lineno in entries],
-                        f"{env.value} area-gain frequencies, once sorted,")
+        _check_log_axis([f for f, _, _ in entries],
+                        f"{env.value} area-gain frequencies, once sorted,",
+                        [lineno for _, _, lineno in entries])
         garea_sorted[env] = tuple((f, gain) for f, gain, _ in entries)
 
     return CurveTable(
@@ -180,10 +205,17 @@ def load_default_curves() -> CurveTable:
 
 
 def _check_bounds(value, lo, hi, axis, unit):
-    if value < lo:
-        raise BoundsError(f"{axis} {value:g} {unit} below grid minimum {lo:g} {unit}")
-    if value > hi:
-        raise BoundsError(f"{axis} {value:g} {unit} above grid maximum {hi:g} {unit}")
+    """Refuse a value off [lo, hi], NaN included; the message shows the value
+    in full where ``:g`` would print it as the edge it crossed."""
+    if lo <= value <= hi:
+        return
+    if math.isnan(value):
+        raise BoundsError(f"{axis} nan {unit} is not a number")
+    side, edge = ("below grid minimum", lo) if value < lo else ("above grid maximum", hi)
+    shown = f"{value:g}"
+    if shown == f"{edge:g}":
+        shown = repr(value)
+    raise BoundsError(f"{axis} {shown} {unit} {side} {edge:g} {unit}")
 
 
 def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
@@ -191,9 +223,12 @@ def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
     each axis that moved."""
     notes = ()
     f = min(max(frequency_mhz, table.freq_mhz[0]), table.freq_mhz[-1])
+    # once clamped, only NaN is off the grid
+    _check_bounds(f, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
     if f != frequency_mhz:
         notes += (f"frequency {frequency_mhz:g} MHz clamped to grid edge {f:g} MHz",)
     d_km = min(max(distance_m / 1000.0, table.dist_km[0]), table.dist_km[-1])
+    _check_bounds(d_km, table.dist_km[0], table.dist_km[-1], "distance", "km")
     if d_km != distance_m / 1000.0:
         notes += (f"distance {distance_m:g} m clamped to grid edge {d_km * 1000.0:g} m",)
     return f, d_km * 1000.0, notes

@@ -14,8 +14,10 @@ class BoundsError(PathcastError, ValueError):
 
 
 class CurveParseError(PathcastError, ValueError):
-    """A curve CSV stream is malformed; message carries the line number."""
+    """A curve table is malformed; read from CSV, the message carries the line number."""
 
 
 class CurveLookupError(PathcastError, KeyError):
     """A requested environment has no rows in the curve table."""
+
+    __str__ = Exception.__str__  # the message as given, not quoted as KeyError quotes a key

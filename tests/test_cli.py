@@ -1,5 +1,6 @@
 """CLI argument parsing, precedence, exit codes and error mapping."""
 
+import csv
 import io
 import json
 import re
@@ -10,7 +11,8 @@ import pytest
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
 from pathcast.cli import _scenario_from, parse_args, run
 
-from conftest import LOG_AXIS_DEFECTS, bundled_curves_path, defective_curves, invoke_cli
+from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
+                      invoke_cli)
 
 
 class TestParseArgs:
@@ -76,6 +78,63 @@ class TestParseArgs:
         assert code == 0
         for command in ("pathloss", "sweep", "compare", "cell-range"):
             assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
+
+
+_SCENARIO_FLAGS = ["--bs-m", "--rx-m", "--d0-m", "--street-width-m", "--building-sep-m",
+                   "--roof-height-m", "--orientation-deg", "--metro-k", "--wi-condition",
+                   "--a0", "--a1", "--a2", "--a3", "--shadow-margin-db",
+                   "--apply-shadow-margin", "--sui-shadowing", "--curves", "--output"]
+COMMAND_FLAGS = {
+    "pathloss": ["-h", "--model", "--env", "--mode", "--freq-mhz", "--dist-m",
+                 *_SCENARIO_FLAGS, "--config"],
+    "sweep": ["-h", "--model", "--env", "--mode", "--freq-mhz", *_SCENARIO_FLAGS,
+              "--d-min-m", "--d-max-m", "--steps", "--spacing", "--config"],
+    "compare": ["-h", "--mode", "--curves", "--output", "--tolerance-db", "--strict",
+                "--config"],
+    "cell-range": ["-h", "--model", "--env", "--mode", "--freq-mhz", *_SCENARIO_FLAGS,
+                   "--max-loss-db", "--d-min-m", "--d-max-m", "--config"],
+}
+# Flags a command no longer takes, each with a value its old parser accepted.
+REMOVED_FLAGS = {
+    "compare": [["--env", "rural"], ["--freq-mhz", "2100"], ["--dist-m", "1000"],
+                ["--bs-m", "200"], ["--rx-m", "2"], ["--d0-m", "50"],
+                ["--street-width-m", "20"], ["--building-sep-m", "40"],
+                ["--roof-height-m", "20"], ["--orientation-deg", "45"], ["--metro-k", "0.7"],
+                ["--wi-condition", "los"], ["--a0", "99"], ["--a1", "1"], ["--a2", "1"],
+                ["--a3", "1"], ["--shadow-margin-db", "5"], ["--apply-shadow-margin"],
+                ["--no-sui-shadowing"]],
+    "sweep": [["--dist-m", "1000"]],
+    "cell-range": [["--dist-m", "1000"]],
+}
+
+
+class TestCommandFlags:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_command_flags(self, command):
+        code, out, _ = invoke_cli([command, "--help"])
+        assert code == 0
+        options = out.split("\noptions:\n", 1)[1]
+        assert re.findall(r"^  (-h|--[a-z0-9-]+)", options, re.MULTILINE) == \
+            COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_removed_flag_is_a_usage_error(self, command, flag):
+        code, out, err = invoke_cli([command, *REQUIRED_ARGS[command], *flag])
+        assert code == 2
+        assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_compare_config_ignores_scenario_fields(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"freq_mhz": 2100, "env": "rural", "dist_m": 1000,
+                                    "a0": 99, "wi_condition": "los"}))
+        expected = invoke_cli(["compare", "--tolerance-db", "0.5"])
+        assert expected[0] == 0
+        assert invoke_cli(["compare", "--tolerance-db", "0.5", "--config", str(path)]) == \
+            expected
 
 
 class TestConfigFile:
@@ -189,6 +248,18 @@ class TestRun:
                         ["cell-range", *okumura, "--max-loss-db", "130"], ["compare"]):
             code, out, err = invoke_cli([*command, "--curves", str(path)])
             assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_missing_area_gain_rows_message_is_plain(self, tmp_path):
+        path = tmp_path / "no_rural.csv"
+        path.write_text("\n".join(l for l in VALID_CURVES.splitlines() if ",rural," not in l))
+        message = "no area-gain rows for environment 'rural'"
+        assert invoke_cli(["pathloss", "--model", "okumura", "--env", "rural",
+                           "--curves", str(path)]) == (1, "", f"error: {message}\n")
+        code, out, _ = invoke_cli(["compare", "--curves", str(path)])
+        assert code == 0
+        notes = [row[-1] for row in csv.reader(io.StringIO(out))
+                 if row[0] == "okumura" and row[5] == "rural"]
+        assert notes and set(notes) == {f"mode=corrected; evaluation failed: {message}"}
 
     def test_nul_in_curves_path_exits_1(self, tmp_path):
         path = tmp_path / "nul.json"

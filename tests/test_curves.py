@@ -9,6 +9,7 @@ from pathcast import (
     BoundsError,
     CurveLookupError,
     CurveParseError,
+    CurveTable,
     Environment,
     amu_lookup,
     garea_lookup,
@@ -96,6 +97,42 @@ class TestLoad:
             load_curves(defective_curves(old, new))
 
 
+def _direct_table(**changes):
+    fields = dict(freq_mhz=(100.0, 3000.0), dist_km=(1.0, 10.0), amu_db=((1.0, 2.0), (3.0, 4.0)),
+                  garea={Environment.URBAN: ((100.0, 0.0),)}, source_tag="direct")
+    return CurveTable(**{**fields, **changes})
+
+
+class TestDirectTable:
+    """A table built without the loader keeps the loader's rules; before, the
+    first two cases ended in ZeroDivisionError and a math domain error."""
+
+    def test_valid_table_builds(self):
+        assert amu_lookup(_direct_table(), 3000.0, 10_000.0) == 4.0
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(freq_mhz=(100.0, 100.0)),
+         "frequencies must be strictly increasing in log10, got 100.0 after 100.0"),
+        (dict(dist_km=(0.0, 10.0)), "distances must be positive, got 0"),
+        (dict(freq_mhz=(100.0, math.inf)), "non-finite value inf"),
+        (dict(amu_db=((1.0, math.nan), (3.0, 4.0))), "non-finite value nan"),
+        (dict(garea={Environment.URBAN: ((100.0, -math.inf),)}), "non-finite value -inf"),
+        (dict(dist_km=(1.0,), amu_db=((1.0,), (3.0,))), "at least 2 distance samples required"),
+        (dict(freq_mhz=(100.0,), amu_db=((1.0, 2.0),)), "at least 2 frequency samples required"),
+        (dict(amu_db=((1.0, 2.0), (3.0,))), "expected one attenuation row per frequency and "
+                                            "one value per distance (grid must be rectangular)"),
+        (dict(amu_db=((1.0, 2.0),)), "expected one attenuation row per frequency and "
+                                     "one value per distance (grid must be rectangular)"),
+        (dict(garea={Environment.SUBURBAN: ((3000.0, 1.0), (100.0, 2.0))}),
+         "suburban area-gain frequencies must be strictly increasing in log10, "
+         "got 100.0 after 3000.0"),
+    ], ids=["frequency-log-equal", "distance-zero", "frequency-inf", "amu-nan", "gain-inf",
+            "one-distance", "one-frequency", "ragged-row", "missing-row", "gain-unsorted"])
+    def test_loader_rules_hold(self, changes, message):
+        with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
+            _direct_table(**changes)
+
+
 class TestAmuLookup:
     def test_exact_at_every_node(self):
         table = load_curves(VALID)
@@ -116,6 +153,28 @@ class TestAmuLookup:
             amu_lookup(table, 50.0, 5000.0)
         with pytest.raises(BoundsError, match="distance 150 km above grid maximum 100 km"):
             amu_lookup(table, 1000.0, 150_000.0)
+
+    @pytest.mark.parametrize("lookup,message", [
+        (lambda t: amu_lookup(t, math.nan, 5000.0), "frequency nan MHz"),
+        (lambda t: amu_lookup(t, 1000.0, math.nan), "distance nan km"),
+        (lambda t: garea_lookup(t, math.nan, Environment.RURAL), "frequency nan MHz"),
+        (lambda t: amu_at_frequency(t, math.nan)(5000.0), "frequency nan MHz"),
+        (lambda t: clamp_to_grid(t, math.nan, math.nan), "frequency nan MHz"),
+        (lambda t: clamp_to_grid(t, 1000.0, math.nan), "distance nan km"),
+    ], ids=["amu-frequency", "amu-distance", "garea", "bound-amu", "clamp", "clamp-distance"])
+    def test_nan_is_refused(self, lookup, message):
+        with pytest.raises(BoundsError, match=f"^{message} is not a number$"):
+            lookup(load_curves(VALID))
+
+    @pytest.mark.parametrize("freq,dist_m,message", [
+        (3000.0000000000005, 5000.0,
+         "frequency 3000.0000000000005 MHz above grid maximum 3000 MHz"),
+        (99.99999999999999, 5000.0, "frequency 99.99999999999999 MHz below grid minimum 100 MHz"),
+        (1000.0, 100_000.00000000001, "distance 100.00000000000001 km above grid maximum 100 km"),
+    ])
+    def test_value_next_to_an_edge_is_shown_in_full(self, freq, dist_m, message):
+        with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
+            amu_lookup(load_curves(VALID), freq, dist_m)
 
     def test_clamp_returns_edge_value(self):
         table = load_curves(VALID)
