@@ -80,6 +80,7 @@ class TestParseArgs:
             assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
 
 
+# What pathloss, sweep and cell-range take after --freq-mhz, in table order.
 _SCENARIO_FLAGS = ["--bs-m", "--rx-m", "--d0-m", "--street-width-m", "--building-sep-m",
                    "--roof-height-m", "--orientation-deg", "--metro-k", "--wi-condition",
                    "--a0", "--a1", "--a2", "--a3", "--shadow-margin-db",
