@@ -9,11 +9,12 @@ an off-grid frequency, an off-grid distance, then a missing area gain.
 
 The published curves exist only as drawings, so the surface ships as a
 replaceable CSV asset with a mandatory provenance tag.  Interpolation runs in
-(log f, log d) space because the curves are drawn on log axes.  Tables are
-immutable after load; lookups are pure.  :func:`amu_at_frequency` binds the
-A_mu surface to one frequency and returns a per-distance lookup, so a model
-evaluated at many distances does the frequency work once;
-:func:`amu_lookup` is that lookup for a single (f, d) pair.
+(log f, log d) space because the curves are drawn on log axes; one step
+locates a value's segment and log10 weight on any axis, from node log10s the
+table takes once.  Tables are immutable after load; lookups are pure.
+:func:`amu_at_frequency` binds the A_mu surface to one frequency and returns a
+per-distance lookup, so a model evaluated at many distances locates the
+frequency once; :func:`amu_lookup` is that lookup for a single (f, d) pair.
 
 CSV format (UTF-8, '#' comments ignored):
 
@@ -70,25 +71,30 @@ class CurveTable:
                 len(row) != len(self.dist_km) for row in self.amu_db):
             raise CurveParseError("expected one attenuation row per frequency and one value "
                                   "per distance (grid must be rectangular)")
-        _check_log_axis(self.dist_km, "distances")
-        _check_log_axis(self.freq_mhz, "frequencies")
+        # node logs for _locate, kept out of the fields so eq and repr ignore them
+        object.__setattr__(self, "_dist_logs", _check_log_axis(self.dist_km, "distances"))
+        object.__setattr__(self, "_freq_logs", _check_log_axis(self.freq_mhz, "frequencies"))
+        axes = {}
         for env, rows in self.garea.items():
-            _check_log_axis([f for f, _ in rows], f"{env.value} area-gain frequencies")
+            freqs, gains = tuple(f for f, _ in rows), tuple(gain for _, gain in rows)
+            axes[env] = freqs, _check_log_axis(freqs, f"{env.value} area-gain frequencies"), gains
+        object.__setattr__(self, "_gain_axes", axes)
 
 
 def _check_log_axis(values, what, lines=None):
     """Reject an axis that log interpolation cannot use: each value must be
-    positive, its log10 above the last one's.  ``lines`` holds each value's
-    line number, for the message."""
-    previous = None
+    positive, its log10 above the last one's.  Returns the log10s.  ``lines``
+    holds each value's line number, for the message."""
+    logs = []
     for i, value in enumerate(values):
         where = f"line {lines[i]}: " if lines else ""
         if not value > 0.0:
             raise CurveParseError(f"{where}{what} must be positive, got {value:g}")
-        if previous is not None and not math.log10(value) > math.log10(previous):
+        logs.append(math.log10(value))
+        if i and not logs[i] > logs[i - 1]:
             raise CurveParseError(f"{where}{what} must be strictly increasing "
-                                  f"in log10, got {value!r} after {previous!r}")
-        previous = value
+                                  f"in log10, got {value!r} after {values[i - 1]!r}")
+    return tuple(logs)
 
 
 def _parse_floats(fields, lineno):
@@ -137,6 +143,9 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             continue
         fields = [f.strip() for f in line.split(",")]
         if fields[0] == "AMU":
+            if dist_km:
+                raise CurveParseError(
+                    f"line {lineno}: second AMU header; a table has one distance axis")
             dist_km = _parse_floats(fields[1:], lineno)
             if len(dist_km) < 2:
                 raise CurveParseError(f"line {lineno}: at least 2 distance samples required")
@@ -234,35 +243,28 @@ def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
     return f, d_km * 1000.0, notes
 
 
-def _segment(samples, value):
-    """Index i such that samples[i] <= value <= samples[i+1]."""
-    i = bisect_right(samples, value) - 1
-    return min(max(i, 0), len(samples) - 2)
+def _locate(axis, logs, value, name, unit):
+    """Segment i of ``value`` on ``axis`` and its weight t in log10, from the nodes' ``logs``."""
+    if not axis[0] <= value <= axis[-1]:
+        _check_bounds(value, axis[0], axis[-1], name, unit)
+    i = min(bisect_right(axis, value) - 1, len(axis) - 2)
+    return i, (math.log10(value) - logs[i]) / (logs[i + 1] - logs[i])
 
 
 def amu_at_frequency(table: CurveTable, frequency_mhz: float):
     """Bind the A_mu surface to one frequency; returns ``at(distance_m)``.
 
-    The frequency's bound check, segment search and log-f weight are done
-    here, once; ``at`` does only the distance work and returns exactly what
-    :func:`amu_lookup` returns for the same pair.  An off-grid frequency
-    raises here, an off-grid distance in ``at``.
+    The frequency is located here, once, and ``at`` locates only the distance;
+    both read the node log10s the table holds.  ``at`` returns exactly what
+    :func:`amu_lookup` returns for the same pair.  An off-grid frequency raises
+    here, an off-grid distance in ``at``.
     """
-    _check_bounds(frequency_mhz, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
-    fi = _segment(table.freq_mhz, frequency_mhz)
-    f0, f1 = table.freq_mhz[fi], table.freq_mhz[fi + 1]
-    tf = (math.log10(frequency_mhz) - math.log10(f0)) / (math.log10(f1) - math.log10(f0))
+    fi, tf = _locate(table.freq_mhz, table._freq_logs, frequency_mhz, "frequency", "MHz")
     row0, row1 = table.amu_db[fi], table.amu_db[fi + 1]
-    dists = table.dist_km
-    d_lo, d_hi = dists[0], dists[-1]
-    log_dists = tuple(math.log10(d) for d in dists)
+    dists, dist_logs = table.dist_km, table._dist_logs
 
     def at(distance_m: float) -> float:
-        dist_km = distance_m / 1000.0
-        _check_bounds(dist_km, d_lo, d_hi, "distance", "km")
-        di = _segment(dists, dist_km)
-        l0, l1 = log_dists[di], log_dists[di + 1]
-        td = (math.log10(dist_km) - l0) / (l1 - l0)
+        di, td = _locate(dists, dist_logs, distance_m / 1000.0, "distance", "km")
         low = row0[di] * (1.0 - td) + row0[di + 1] * td
         high = row1[di] * (1.0 - td) + row1[di + 1] * td
         return low * (1.0 - tf) + high * tf
@@ -282,18 +284,15 @@ def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> fl
 def garea_lookup(table: CurveTable, frequency_mhz: float,
                  environment: Environment) -> float:
     """Area gain, linear in log f along the environment's rows."""
-    rows = table.garea.get(environment)
-    if not rows:
+    if not table.garea.get(environment):
         raise CurveLookupError(
             f"no area-gain rows for environment {environment.value!r}")
-    freqs = [f for f, _ in rows]
-    _check_bounds(frequency_mhz, freqs[0], freqs[-1], "frequency", "MHz")
-    if len(rows) == 1:
-        return rows[0][1]
-    i = _segment(freqs, frequency_mhz)
-    f0, f1 = freqs[i], freqs[i + 1]
-    t = (math.log10(frequency_mhz) - math.log10(f0)) / (math.log10(f1) - math.log10(f0))
-    return rows[i][1] * (1.0 - t) + rows[i + 1][1] * t
+    freqs, logs, gains = table._gain_axes[environment]
+    if len(freqs) == 1:  # one node, no segment
+        _check_bounds(frequency_mhz, freqs[0], freqs[0], "frequency", "MHz")
+        return gains[0]
+    i, t = _locate(freqs, logs, frequency_mhz, "frequency", "MHz")
+    return gains[i] * (1.0 - t) + gains[i + 1] * t
 
 
 def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):

@@ -1,5 +1,6 @@
 """Curve table loading, validation and interpolation."""
 
+import dataclasses
 import math
 import re
 
@@ -11,9 +12,11 @@ from pathcast import (
     CurveParseError,
     CurveTable,
     Environment,
+    RadioLink,
     amu_lookup,
     garea_lookup,
     load_curves,
+    okumura,
 )
 from pathcast.curves import amu_at_frequency, clamp_to_grid
 
@@ -61,6 +64,22 @@ class TestLoad:
         bad = VALID.replace("1000,15.0,25.0,35.0", "1000,abc,25.0,35.0")
         with pytest.raises(CurveParseError, match="line 4"):
             load_curves(bad)
+        for old, new, message in [
+                ("AMU,1,10,100", "AMU,5", "line 2: at least 2 distance samples required"),
+                ("GAREA,freq_mhz,environment,gain_db", "GAREA,freq,environment,gain_db",
+                 "line 7: malformed GAREA header"),
+                ("100,urban,0", "100,urban", "line 8: expected freq,environment,gain")]:
+            with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
+                load_curves(defective_curves(old, new))
+
+    @pytest.mark.parametrize("second", ["AMU,2,20\n4000,5,6", "AMU,1,10,100\n4000,1,2,3"],
+                             ids=["same-length", "longer"])
+    def test_second_amu_header_names_line(self, second):
+        # before, the same-length header relabelled the rows above it, and
+        # the longer one was refused only as a non-rectangular grid
+        with pytest.raises(CurveParseError, match="^line 4: second AMU header; "
+                                                  "a table has one distance axis$"):
+            load_curves(f"AMU,1,10\n100,1,2\n3000,3,4\n{second}\n# source: x\n")
 
     def test_non_utf8_names_line(self, tmp_path):
         with pytest.raises(CurveParseError, match="line 2: not UTF-8"):
@@ -250,3 +269,20 @@ class TestGareaLookup:
         table = load_curves(VALID)
         with pytest.raises(BoundsError, match="frequency"):
             garea_lookup(table, 50.0, Environment.SUBURBAN)
+
+    def test_one_row_and_empty_environments(self):
+        # one area-gain row is a one-node axis, with no segment to interpolate
+        table = _direct_table()
+        over = "^frequency 150 MHz above grid maximum 100 MHz$"
+        assert garea_lookup(table, 100.0, Environment.URBAN) == 0.0
+        with pytest.raises(BoundsError, match=over):
+            garea_lookup(table, 150.0, Environment.URBAN)
+        link = RadioLink(frequency_mhz=100.0, distance_m=1000.0, bs_height_m=30.0,
+                         rx_height_m=1.5)
+        assert okumura(link, Environment.URBAN, table)(1000.0).component("area_gain") == 0.0
+        with pytest.raises(BoundsError, match=over):
+            okumura(dataclasses.replace(link, frequency_mhz=150.0), Environment.URBAN,
+                    table)(1000.0)
+        with pytest.raises(CurveLookupError,
+                           match="^no area-gain rows for environment 'rural'$"):
+            garea_lookup(_direct_table(garea={Environment.RURAL: ()}), 100.0, Environment.RURAL)

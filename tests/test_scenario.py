@@ -93,6 +93,10 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="curve table required"):
             evaluate(ModelId.OKUMURA, s)
 
+    def test_unknown_model_refused(self):
+        with pytest.raises(DomainError, match="^unknown model 'sui'$"):
+            scenario_module.bind("sui", default_scenario(Environment.URBAN))
+
     def test_shadow_margin_only_on_request(self):
         s = default_scenario(Environment.URBAN)
         base = evaluate(ModelId.SUI, s)
@@ -155,6 +159,9 @@ class TestSweep:
             sweep(ModelId.WALFISCH_IKEGAMI, s, 5000.0, 1000.0, steps=2)
         with pytest.raises(DomainError):
             sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1)
+        with pytest.raises(DomainError,
+                           match=r"^unknown spacing 'cubic' \(expected log or linear\)$"):
+            scenario_module.sweep_distances(1, 2, 3, "cubic")
 
     @pytest.mark.parametrize("d_min", [0.0, -1000.0, float("-inf")])
     def test_log_spacing_needs_positive_start(self, d_min):
@@ -317,6 +324,28 @@ class TestInvertCellRange:
         at_top = dataclasses.replace(s, link=dataclasses.replace(s.link, distance_m=10000.0))
         top = evaluate(ModelId.WALFISCH_IKEGAMI, at_top).total_db
         assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, top, 1000.0, 10000.0) == 10000.0
+
+    def test_secondary_stop_once_the_bracket_is_a_millimetre(self, monkeypatch):
+        # 5e-7 dB above PL(d_min) is within 1e-6 dB of the target only at d_min,
+        # so every midpoint lands above it and the bracket width ends the loop
+        s = default_scenario(Environment.RURAL)
+        target = evaluate(ModelId.WALFISCH_IKEGAMI,
+                          dataclasses.replace(s, link=dataclasses.replace(
+                              s.link, distance_m=1000.0))).total_db + 5e-7
+        seen = []
+        bind = scenario_module.bind
+
+        def recording_bind(*args):
+            at = bind(*args)
+
+            def recorded(d):
+                seen.append(d)
+                return at(d)
+            recorded.branch_points = at.branch_points
+            return recorded
+        monkeypatch.setattr(scenario_module, "bind", recording_bind)
+        assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, 1000.0, 10000.0) == 1000.0
+        assert seen[-1] - 1000.0 <= 1e-3 < seen[-2] - 1000.0
 
     def test_non_monotone_detected(self):
         # a very tall SUI mast drives the distance exponent negative
