@@ -305,6 +305,24 @@ def _dip_table(bundled):
 _PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
 
 
+def _record_evaluations(monkeypatch):
+    """Make every later binding record each (distance, loss) it evaluates."""
+    seen = []
+    bind = scenario_module.bind
+
+    def recording_bind(*args):
+        at = bind(*args)
+
+        def recorded(d):
+            result = at(d)
+            seen.append((d, result.total_db))
+            return result
+        recorded.branch_points = at.branch_points
+        return recorded
+    monkeypatch.setattr(scenario_module, "bind", recording_bind)
+    return seen
+
+
 class TestInvertCellRange:
     def test_round_trip_wi_los(self):
         s = default_scenario(Environment.RURAL)
@@ -332,20 +350,10 @@ class TestInvertCellRange:
         target = evaluate(ModelId.WALFISCH_IKEGAMI,
                           dataclasses.replace(s, link=dataclasses.replace(
                               s.link, distance_m=1000.0))).total_db + 5e-7
-        seen = []
-        bind = scenario_module.bind
-
-        def recording_bind(*args):
-            at = bind(*args)
-
-            def recorded(d):
-                seen.append(d)
-                return at(d)
-            recorded.branch_points = at.branch_points
-            return recorded
-        monkeypatch.setattr(scenario_module, "bind", recording_bind)
+        seen = _record_evaluations(monkeypatch)
         assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, 1000.0, 10000.0) == 1000.0
-        assert seen[-1] - 1000.0 <= 1e-3 < seen[-2] - 1000.0
+        (before_last, _), (last, _) = seen[-2:]
+        assert last - 1000.0 <= 1e-3 < before_last - 1000.0
 
     def test_non_monotone_detected(self):
         # a very tall SUI mast drives the distance exponent negative
@@ -410,25 +418,13 @@ class TestInvertCellRange:
         s = default_scenario(Environment.URBAN)
         at_target = dataclasses.replace(s, link=dataclasses.replace(s.link, distance_m=distance_m))
         target = evaluate(model, at_target, bundled_curves).total_db
-        seen = []
-        bind = scenario_module.bind
-
-        def recording_bind(*args):
-            at = bind(*args)
-
-            def recorded(d):
-                result = at(d)
-                seen.append((d, result.total_db))
-                return result
-            recorded.branch_points = at.branch_points
-            return recorded
-        monkeypatch.setattr(scenario_module, "bind", recording_bind)
+        interior = [d for d in scenario_module.bind(model, s, bundled_curves).branch_points
+                    if 1000.0 < d < 10000.0]
+        seen = _record_evaluations(monkeypatch)
         found = invert_cell_range(model, s, target, 1000.0, 10000.0, bundled_curves)
         # exactly 2 + interior branch points + bisection steps: d_min, the
         # branch points inside the bracket and d_max, then one midpoint of the
         # remaining bracket per step
-        interior = [d for d in bind(model, s, bundled_curves).branch_points
-                    if 1000.0 < d < 10000.0]
         checked = [1000.0, *interior, 10000.0]
         assert [d for d, _ in seen[:len(checked)]] == checked
         lo, hi = 1000.0, 10000.0
