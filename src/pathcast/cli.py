@@ -24,8 +24,9 @@ from .curves import CurveTable, load_curves, load_default_curves
 from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
 from .scenario import (DEFAULT_METRO_K, DEFAULT_ORIENTATION_DEG, DEFAULT_SHADOW_MARGIN_DB,
-                       ModelId, Scenario, compare_against_reference, default_scenario,
-                       evaluate, invert_cell_range, iter_sweep, load_reference_rows)
+                       ModelId, Scenario, _sweep_points, bind, compare_against_reference,
+                       default_scenario, evaluate, invert_cell_range, iter_sweep,
+                       load_reference_rows)
 
 CURVES_ENV_VAR = "PATHCAST_CURVES"
 
@@ -267,15 +268,16 @@ def _model_json(config):
 
 def _series(config, points, buffer):
     """Sweep output, also ``pathloss --output csv`` as a one-point series; each
-    point is formatted as ``points`` yields it, so no result is held."""
+    point is formatted as ``points`` yields it, so no result is held.  CSV and
+    table points are ``(distance, total_db)``, JSON ones ``(distance, result)``."""
     write = buffer.write
     if config.output == "csv":
         middle = ",".join(["", config.model.value, config.environment.value,
                            f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
                            config.mode.value, ""])
         write(_SERIES_HEADER)
-        for distance, result in points:
-            write(f"{distance:.2f}{middle}{result.total_db:.2f}\n")
+        for distance, total in points:
+            write(f"{distance:.2f}{middle}{total:.2f}\n")
     elif config.output == "json":
         # The envelope's dump, cut where its one-element series goes; each
         # entry, dumped alone and indented to that depth, gives the same
@@ -291,15 +293,18 @@ def _series(config, points, buffer):
         write(tail + "\n")
     else:
         write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
-        for distance, result in points:
-            write(f"{distance:>12.2f}  {result.total_db:>12.2f}\n")
+        for distance, total in points:
+            write(f"{distance:>12.2f}  {total:>12.2f}\n")
 
 
 def _pathloss(config, buffer):
-    result = evaluate(config.model, _scenario_from(config), _curves_for(config))
+    scenario, curves = _scenario_from(config), _curves_for(config)
     if config.output == "csv":
-        _series(config, [(config.dist_m, result)], buffer)
-    elif config.output == "json":
+        loss = bind(config.model, scenario, curves).loss(config.dist_m)
+        _series(config, [(config.dist_m, loss)], buffer)
+        return
+    result = evaluate(config.model, scenario, curves)
+    if config.output == "json":
         body = dict(_model_json(config), inputs={
             "freq_mhz": config.freq_mhz, "distance_m": config.dist_m,
             "bs_m": config.bs_m, "rx_m": config.rx_m}, **_result_json_body(result))
@@ -317,9 +322,9 @@ def _pathloss(config, buffer):
 
 
 def _sweep(config, buffer):
-    _series(config, iter_sweep(config.model, _scenario_from(config), config.d_min_m,
-                               config.d_max_m, config.steps, _curves_for(config),
-                               config.spacing), buffer)
+    _series(config, _sweep_points(config.model, _scenario_from(config), config.d_min_m,
+                                  config.d_max_m, config.steps, _curves_for(config),
+                                  config.spacing, totals_only=config.output != "json"), buffer)
 
 
 def _compare(config, buffer) -> int:

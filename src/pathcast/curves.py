@@ -39,7 +39,7 @@ from typing import IO, Union
 
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance, _fill,
-                          _log10_positive, _new_result)
+                          _finite_total, _log10_positive, _new_result)
 
 _ENVIRONMENTS = {env.value: env for env in Environment}
 
@@ -283,11 +283,12 @@ def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> fl
 
 def garea_lookup(table: CurveTable, frequency_mhz: float,
                  environment: Environment) -> float:
-    """Area gain, linear in log f along the environment's rows."""
-    if not table.garea.get(environment):
+    """Area gain, linear in log f along the environment's rows, as the table
+    held them when it was built."""
+    freqs, logs, gains = table._gain_axes.get(environment, ((), (), ()))
+    if not freqs:
         raise CurveLookupError(
             f"no area-gain rows for environment {environment.value!r}")
-    freqs, logs, gains = table._gain_axes[environment]
     if len(freqs) == 1:  # one node, no segment
         _check_bounds(frequency_mhz, freqs[0], freqs[0], "frequency", "MHz")
         return gains[0]
@@ -311,7 +312,8 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         raise DomainError("curve table required for the okumura model")
     g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")
     g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
-    bs_gain, rx_gain = ("bs_height_gain", -g_bs), ("rx_height_gain", -g_rx)
+    bs_db, rx_db = -g_bs, -g_rx
+    bs_gain, rx_gain = ("bs_height_gain", bs_db), ("rx_height_gain", rx_db)
     freq = link.frequency_mhz
     wavelength = link.wavelength_m
     amu_at = area = None
@@ -334,6 +336,22 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
             _new_result(PathLossResult),
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
+
+    def loss(distance_m: float) -> float:
+        nonlocal amu_at, area
+        _check_distance(distance_m)
+        f, dist = freq, distance_m
+        if clamp:
+            f, dist, _ = clamp_to_grid(curves, f, dist)
+        if amu_at is None:
+            amu_at = amu_at_frequency(curves, f)
+        amu = amu_at(dist)
+        if area is None:
+            area = ("area_gain", -garea_lookup(curves, f, environment))
+        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
+                                            "4*pi*d/lambda")
+        return _finite_total(0.0 + free_space + amu + bs_db + rx_db + area[1])
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
     at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
+    at.loss = loss
     return at

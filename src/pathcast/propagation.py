@@ -37,6 +37,15 @@ precompute a whole left-associated sub-expression (``10.0 * gamma`` out of
 ``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
 but never regroup or reorder terms.
 
+``at.loss(distance_m) -> float`` is ``at(distance_m).total_db`` without the
+result: the same float bit for bit, or the same error where ``at`` raises.
+It checks the distance as ``at`` does and adds the terms to 0.0 one ``+`` at a
+time in component order, never with sum(), which compensates floats from
+Python 3.12 on; a binder may fold a leading run of constant components into
+one number once, which is the same left-associated sub-expression.  Callers
+that need only the number, such as cell-range inversion and the CLI's CSV
+and table rows, read it there.
+
 ``at.branch_points`` is a sorted tuple of the distances (m) where the model's
 formula switches pieces, empty for a formula with one piece.  Between branch
 points every model is affine in log d or a sum of terms that never decrease
@@ -180,16 +189,27 @@ _set_components = PathLossResult.components.__set__
 _set_warnings = PathLossResult.warnings.__set__
 
 
-def _fill(result, components, warnings=()):
-    """Set the slots of ``result``, whose component labels are unique; the
-    total is a plain left fold (sum() compensates floats from Python 3.12 on)
-    and must be finite."""
+def _fold(components):
+    """The left fold of the component values from 0.0: the total of a result,
+    or of a binder's leading constant components.  Never sum(), which
+    compensates floats from Python 3.12 on."""
     total = 0.0
     for _, value in components:
         total += value
+    return total
+
+
+def _finite_total(total):
+    """A result's total, which must be finite; ``at.loss`` returns it through here."""
     if not math.isfinite(total):
         raise DomainError("path-loss total must be finite")
-    _set_total(result, total)
+    return total
+
+
+def _fill(result, components, warnings=()):
+    """Set the slots of ``result``, whose component labels are unique; the
+    total is :func:`_fold` of the components and must be finite."""
+    _set_total(result, _finite_total(_fold(components)))
     _set_components(result, components)
     _set_warnings(result, warnings)
     return result
@@ -241,14 +261,15 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     slope = 10.0 * _finite(a - b * h_b + c / h_b, "SUI exponent gamma")
     reference = 20.0 * _log10_positive(4.0 * math.pi * d0 / link.wavelength_m, "4*pi*d0/lambda")
     free_space_ref = ("free_space_ref", _finite(reference, "free-space reference loss"))
-    tail = (
-        ("frequency_correction", 6.0 * _log10(freq / 2000.0)),
-        ("height_correction",
-         height_slope * _log10_positive(link.rx_height_m / 2000.0, "h_r/2000")),
-    )
+    x_f = 6.0 * _log10(freq / 2000.0)
+    x_h = height_slope * _log10_positive(link.rx_height_m / 2000.0, "h_r/2000")
+    tail = (("frequency_correction", x_f), ("height_correction", x_h))
+    shadowing = None
     if include_shadowing:
         lf = _log10(freq)
-        tail += (("shadowing", 0.65 * lf * lf - 1.3 * lf + alpha),)
+        shadowing = 0.65 * lf * lf - 1.3 * lf + alpha
+        tail += (("shadowing", shadowing),)
+    head_db = 0.0 + free_space_ref[1]
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -257,7 +278,15 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
         return _fill(_new_result(PathLossResult),
                      (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
-    at.branch_points = ()
+
+    def loss(distance_m: float) -> float:
+        _check_distance(distance_m)
+        if distance_m <= d0:
+            raise DomainError(
+                f"distance {distance_m:g} m is below reference distance {d0:g} m")
+        total = head_db + slope * _log10(distance_m / d0) + x_f + x_h
+        return _finite_total(total if shadowing is None else total + shadowing)
+    at.branch_points, at.loss = (), loss
     return at
 
 
@@ -299,12 +328,17 @@ def cost231_hata(link: RadioLink, environment: Environment,
     )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
+    head_db, area_db = _fold(head), area[1]
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         return _fill(_new_result(PathLossResult),
                      head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
-    at.branch_points = ()
+
+    def loss(distance_m: float) -> float:
+        _check_distance(distance_m)
+        return _finite_total(head_db + slope * _log10(distance_m / 1000.0) + area_db)
+    at.branch_points, at.loss = (), loss
     return at
 
 
@@ -315,13 +349,18 @@ def cost231_hata(link: RadioLink, environment: Environment,
 def wi_los(link: RadioLink):
     """Bind the line-of-sight street canyon loss: 42.64 + 26*log10(d_km) + 20*log10(f)."""
     frequency = ("frequency", 20.0 * _log10(link.frequency_mhz))
+    frequency_db = frequency[1]
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
         return _fill(
             _new_result(PathLossResult),
             (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
-    at.branch_points = ()
+
+    def loss(distance_m: float) -> float:
+        _check_distance(distance_m)
+        return _finite_total(0.0 + 42.64 + 26.0 * _log10(distance_m / 1000.0) + frequency_db)
+    at.branch_points, at.loss = (), loss
     return at
 
 
@@ -443,8 +482,18 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             components += (("diffraction_floor", -diffraction),)
             warnings += ("negative diffraction sum clamped to the free-space floor",)
         return _fill(_new_result(PathLossResult), components, warnings)
+
+    def loss(distance_m: float) -> float:
+        _check_distance(distance_m)
+        d_km = distance_m / 1000.0
+        msd = multiscreen(d_km)[0]
+        total = 0.0 + (32.45 + 20.0 * _log10(d_km) + frequency_term) + rts + msd
+        diffraction = rts + msd
+        if diffraction < 0.0:
+            total += -diffraction
+        return _finite_total(total)
     # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is
-    at.branch_points = multiscreen.branch_points
+    at.branch_points, at.loss = multiscreen.branch_points, loss
     return at
 
 
@@ -470,7 +519,9 @@ def ericsson(link: RadioLink,
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2
     constant, bs_height = ("constant", coeffs.a0), ("bs_height", coeffs.a2 * lb)
     lf = _log10(link.frequency_mhz)
-    tail = (("rx_height_offset", -offset), ("frequency_gain", 44.49 * lf - 4.78 * lf * lf))
+    rx_db, gain_db = -offset, 44.49 * lf - 4.78 * lf * lf
+    tail = (("rx_height_offset", rx_db), ("frequency_gain", gain_db))
+    head_db, a1, bs_db = 0.0 + coeffs.a0, coeffs.a1, bs_height[1]
 
     def at(distance_m: float) -> PathLossResult:
         _check_distance(distance_m)
@@ -479,5 +530,10 @@ def ericsson(link: RadioLink,
             _new_result(PathLossResult),
             (constant, ("distance", coeffs.a1 * ld), bs_height,
              ("bs_distance_cross", cross * ld)) + tail)
-    at.branch_points = ()
+
+    def loss(distance_m: float) -> float:
+        _check_distance(distance_m)
+        ld = _log10(distance_m / 1000.0)
+        return _finite_total(head_db + a1 * ld + bs_db + cross * ld + rx_db + gain_db)
+    at.branch_points, at.loss = (), loss
     return at

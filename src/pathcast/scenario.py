@@ -31,6 +31,7 @@ from .propagation import (
     RadioLink,
     WiGeometry,
     _fill,
+    _finite_total,
     _new_result,
     cost231_hata,
     ericsson,
@@ -133,9 +134,9 @@ def bind(model: ModelId, scenario: Scenario,
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
     geometry's LOS flag (rural defaults to LOS, urban/suburban to NLOS).  The
     scenario's shadow margin is appended as a ``shadow_margin`` component, a
-    label no binder emits, only when apply_shadow_margin is set.  The
-    evaluator carries the model's ``branch_points`` (see
-    :mod:`pathcast.propagation`).
+    label no binder emits, only when apply_shadow_margin is set; its
+    ``loss`` adds the margin to the model's.  The evaluator carries the
+    model's ``loss`` and ``branch_points`` (see :mod:`pathcast.propagation`).
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -156,13 +157,18 @@ def bind(model: ModelId, scenario: Scenario,
 
     if not scenario.apply_shadow_margin:
         return at
-    margin_component = (("shadow_margin", scenario.shadow_margin_db),)
+    margin_db = scenario.shadow_margin_db
+    margin_component = (("shadow_margin", margin_db),)
+    inner_loss = at.loss
 
     def at_with_margin(distance_m: float) -> PathLossResult:
         result = at(distance_m)
         return _fill(_new_result(PathLossResult), result.components + margin_component,
                      result.warnings)
-    at_with_margin.branch_points = at.branch_points
+
+    def loss(distance_m: float) -> float:
+        return _finite_total(inner_loss(distance_m) + margin_db)
+    at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
     return at_with_margin
 
 
@@ -209,10 +215,19 @@ def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
     the scenario itself cannot be bound).  As in any generator, the argument
     checks run when the first point is asked for.
     """
+    return _sweep_points(model, scenario, d_min_m, d_max_m, steps, curves, spacing,
+                         totals_only=False)
+
+
+def _sweep_points(model, scenario, d_min_m, d_max_m, steps, curves, spacing, totals_only):
+    """:func:`iter_sweep`'s loop; with ``totals_only`` each point is
+    ``(distance, at.loss(distance))``, the total without a result."""
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
     distance = d_min_m
     try:
         at = bind(model, scenario, curves)
+        if totals_only:
+            at = at.loss
         for distance in distances:
             yield distance, at(distance)
     except PathcastError as exc:
@@ -338,8 +353,9 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     not sampled: between the model's branch points the loss is affine in
     log d or a sum of non-decreasing terms, so losses ordered at d_min, at
     each branch point inside the bracket and at d_max prove it.  The
-    scenario is bound once, so each evaluation computes only the
-    distance-dependent terms.  The returned distance satisfies
+    scenario is bound once, and each evaluation reads ``at.loss``, which
+    computes only the distance-dependent terms and builds no result.  The
+    returned distance satisfies
     PL(d) <= max_loss within 1e-6 dB.
     """
     if not d_min_m < d_max_m:
@@ -348,10 +364,7 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
         raise DomainError("bracket requires d_min > 0")
 
     at = bind(model, scenario, curves)
-
-    def loss(distance):
-        return at(distance).total_db
-
+    loss = at.loss
     checked = [d_min_m, *(d for d in at.branch_points if d_min_m < d < d_max_m), d_max_m]
     values = [loss(d) for d in checked]
     for (d_a, v_a), (d_b, v_b) in zip(zip(checked, values), zip(checked[1:], values[1:])):

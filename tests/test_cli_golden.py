@@ -1,5 +1,6 @@
 """Byte-exact golden tests for every CLI example documented in the README,
-plus an Okumura sweep off a frequency node that crosses every grid cell and
+plus an Okumura sweep off a frequency node that crosses every grid cell, a
+CSV sweep with the shadow margin applied, and
 two JSON outputs that pin every bit of their floats: the whole ledger, 12 of
 its cells Okumura on the bundled table, and an Okumura breakdown with its
 component labels in order."""
@@ -32,6 +33,9 @@ GOLDEN_CASES = [
     ("sweep_hata_2100_margin.json",
      ["sweep", "--model", "cost231_hata", "--env", "urban", "--freq-mhz", "2100",
       "--steps", "3", "--apply-shadow-margin", "--output", "json"]),
+    ("sweep_ericsson_margin.csv",
+     ["sweep", "--model", "ericsson9999", "--env", "suburban", "--apply-shadow-margin",
+      "--d-min-m", "200", "--d-max-m", "20000", "--steps", "7"]),
     ("sweep_sui_suburban.txt",
      ["sweep", "--model", "sui", "--env", "suburban", "--d-min-m", "500", "--d-max-m", "8000",
       "--steps", "5", "--output", "table"]),

@@ -265,6 +265,18 @@ class TestGareaLookup:
         with pytest.raises(CurveLookupError, match="rural"):
             garea_lookup(table, 1000.0, Environment.RURAL)
 
+    def test_reads_the_rows_the_table_was_built_with(self):
+        # garea is a plain dict; a lookup after it is changed reads the rows
+        # checked when the table was built, whether rows were added or removed
+        no_rural = "\n".join(l for l in VALID.splitlines() if ",rural," not in l)
+        table = load_curves(no_rural)
+        table.garea[Environment.RURAL] = ((100.0, 1.0), (3000.0, 2.0))
+        with pytest.raises(CurveLookupError,
+                           match="^no area-gain rows for environment 'rural'$"):
+            garea_lookup(table, 1000.0, Environment.RURAL)
+        del table.garea[Environment.SUBURBAN]
+        assert garea_lookup(table, 3000.0, Environment.SUBURBAN) == 11.0
+
     def test_out_of_bounds(self):
         table = load_curves(VALID)
         with pytest.raises(BoundsError, match="frequency"):

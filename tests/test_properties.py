@@ -1,10 +1,12 @@
 """Property suites over seeded random inputs (>= 100 cases each)."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -322,6 +324,80 @@ class TestBinderResults:
             result.total_db = 0.0
 
 
+#: NaN, the infinities, zero, a negative and the smallest subnormal; SUI's d0
+#: and its neighbours; the neighbours of the as-printed WI break at 500 m;
+#: Okumura's grid edges, off-grid distances and a point between nodes;
+#: and a distance whose log still fits.
+_LOSS_DISTANCES = (
+    math.nan, math.inf, -math.inf, 0.0, -5.0, 5e-324,
+    math.nextafter(100.0, 0.0), 100.0, math.nextafter(100.0, math.inf),
+    math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf),
+    999.0, 1000.0, 3210.5, 99_999.0, 100_000.0, math.nextafter(100_000.0, math.inf),
+    150_000.0, 1e308)
+
+
+def _loss_or_error(evaluate, distance):
+    """The hex of the float ``evaluate(distance)`` returns, or the type and
+    message of what it raises."""
+    try:
+        return evaluate(distance).hex()
+    except Exception as exc:  # whatever it is, at(d) must raise the same
+        return type(exc), str(exc)
+
+
+def _loss_binders(curves):
+    """(name, make) for every binder, each layout and both ways to bind it."""
+    no_rural = dataclasses.replace(curves, garea={
+        env: rows for env, rows in curves.garea.items() if env is not Environment.RURAL})
+    floor = WiGeometry(street_width_m=60.0, building_separation_m=100.0, roof_height_m=3.5,
+                       orientation_deg=0.0)
+    links = {"default": RadioLink(1900.0, 5000.0, 30.0, 3.0),
+             "below roofs": RadioLink(1900.0, 5000.0, 12.0, 3.0),
+             "diffraction floor": RadioLink(150.0, 5000.0, 200.0, 3.0),
+             "off grid": RadioLink(50.0, 5000.0, 30.0, 3.0)}
+    overflow = EricssonCoefficients(1e308, 1e308, 1e308, 1e308)
+    for (name, link), env, mode in itertools.product(links.items(), Environment, FidelityMode):
+        case = f"{name} {env.value} {mode.value}"
+        yield f"sui {case}", partial(sui, link, env)
+        yield f"sui unshadowed {case}", partial(sui, link, env, False)
+        yield f"cost231_hata {case}", partial(cost231_hata, link, env, mode)
+        yield f"wi_los {case}", partial(wi_los, link)
+        yield f"wi_nlos {case}", partial(wi_nlos, WiGeometry(), link, mode)
+        yield f"wi_nlos floor {case}", partial(wi_nlos, floor, link, mode)
+        yield f"ericsson {case}", partial(ericsson, link, EricssonCoefficients(), mode)
+        yield f"ericsson overflow {case}", partial(ericsson, link, overflow, mode)
+        for table, clamp in itertools.product((curves, no_rural), (False, True)):
+            yield (f"okumura clamp={clamp} rural={table is curves} {case}",
+                   partial(okumura, link, env, table, clamp))
+    for bs, env, mode, los, margin in itertools.product(
+            (30.0, 12.0), Environment, FidelityMode, (False, True), (None, 8.2, 1.7e308)):
+        scenario = default_scenario(env, bs_height_m=bs, mode=mode, wi_los=los,
+                                    shadow_margin_db=margin,
+                                    apply_shadow_margin=margin is not None)
+        for model in ModelId:
+            yield (f"bind {model.value} bs={bs} {env.value} {mode.value} los={los} "
+                   f"margin={margin}", partial(bind, model, scenario, curves))
+
+
+class TestLossIsTheTotal:
+    """``at.loss(d)`` is ``at(d).total_db`` to the bit, or raises what ``at(d)``
+    raises.  On Python 3.12 and later a sum() in a kernel would break it."""
+
+    def test_every_binder_and_layout(self, bundled_curves):
+        count = 0
+        for name, make in _loss_binders(bundled_curves):
+            # one binding per point, and one binding through every point in
+            # turn, as a sweep reads it (Okumura binds its lookups lazily)
+            swept_at, swept_loss = make(), make().loss
+            for d in _LOSS_DISTANCES:
+                expected = _loss_or_error(lambda x: make()(x).total_db, d)
+                assert _loss_or_error(make().loss, d) == expected, (name, d)
+                assert _loss_or_error(swept_loss, d) == \
+                    _loss_or_error(lambda x: swept_at(x).total_db, d), (name, d)
+                count += 1
+        assert count == 648 * len(_LOSS_DISTANCES)
+
+
 #: Where float arithmetic breaks: underflow to 0, overflow to inf, and NaN.
 _EDGE_FLOATS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1e305,
                 1.7976931348623157e308, math.inf, -math.inf, math.nan)
@@ -379,7 +455,8 @@ class TestInputRanges:
 
 class TestFiniteOrPathcastError:
     """Every evaluation gives a finite total or raises PathcastError, nothing else;
-    a finite result equals the public constructor's result over its parts."""
+    a finite result equals the public constructor's result over its parts, and
+    ``at.loss`` gives its total or raises the same error."""
 
     @pytest.mark.parametrize("model", [ModelId.COST231_HATA, ModelId.WALFISCH_IKEGAMI,
                                        ModelId.ERICSSON9999])
@@ -409,6 +486,12 @@ class TestFiniteOrPathcastError:
                        margin, sui_shadowing):
         curves = load_default_curves()  # not a fixture: a falsifying example prints its arguments
         def finite_or_rejected(make_at):
+            try:
+                loss = make_at().loss
+            except PathcastError:
+                return
+            assert _loss_or_error(loss, distance) == \
+                _loss_or_error(lambda d: make_at()(d).total_db, distance)
             try:
                 result = make_at()(distance)
             except PathcastError:

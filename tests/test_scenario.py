@@ -306,19 +306,21 @@ _PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.
 
 
 def _record_evaluations(monkeypatch):
-    """Make every later binding record each (distance, loss) it evaluates."""
+    """Make every later binding record each (distance, loss) its ``at.loss``
+    evaluates; the inversion reads the loss through nothing else."""
     seen = []
     bind = scenario_module.bind
 
     def recording_bind(*args):
         at = bind(*args)
+        loss = at.loss
 
         def recorded(d):
-            result = at(d)
-            seen.append((d, result.total_db))
-            return result
-        recorded.branch_points = at.branch_points
-        return recorded
+            value = loss(d)
+            seen.append((d, value))
+            return value
+        at.loss = recorded
+        return at
     monkeypatch.setattr(scenario_module, "bind", recording_bind)
     return seen
 
