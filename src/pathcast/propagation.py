@@ -189,10 +189,25 @@ _set_components = PathLossResult.components.__set__
 _set_warnings = PathLossResult.warnings.__set__
 
 
+def _fill(result, components, warnings=()):
+    """Set the slots of ``result``, whose component labels are unique; the
+    total is a plain left fold (sum() compensates floats from Python 3.12 on)
+    and must be finite.  The fold and the check are inline, not calls to
+    :func:`_fold` and :func:`_finite_total`: every ``at`` runs this."""
+    total = 0.0
+    for _, value in components:
+        total += value
+    if not math.isfinite(total):
+        raise DomainError("path-loss total must be finite")
+    _set_total(result, total)
+    _set_components(result, components)
+    _set_warnings(result, warnings)
+    return result
+
+
 def _fold(components):
-    """The left fold of the component values from 0.0: the total of a result,
-    or of a binder's leading constant components.  Never sum(), which
-    compensates floats from Python 3.12 on."""
+    """:func:`_fill`'s left fold of the component values from 0.0, for a
+    binder's leading constant components."""
     total = 0.0
     for _, value in components:
         total += value
@@ -200,19 +215,10 @@ def _fold(components):
 
 
 def _finite_total(total):
-    """A result's total, which must be finite; ``at.loss`` returns it through here."""
+    """``total``, refused as :func:`_fill` refuses a result's; ``at.loss`` returns through here."""
     if not math.isfinite(total):
         raise DomainError("path-loss total must be finite")
     return total
-
-
-def _fill(result, components, warnings=()):
-    """Set the slots of ``result``, whose component labels are unique; the
-    total is :func:`_fold` of the components and must be finite."""
-    _set_total(result, _finite_total(_fold(components)))
-    _set_components(result, components)
-    _set_warnings(result, warnings)
-    return result
 
 
 def _check_finite(instance):
