@@ -24,7 +24,7 @@ from .curves import CurveTable, load_curves, load_default_curves
 from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
 from .scenario import (DEFAULT_METRO_K, DEFAULT_ORIENTATION_DEG, DEFAULT_SHADOW_MARGIN_DB,
-                       ModelId, Scenario, _sweep_points, bind, compare_against_reference,
+                       ModelId, Scenario, _sweep_points, compare_against_reference,
                        default_scenario, evaluate, invert_cell_range, iter_sweep,
                        load_reference_rows)
 
@@ -298,13 +298,10 @@ def _series(config, points, buffer):
 
 
 def _pathloss(config, buffer):
-    scenario, curves = _scenario_from(config), _curves_for(config)
+    result = evaluate(config.model, _scenario_from(config), _curves_for(config))
     if config.output == "csv":
-        loss = bind(config.model, scenario, curves).loss(config.dist_m)
-        _series(config, [(config.dist_m, loss)], buffer)
-        return
-    result = evaluate(config.model, scenario, curves)
-    if config.output == "json":
+        _series(config, [(config.dist_m, result.total_db)], buffer)
+    elif config.output == "json":
         body = dict(_model_json(config), inputs={
             "freq_mhz": config.freq_mhz, "distance_m": config.dist_m,
             "bs_m": config.bs_m, "rx_m": config.rx_m}, **_result_json_body(result))

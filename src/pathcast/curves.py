@@ -318,7 +318,9 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     wavelength = link.wavelength_m
     amu_at = area = None
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
+        """The free-space term, A_mu and the clamp warnings at one distance,
+        checked and bound in the order a fresh evaluation would."""
         nonlocal amu_at, area
         _check_distance(distance_m)
         warnings = ()
@@ -332,24 +334,17 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
             area = ("area_gain", -garea_lookup(curves, f, environment))
         free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
                                             "4*pi*d/lambda")
+        return free_space, amu, warnings
+
+    def at(distance_m: float) -> PathLossResult:
+        free_space, amu, warnings = point(distance_m)
         return _fill(
             _new_result(PathLossResult),
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
 
     def loss(distance_m: float) -> float:
-        nonlocal amu_at, area
-        _check_distance(distance_m)
-        f, dist = freq, distance_m
-        if clamp:
-            f, dist, _ = clamp_to_grid(curves, f, dist)
-        if amu_at is None:
-            amu_at = amu_at_frequency(curves, f)
-        amu = amu_at(dist)
-        if area is None:
-            area = ("area_gain", -garea_lookup(curves, f, environment))
-        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
-                                            "4*pi*d/lambda")
+        free_space, amu, _ = point(distance_m)
         return _finite_total(0.0 + free_space + amu + bs_db + rx_db + area[1])
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
     at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)

@@ -44,7 +44,7 @@ time in component order, never with sum(), which compensates floats from
 Python 3.12 on; a binder may fold a leading run of constant components into
 one number once, which is the same left-associated sub-expression.  Callers
 that need only the number, such as cell-range inversion and the CLI's CSV
-and table rows, read it there.
+and table sweep rows, read it there.
 
 ``at.branch_points`` is a sorted tuple of the distances (m) where the model's
 formula switches pieces, empty for a formula with one piece.  Between branch
@@ -191,23 +191,17 @@ _set_warnings = PathLossResult.warnings.__set__
 
 def _fill(result, components, warnings=()):
     """Set the slots of ``result``, whose component labels are unique; the
-    total is a plain left fold (sum() compensates floats from Python 3.12 on)
-    and must be finite.  The fold and the check are inline, not calls to
-    :func:`_fold` and :func:`_finite_total`: every ``at`` runs this."""
-    total = 0.0
-    for _, value in components:
-        total += value
-    if not math.isfinite(total):
-        raise DomainError("path-loss total must be finite")
-    _set_total(result, total)
+    total is :func:`_fold` of the components and must be finite."""
+    _set_total(result, _finite_total(_fold(components)))
     _set_components(result, components)
     _set_warnings(result, warnings)
     return result
 
 
 def _fold(components):
-    """:func:`_fill`'s left fold of the component values from 0.0, for a
-    binder's leading constant components."""
+    """The left fold of the component values from 0.0: the total of a result,
+    or of a binder's leading constant components.  Never sum(), which
+    compensates floats from Python 3.12 on."""
     total = 0.0
     for _, value in components:
         total += value
@@ -215,7 +209,7 @@ def _fold(components):
 
 
 def _finite_total(total):
-    """``total``, refused as :func:`_fill` refuses a result's; ``at.loss`` returns through here."""
+    """A result's total, which must be finite; ``at.loss`` returns it through here."""
     if not math.isfinite(total):
         raise DomainError("path-loss total must be finite")
     return total
