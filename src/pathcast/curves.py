@@ -39,9 +39,26 @@ from typing import IO, Union
 
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance, _fill,
-                          _finite_total, _log10_positive, _new_result)
+                          _finite_total, _log10_positive, _moderate, _new_result)
 
 _ENVIRONMENTS = {env.value: env for env in Environment}
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change once built, so that a curve table's
+    area gains stay the rows it checked.  It reads, compares, prints, copies
+    and pickles as a dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("curve table area gains are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,9 @@ class CurveTable:
 
     Built directly, it checks what :func:`load_curves` checks, without line
     numbers: every number finite, at least 2 nodes on each A_mu axis, a
-    rectangular grid, and axes that log interpolation can use.
+    rectangular grid, and axes that log interpolation can use.  ``garea``
+    is a read-only copy of the mapping it was built with: a change raises
+    ``TypeError``.
     """
 
     freq_mhz: tuple[float, ...]
@@ -60,6 +79,7 @@ class CurveTable:
     source_tag: str
 
     def __post_init__(self):
+        object.__setattr__(self, "garea", _ReadOnlyDict(self.garea))
         for value in (*self.freq_mhz, *self.dist_km, *(v for row in self.amu_db for v in row),
                       *(v for rows in self.garea.values() for row in rows for v in row)):
             if not math.isfinite(value):
@@ -79,6 +99,14 @@ class CurveTable:
             freqs, gains = tuple(f for f, _ in rows), tuple(gain for _, gain in rows)
             axes[env] = freqs, _check_log_axis(freqs, f"{env.value} area-gain frequencies"), gains
         object.__setattr__(self, "_gain_axes", axes)
+        # every A_mu and area gain, and every A_mu slope in dB per decade of
+        # distance, for the Okumura binder's at.log_affine
+        dist_logs = self._dist_logs
+        object.__setattr__(self, "_moderate_terms", _moderate(
+            *(v for row in self.amu_db for v in row),
+            *(gain for _, _, gains in axes.values() for gain in gains),
+            *((row[j + 1] - row[j]) / (dist_logs[j + 1] - dist_logs[j])
+              for row in self.amu_db for j in range(len(row) - 1))))
 
 
 def _check_log_axis(values, what, lines=None):
@@ -346,7 +374,10 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     def loss(distance_m: float) -> float:
         free_space, amu, _ = point(distance_m)
         return _finite_total(0.0 + free_space + amu + bs_db + rx_db + area[1])
-    # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid cell
+    # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid
+    # cell, and constant in d where the distance is clamped to the grid.  The
+    # antenna gains stay within 6,500 dB for any link and free space rises
+    # 20 dB per decade, so only the table's terms can be too large.
     at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
-    at.loss = loss
+    at.log_affine, at.loss = curves._moderate_terms, loss
     return at

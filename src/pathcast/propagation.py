@@ -51,6 +51,21 @@ formula switches pieces, empty for a formula with one piece.  Between branch
 points every model is affine in log d or a sum of terms that never decrease
 with d, so losses ordered at the ends of a bracket and at each branch point
 inside it prove the loss monotone over the bracket.
+
+``at.log_affine`` is ``True`` when the first of those holds on every piece,
+the stretch between two neighbouring branch points or beyond the outermost
+one, closely enough for cell-range inversion to decide points on a piece
+from its chord.  At distances of 1 m or more where the loss stays within
++-1e4 dB, ``at.loss`` then lies within 1e-10 dB of the chord, in log d,
+through its values at any two other distances of the piece.  That holds
+while every constant term, and every slope in dB per decade of distance,
+is at most 1e4 dB in size (:func:`_moderate`); a binder whose inputs break
+that declares ``False``, as does the shadow-margin wrapper for a margin
+over 1e4 dB.  SUI, COST-231 Hata, Walfisch-Ikegami LOS, Ericsson and
+Okumura (at its one bound frequency, clamped or not) declare it.
+Walfisch-Ikegami NLOS declares ``False``: its free-space floor kinks at a
+distance that is not a branch point, and below the rooftops its k_A is
+linear in d under 500 m.
 """
 
 from __future__ import annotations
@@ -215,6 +230,16 @@ def _finite_total(total):
     return total
 
 
+# The size of term up to which a log-affine loss rounds within 1e-10 dB of
+# its chord; see ``at.log_affine`` above.
+_AFFINE_LIMIT_DB = 1e4
+
+
+def _moderate(*terms):
+    """Whether every term is at most :data:`_AFFINE_LIMIT_DB` in size."""
+    return all(-_AFFINE_LIMIT_DB <= term <= _AFFINE_LIMIT_DB for term in terms)
+
+
 def _check_finite(instance):
     """Reject a non-finite field of a dataclass instance, naming the field."""
     for name, value in vars(instance).items():
@@ -287,6 +312,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         total = head_db + slope * _log10(distance_m / d0) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
     at.branch_points, at.loss = (), loss
+    at.log_affine = _moderate(head_db, slope, x_f, x_h, shadowing or 0.0)
     return at
 
 
@@ -339,6 +365,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
         _check_distance(distance_m)
         return _finite_total(head_db + slope * _log10(distance_m / 1000.0) + area_db)
     at.branch_points, at.loss = (), loss
+    at.log_affine = _moderate(*(value for _, value in head), slope)
     return at
 
 
@@ -360,7 +387,8 @@ def wi_los(link: RadioLink):
     def loss(distance_m: float) -> float:
         _check_distance(distance_m)
         return _finite_total(0.0 + 42.64 + 26.0 * _log10(distance_m / 1000.0) + frequency_db)
-    at.branch_points, at.loss = (), loss
+    # 20*log10(f) stays within 6,200 dB for any link: always moderate
+    at.branch_points, at.log_affine, at.loss = (), True, loss
     return at
 
 
@@ -492,8 +520,9 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         if diffraction < 0.0:
             total += -diffraction
         return _finite_total(total)
-    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is
-    at.branch_points, at.loss = multiscreen.branch_points, loss
+    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is, but
+    # the floor kinks between branch points and k_A is linear in d below 500 m
+    at.branch_points, at.log_affine, at.loss = multiscreen.branch_points, False, loss
     return at
 
 
@@ -536,4 +565,5 @@ def ericsson(link: RadioLink,
         ld = _log10(distance_m / 1000.0)
         return _finite_total(head_db + a1 * ld + bs_db + cross * ld + rx_db + gain_db)
     at.branch_points, at.loss = (), loss
+    at.log_affine = _moderate(head_db, a1, bs_db, cross, rx_db, gain_db)
     return at

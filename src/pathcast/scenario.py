@@ -30,8 +30,10 @@ from .propagation import (
     PathLossResult,
     RadioLink,
     WiGeometry,
+    _AFFINE_LIMIT_DB,
     _fill,
     _finite_total,
+    _moderate,
     _new_result,
     cost231_hata,
     ericsson,
@@ -136,7 +138,9 @@ def bind(model: ModelId, scenario: Scenario,
     scenario's shadow margin is appended as a ``shadow_margin`` component, a
     label no binder emits, only when apply_shadow_margin is set; its
     ``loss`` adds the margin to the model's.  The evaluator carries the
-    model's ``loss`` and ``branch_points`` (see :mod:`pathcast.propagation`).
+    model's ``loss``, ``branch_points`` and ``log_affine`` (see
+    :mod:`pathcast.propagation`); a margin of at most 1e4 dB keeps a piece
+    log-affine.
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -169,6 +173,7 @@ def bind(model: ModelId, scenario: Scenario,
     def loss(distance_m: float) -> float:
         return _finite_total(inner_loss(distance_m) + margin_db)
     at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
+    at_with_margin.log_affine = at.log_affine and _moderate(margin_db)
     return at_with_margin
 
 
@@ -341,6 +346,12 @@ def compare_against_reference(reference, tolerance_db: float = 0.5,
 
 _INVERT_TOL_DB = 1e-6
 _INVERT_TOL_M = 1e-3
+# Ten times the 1e-10 dB a log-affine loss may stray from its chord, and far
+# below the 1e-6 dB stop tolerance; a distance computed from a chord widens
+# by a relative 1e-12, far above its own rounding.
+_CHORD_EPS_DB = 1e-9
+_CHORD_WIDEN = 1e-12
+_UNDECIDED = (0.0, 0.0, 0.0, math.inf)  # no midpoint decided without an evaluation
 
 
 def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
@@ -357,6 +368,18 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     computes only the distance-dependent terms and builds no result.  The
     returned distance satisfies
     PL(d) <= max_loss within 1e-6 dB.
+
+    Where the model declares ``at.log_affine``, the piece between two
+    checked points that holds the target is a line in log d through their
+    two exact losses.  The distances where that line crosses the stop levels
+    (the target and the target less 1e-6 dB, each +-1e-9 dB) are computed
+    once, and a midpoint that falls clear of them, on the piece or where
+    monotonicity alone decides it, is decided by comparing distances; only
+    midpoints within a hair of a level are evaluated.  The midpoints, the
+    stops and the returned distance are those of plain bisection, float for
+    float.  A closed-form model with no branch point inside the bracket
+    typically evaluates only d_min and d_max; Okumura evaluates the grid
+    nodes inside the bracket and a few midpoints off the target's piece.
     """
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
@@ -383,17 +406,56 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     if max_loss_db == pl_min:
         return d_min_m
 
+    below, stop_from, stop_to, above = (
+        _chord_regions(checked, values, max_loss_db) if at.log_affine else _UNDECIDED)
     lo, hi, lo_loss = d_min_m, d_max_m, pl_min
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = loss(mid)
-        if value <= max_loss_db:
-            lo, lo_loss = mid, value
-            if max_loss_db - value <= _INVERT_TOL_DB:
-                break
-        else:
+        if mid < below:  # loss more than 1e-6 dB under the target, as lo_loss is
+            lo = mid
+        elif stop_from < mid < stop_to:  # loss within 1e-6 dB under the target
+            lo = mid
+            break
+        elif mid > above:  # loss over the target
             hi = mid
+        else:
+            value = loss(mid)
+            if value <= max_loss_db:
+                lo, lo_loss = mid, value
+                if max_loss_db - value <= _INVERT_TOL_DB:
+                    break
+            else:
+                hi = mid
         # secondary safety stop for degenerate brackets
         if hi - lo <= _INVERT_TOL_M and max_loss_db - lo_loss <= _INVERT_TOL_DB:
             break
     return lo
+
+
+def _chord_regions(checked, values, target):
+    """Distances that decide a bisection step on a log-affine loss, as
+    ``(below, stop_from, stop_to, above)``: the loss is more than 1e-6 dB
+    under ``target`` below ``below``, within 1e-6 dB under it strictly
+    between ``stop_from`` and ``stop_to``, and over it above ``above``.
+
+    They come from the chord, in log d, of the first checked piece whose end
+    reaches the target.  The stop region keeps to that piece; the other two
+    reach past it only where the piece's end values decide them, since the
+    loss is monotone.
+    """
+    i = next(i for i, v in enumerate(values) if v >= target)
+    a, b, v_a, v_b = checked[i - 1], checked[i], values[i - 1], values[i]
+    if a < 1.0 or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further
+        return _UNDECIDED
+    ratio, span = b / a, v_b - v_a  # span >= target - v_a > 0
+
+    def crossing(level):
+        e = (level - v_a) / span  # out of [0, 1] on a nearly flat piece
+        return a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e
+
+    stop = target - _INVERT_TOL_DB
+    low, high = 1.0 - _CHORD_WIDEN, 1.0 + _CHORD_WIDEN
+    below = crossing(stop - _CHORD_EPS_DB) * low if stop - _CHORD_EPS_DB > v_a else 0.0
+    above = crossing(target + _CHORD_EPS_DB) * high if target + _CHORD_EPS_DB < v_b else math.inf
+    return (below, crossing(stop + _CHORD_EPS_DB) * high,
+            crossing(target - _CHORD_EPS_DB) * low, above)

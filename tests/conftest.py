@@ -68,3 +68,46 @@ def invoke_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def plain_bisection(loss, branch_points, max_loss_db, d_min_m, d_max_m):
+    """Cell-range inversion by plain bisection over ``loss``, evaluating every
+    midpoint: ``invert_cell_range``'s checks, messages and stops, as they
+    were before it decided log-affine pieces by comparison.  Returns the
+    distance and the midpoints in the order they were taken, or raises what
+    ``invert_cell_range`` raises."""
+    from pathcast import BoundsError, DomainError
+    if not d_min_m < d_max_m:
+        raise DomainError("bracket requires d_min < d_max")
+    if d_min_m <= 0:
+        raise DomainError("bracket requires d_min > 0")
+    checked = [d_min_m, *(d for d in branch_points if d_min_m < d < d_max_m), d_max_m]
+    values = [loss(d) for d in checked]
+    for (d_a, v_a), (d_b, v_b) in zip(zip(checked, values), zip(checked[1:], values[1:])):
+        if v_b < v_a:
+            raise DomainError(
+                f"loss is not monotone increasing over the bracket: "
+                f"PL({d_a:.2f} m) = {v_a:.4f} dB > PL({d_b:.2f} m) = {v_b:.4f} dB")
+    pl_min, pl_max = values[0], values[-1]
+    if not pl_min <= max_loss_db <= pl_max:
+        raise BoundsError(
+            f"target {max_loss_db:.4f} dB outside bracket: "
+            f"PL({d_min_m:g} m) = {pl_min:.4f} dB, PL({d_max_m:g} m) = {pl_max:.4f} dB")
+    if max_loss_db == pl_max:
+        return d_max_m, []
+    if max_loss_db == pl_min:
+        return d_min_m, []
+    lo, hi, lo_loss, midpoints = d_min_m, d_max_m, pl_min, []
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        midpoints.append(mid)
+        value = loss(mid)
+        if value <= max_loss_db:
+            lo, lo_loss = mid, value
+            if max_loss_db - value <= 1e-6:
+                break
+        else:
+            hi = mid
+        if hi - lo <= 1e-3 and max_loss_db - lo_loss <= 1e-6:
+            break
+    return lo, midpoints

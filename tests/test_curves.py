@@ -1,7 +1,9 @@
 """Curve table loading, validation and interpolation."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import pytest
@@ -16,6 +18,7 @@ from pathcast import (
     amu_lookup,
     garea_lookup,
     load_curves,
+    load_default_curves,
     okumura,
 )
 from pathcast.curves import amu_at_frequency, clamp_to_grid
@@ -266,16 +269,53 @@ class TestGareaLookup:
             garea_lookup(table, 1000.0, Environment.RURAL)
 
     def test_reads_the_rows_the_table_was_built_with(self):
-        # garea is a plain dict; a lookup after it is changed reads the rows
-        # checked when the table was built, whether rows were added or removed
-        no_rural = "\n".join(l for l in VALID.splitlines() if ",rural," not in l)
-        table = load_curves(no_rural)
-        table.garea[Environment.RURAL] = ((100.0, 1.0), (3000.0, 2.0))
+        # the table keeps a read-only copy of the rows it checked: a change to
+        # the mapping it was built from reaches neither garea nor a lookup
+        no_rural = load_curves("\n".join(l for l in VALID.splitlines() if ",rural," not in l))
+        rows = dict(no_rural.garea)
+        table = dataclasses.replace(no_rural, garea=rows)
+        rows[Environment.RURAL] = ((100.0, 1.0), (3000.0, 2.0))
+        del rows[Environment.SUBURBAN]
+        assert table.garea == no_rural.garea
         with pytest.raises(CurveLookupError,
                            match="^no area-gain rows for environment 'rural'$"):
             garea_lookup(table, 1000.0, Environment.RURAL)
-        del table.garea[Environment.SUBURBAN]
         assert garea_lookup(table, 3000.0, Environment.SUBURBAN) == 11.0
+
+    @pytest.mark.parametrize("change", [
+        lambda g: g.__setitem__(Environment.RURAL, ((100.0, 1.0), (3000.0, 2.0))),
+        lambda g: g.__delitem__(Environment.RURAL),
+        lambda g: g.clear(),
+        lambda g: g.pop(Environment.RURAL),
+        lambda g: g.popitem(),
+        lambda g: g.setdefault(Environment.RURAL, ()),
+        lambda g: g.update({Environment.RURAL: ()}),
+        lambda g: g.__ior__({Environment.RURAL: ()}),
+    ], ids=["setitem", "delitem", "clear", "pop", "popitem", "setdefault", "update", "ior"])
+    def test_garea_is_read_only(self, change):
+        # before, a change was kept: garea then disagreed with garea_lookup
+        table = load_default_curves()
+        rows = dict(table.garea)
+        with pytest.raises(TypeError, match="^curve table area gains are read-only$"):
+            change(table.garea)
+        assert table.garea == rows
+        assert garea_lookup(table, 3000.0, Environment.RURAL) == 31.1
+
+    def test_garea_reads_copies_and_pickles_as_a_dict(self):
+        table = load_default_curves()
+        rows = dict(table.garea)
+        assert table.garea == rows and repr(table.garea) == repr(rows)
+        for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert other == table
+            assert garea_lookup(other, 1900.0, Environment.RURAL) == \
+                garea_lookup(table, 1900.0, Environment.RURAL)
+        for twin in (copy.copy(table.garea), copy.deepcopy(table.garea),
+                     pickle.loads(pickle.dumps(table.garea)), copy.deepcopy(table).garea,
+                     pickle.loads(pickle.dumps(table)).garea):
+            assert twin == rows
+            with pytest.raises(TypeError):
+                twin[Environment.RURAL] = ()
+        assert type(table.garea | {Environment.RURAL: ()}) is dict
 
     def test_out_of_bounds(self):
         table = load_curves(VALID)

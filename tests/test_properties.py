@@ -39,10 +39,11 @@ from pathcast import (
     wi_los,
     wi_nlos,
 )
+from pathcast import scenario as scenario_module
 from pathcast.cli import _COMMANDS, _FIELDS, _REQUIRED, _command_fields
 
 from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
-                      invoke_cli)
+                      invoke_cli, plain_bisection)
 
 N_CASES = 120
 
@@ -565,6 +566,107 @@ class TestCellRangeOnAnyCurveGrid:
         beyond = [d for d in (*dense, *(d_km * 1000.0 for d_km in dist_km)) if found < d <= d_max]
         # the bisection stops up to 1e-6 dB below the target
         assert all(at(d).total_db > target - 2e-6 for d in beyond)
+
+
+
+# SUI urban's exponent gamma is about 0 for this mast: its loss rises by about
+# 3e-14 dB from 200 m to 50 km
+_FLAT_SUI_BS_M = 616.0603389
+
+
+@st.composite
+def _bound_cases(draw, clamp=True):
+    """Inputs of one bound model and a bracket of its domain: (model, clamp,
+    scenario, d_min, d_max).  ``clamp`` binds Okumura with its grid clamp
+    on, which only :func:`okumura` offers; such a case has no shadow margin."""
+    model = draw(st.sampled_from(ModelId))
+    clamped = clamp and model is ModelId.OKUMURA and draw(st.booleans())
+    freq = draw(st.floats(50.0, 3500.0))
+    rx = draw(st.floats(1.0, 10.0))
+    bs = draw(st.floats(rx + 1.0, 200.0) | st.sampled_from(
+        [_FLAT_SUI_BS_M, math.nextafter(_FLAT_SUI_BS_M, 0.0), _FLAT_SUI_BS_M + 1e-7]))
+    lo, hi = sorted(10.0 ** draw(st.floats(math.log10(150.0), math.log10(200_000.0)))
+                    for _ in range(2))
+    if model is ModelId.OKUMURA and not clamped:  # on the grid, 100-3000 MHz and 1-100 km
+        freq, lo, hi = min(max(freq, 100.0), 3000.0), max(lo, 1000.0), min(hi, 100_000.0)
+    assume(lo < hi)
+    margin = not clamped and draw(st.booleans())
+    scenario = default_scenario(
+        draw(st.sampled_from(Environment)), frequency_mhz=freq, bs_height_m=bs,
+        rx_height_m=rx, roof_height_m=draw(st.floats(rx + 1.0, 40.0)),
+        wi_los=draw(st.booleans()), mode=draw(st.sampled_from(FidelityMode)),
+        apply_shadow_margin=margin, include_sui_shadowing=draw(st.booleans()),
+        # a margin this large rounds the loss to a staircase
+        shadow_margin_db=draw(st.none() | st.none() | st.sampled_from([-2e4, 3e14])))
+    return model, clamped, scenario, lo, hi
+
+
+def _distance_or_error(call):
+    try:
+        return call()
+    except PathcastError as exc:
+        return type(exc), str(exc)
+
+
+class TestLogAffinePieces:
+    """A binder that declares ``at.log_affine`` is affine in log d on every
+    piece between its branch points, and cell-range inversion, which decides
+    such pieces by comparison, returns what plain bisection returns."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(case=_bound_cases(), shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_pieces_lie_on_their_chords(self, case, shares):
+        model, clamped, scenario, lo, hi = case
+        curves = load_default_curves()
+        if clamped:
+            at = okumura(scenario.link, scenario.environment, curves, clamp=True)
+        else:
+            at = bind(model, scenario, curves)
+        assume(at.log_affine)
+        edges = [lo, *(d for d in at.branch_points if lo < d < hi), hi]
+        for a, b in zip(edges, edges[1:]):
+            v_a, v_b = at.loss(a), at.loss(b)
+            for share in shares:
+                d = a * (b / a) ** share
+                chord = v_a + (v_b - v_a) * (math.log(d / a) / math.log(b / a))
+                assert abs(at.loss(d) - chord) <= scenario_module._CHORD_EPS_DB / 100, (a, b, d)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(case=_bound_cases(clamp=False), share=st.floats(0.0, 1.0),
+           at_checked_point=st.booleans(),
+           offset=st.sampled_from([0.0, -3e-7, -1e-6, 1e-6, -5e-7, 5e-7, -1e-9, 1e-9,
+                                   -1e-6 - 1e-9, -1e-6 + 1e-9, 1e-6 + 1e-9, -3.0, 5.0])
+           | st.floats(-2e-6, 2e-6))
+    # the near-flat SUI mast over 200 m to 50 km, at and just below its top
+    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN,
+                                                      bs_height_m=_FLAT_SUI_BS_M),
+                   200.0, 50_000.0), share=1.0, at_checked_point=True, offset=0.0)
+    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN,
+                                                      bs_height_m=_FLAT_SUI_BS_M),
+                   200.0, 50_000.0), share=0.5, at_checked_point=False, offset=-1e-14)
+    # just above the loss at Okumura's 2 km node: the midpoints close in on
+    # 2 km from below, and one within 1e-6 dB of the target stops there
+    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
+                   10000.0), share=0.34, at_checked_point=True, offset=5e-7)
+    # distances whose km value is subnormal, which rounds coarsely
+    @example(case=(ModelId.ERICSSON9999, False, default_scenario(Environment.URBAN),
+                   1.85536e-318, 3.88244992897547e-309), share=0.5, at_checked_point=False,
+             offset=0.0)
+    def test_inversion_equals_plain_bisection(self, case, share, at_checked_point, offset):
+        model, _, scenario, lo, hi = case
+        curves = load_default_curves()
+        at = bind(model, scenario, curves)
+        checked = [lo, *(d for d in at.branch_points if lo < d < hi), hi]
+        # the loss inside the bracket, or at one of its checked points (the
+        # ends of its pieces), moved by an offset near the 1e-6 dB stop
+        d = checked[int(share * (len(checked) - 1))] if at_checked_point else lo * (hi / lo) ** share
+        target = _distance_or_error(lambda: at.loss(d))
+        assume(isinstance(target, float))
+        target += offset
+        expected = _distance_or_error(
+            lambda: plain_bisection(at.loss, at.branch_points, target, lo, hi)[0])
+        assert _distance_or_error(
+            lambda: invert_cell_range(model, scenario, target, lo, hi, curves)) == expected
 
 
 # Float text at the edges of what float() accepts, and any float's repr

@@ -33,6 +33,8 @@ from pathcast import (
 )
 from pathcast import scenario as scenario_module
 
+from conftest import plain_bisection
+
 
 class TestDefaults:
     def test_urban_scenario_reproduces_simulation_table(self):
@@ -349,13 +351,13 @@ class TestInvertCellRange:
         # 5e-7 dB above PL(d_min) is within 1e-6 dB of the target only at d_min,
         # so every midpoint lands above it and the bracket width ends the loop
         s = default_scenario(Environment.RURAL)
-        target = evaluate(ModelId.WALFISCH_IKEGAMI,
-                          dataclasses.replace(s, link=dataclasses.replace(
-                              s.link, distance_m=1000.0))).total_db + 5e-7
-        seen = _record_evaluations(monkeypatch)
-        assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, 1000.0, 10000.0) == 1000.0
-        (before_last, _), (last, _) = seen[-2:]
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+        target = at.loss(1000.0) + 5e-7
+        plain, midpoints = plain_bisection(at.loss, at.branch_points, target, 1000.0, 10000.0)
+        before_last, last = midpoints[-2:]
+        assert plain == 1000.0
         assert last - 1000.0 <= 1e-3 < before_last - 1000.0
+        assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, 1000.0, 10000.0) == plain
 
     def test_non_monotone_detected(self):
         # a very tall SUI mast drives the distance exponent negative
@@ -414,24 +416,82 @@ class TestInvertCellRange:
         s = default_scenario(Environment.URBAN, apply_shadow_margin=True)
         assert scenario_module.bind(ModelId.OKUMURA, s, table).branch_points == nodes
 
+    def test_log_affine_declared_by_every_model_but_wi_nlos(self, bundled_curves):
+        link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
+        for mode in FidelityMode:
+            assert wi_nlos(WiGeometry(), link, mode).log_affine is False
+            assert wi_nlos(WiGeometry(roof_height_m=40.0), link, mode).log_affine is False
+            assert cost231_hata(link, Environment.URBAN, mode).log_affine is True
+            assert ericsson(link, EricssonCoefficients(), mode).log_affine is True
+        assert sui(link, Environment.URBAN).log_affine is True
+        assert wi_los(link).log_affine is True
+        for clamp in (False, True):
+            assert okumura(link, Environment.URBAN, bundled_curves, clamp).log_affine is True
+        # the shadow-margin wrapper passes it on
+        for env in (Environment.URBAN, Environment.RURAL):  # WI NLOS, then LOS
+            for margin in (False, True):
+                s = default_scenario(env, apply_shadow_margin=margin)
+                assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).log_affine is (
+                    env is Environment.RURAL)
+
+    def test_log_affine_only_while_terms_are_moderate(self, bundled_curves):
+        # past 1e4 dB, a term rounds the loss too coarsely for its chord
+        link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
+        assert ericsson(link, EricssonCoefficients(a0=1e4)).log_affine is True
+        assert ericsson(link, EricssonCoefficients(a0=1.0001e4)).log_affine is False
+        assert ericsson(link, EricssonCoefficients(a3=1e5)).log_affine is False
+        # SUI's slope 10*gamma holds c/h_b: 126,000 dB per decade at h_b = 1 mm
+        assert sui(RadioLink(1900.0, 5000.0, 0.001, 0.0005), Environment.URBAN).log_affine \
+            is False
+        # the misprinted suburban a(h_r) holds 1.58*f: about 3000 dB, and 1e4 dB
+        # beyond 6300 MHz
+        for freq, moderate in ((1900.0, True), (6400.0, False)):
+            at = cost231_hata(dataclasses.replace(link, frequency_mhz=freq),
+                              Environment.SUBURBAN, FidelityMode.AS_PRINTED)
+            assert at.log_affine is moderate
+        for margin_db, moderate in ((-1e4, True), (1.5e4, False)):
+            s = default_scenario(Environment.RURAL, apply_shadow_margin=True,
+                                 shadow_margin_db=margin_db)
+            assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).log_affine is moderate
+        # A_mu climbs 11,300 dB per decade from 1 to 1.5 km on this table
+        assert okumura(link, Environment.URBAN, bundled_curves).log_affine is True
+        steep = load_curves("AMU,1,1.5,100\n100,10,2000,2100\n3000,10,2000,2100\n"
+                            "GAREA,freq_mhz,environment,gain_db\n100,urban,0\n"
+                            "# source: steep\n")
+        assert okumura(link, Environment.URBAN, steep).log_affine is False
+
     @pytest.mark.parametrize("model", list(ModelId))
     @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
     def test_no_distance_evaluated_twice(self, model, distance_m, bundled_curves, monkeypatch):
         s = default_scenario(Environment.URBAN)
-        at_target = dataclasses.replace(s, link=dataclasses.replace(s.link, distance_m=distance_m))
-        target = evaluate(model, at_target, bundled_curves).total_db
-        interior = [d for d in scenario_module.bind(model, s, bundled_curves).branch_points
-                    if 1000.0 < d < 10000.0]
+        at = scenario_module.bind(model, s, bundled_curves)
+        target = at.loss(distance_m)
+        plain, midpoints = plain_bisection(at.loss, at.branch_points, target, 1000.0, 10000.0)
         seen = _record_evaluations(monkeypatch)
         found = invert_cell_range(model, s, target, 1000.0, 10000.0, bundled_curves)
-        # exactly 2 + interior branch points + bisection steps: d_min, the
-        # branch points inside the bracket and d_max, then one midpoint of the
-        # remaining bracket per step
-        checked = [1000.0, *interior, 10000.0]
+        # d_min, the branch points inside the bracket and d_max come first;
+        # every later evaluation is one of plain bisection's midpoints, in
+        # order, and the others are decided without one
+        checked = [1000.0, *(d for d in at.branch_points if 1000.0 < d < 10000.0), 10000.0]
         assert [d for d, _ in seen[:len(checked)]] == checked
-        lo, hi = 1000.0, 10000.0
-        for d, loss in seen[len(checked):]:
-            assert d == 0.5 * (lo + hi)
-            lo, hi = (d, hi) if loss <= target else (lo, d)
-        assert found == lo
+        steps = iter(midpoints)
+        assert all(d in steps for d, _ in seen[len(checked):])
+        assert found == plain
         assert len(seen) == len({d for d, _ in seen})
+
+    @pytest.mark.parametrize("model, environment", [
+        (ModelId.SUI, Environment.URBAN), (ModelId.COST231_HATA, Environment.URBAN),
+        (ModelId.WALFISCH_IKEGAMI, Environment.RURAL), (ModelId.ERICSSON9999, Environment.URBAN)])
+    @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
+    def test_closed_forms_evaluate_only_the_checked_points(self, model, environment, distance_m,
+                                                           monkeypatch):
+        # log-affine with no branch point (rural Walfisch-Ikegami is LOS): the
+        # chord through PL(d_min) and PL(d_max) decides every midpoint
+        s = default_scenario(environment)
+        at = scenario_module.bind(model, s)
+        assert at.log_affine and at.branch_points == ()
+        target = at.loss(distance_m)
+        seen = _record_evaluations(monkeypatch)
+        found = invert_cell_range(model, s, target, 1000.0, 10000.0)
+        assert [d for d, _ in seen] == [1000.0, 10000.0]
+        assert found == plain_bisection(at.loss, (), target, 1000.0, 10000.0)[0]
