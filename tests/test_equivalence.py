@@ -67,10 +67,6 @@ DISTANCES_M = (math.nan, math.inf, -math.inf, -5.0, 0.0, 5e-324, *_around(100.0)
                *_around(500.0), *_around(1000.0), 2500.0, 37000.0, *_around(100000.0))
 
 
-def _hex(value):
-    return value.hex() if isinstance(value, float) else repr(value)
-
-
 def _outcome(call, *args):
     """What ``call(*args)`` gives, as text: its value, or its error."""
     try:
@@ -111,9 +107,9 @@ def model_lines(model, curves):
         except Exception as exc:
             yield f"{key} bind -> {type(exc).__name__}: {exc}"
             continue
-        yield f"{key} branch_points={[_hex(d) for d in at.branch_points]}"
+        yield f"{key} branch_points={[d.hex() for d in at.branch_points]}"
         for d in DISTANCES_M:
-            yield f"{key} d={_hex(d)} -> {_outcome(at, d)} loss={_outcome(at.loss, d)}"
+            yield f"{key} d={d.hex()} -> {_outcome(at, d)} loss={_outcome(at.loss, d)}"
 
 
 # (d_min, d_max): inside every model's domain, across SUI's d0 and the curve
@@ -159,7 +155,7 @@ def inversion_lines(curves):
             for target in _targets(at.loss, d_min, d_max, at.branch_points):
                 outcome = _outcome(invert_cell_range, model, scenario, target, d_min, d_max,
                                    curves)
-                yield f"{key} [{d_min!r}, {d_max!r}] target={_hex(target)} -> {outcome}"
+                yield f"{key} [{d_min!r}, {d_max!r}] target={target.hex()} -> {outcome}"
 
 
 def all_lines(curves):
