@@ -207,14 +207,16 @@ def _other_lines(revision):
             root = worktree
         try:
             env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            out = subprocess.run([sys.executable, __file__, "--lines"], env=env, check=True,
-                                 capture_output=True, text=True).stdout
+            child = subprocess.run([sys.executable, __file__, "--lines"], env=env,
+                                   capture_output=True, text=True)
         finally:
             if worktree is not None:
                 subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
                                 str(worktree)], check=True)
+    if child.returncode:
+        sys.exit(f"{revision}'s pathcast could not run the cases:\n{child.stderr}")
     lines = {}
-    for row in out.splitlines():
+    for row in child.stdout.splitlines():
         name, line = row.split("\t", 1)
         lines.setdefault(name, []).append(line)
     return lines
