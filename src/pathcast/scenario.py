@@ -441,8 +441,12 @@ def _chord_regions(checked, values, target):
     They come from the chord, in log d, of the first checked piece whose end
     reaches the target.  The stop region keeps to that piece; the other two
     reach past it only where the piece's end values decide them, since the
-    loss is monotone.
+    loss is monotone.  Nothing is decided when a midpoint may overflow to
+    inf, which ``lo + hi <= 2 d_max`` rules out, so that its evaluation
+    raises as in plain bisection.
     """
+    if not math.isfinite(checked[-1] + checked[-1]):
+        return _UNDECIDED
     i = next(i for i, v in enumerate(values) if v >= target)
     a, b, v_a, v_b = checked[i - 1], checked[i], values[i - 1], values[i]
     if a < 1.0 or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further

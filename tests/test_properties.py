@@ -656,6 +656,14 @@ class TestLogAffinePieces:
     @example(case=(ModelId.ERICSSON9999, False, default_scenario(Environment.URBAN),
                    1.85536e-318, 3.88244992897547e-309), share=0.5, at_checked_point=False,
              offset=0.0)
+    # d_min + d_max overflows, or a later lo + hi does: a midpoint is inf and
+    # its evaluation raises
+    @example(case=(ModelId.WALFISCH_IKEGAMI, False, default_scenario(Environment.RURAL),
+                   1e308, 1.7e308), share=0.5, at_checked_point=False, offset=0.0)
+    @example(case=(ModelId.WALFISCH_IKEGAMI, False, default_scenario(Environment.RURAL),
+                   1e307, 1.2e308), share=0.97, at_checked_point=False, offset=0.0)
+    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN),
+                   9e307, 1.79e308), share=0.9, at_checked_point=False, offset=-1e-6)
     def test_inversion_equals_plain_bisection(self, case, share, at_checked_point, offset):
         model, _, scenario, lo, hi = case
         curves = load_default_curves()

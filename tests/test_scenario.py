@@ -495,3 +495,18 @@ class TestInvertCellRange:
         found = invert_cell_range(model, s, target, 1000.0, 10000.0)
         assert [d for d, _ in seen] == [1000.0, 10000.0]
         assert found == plain_bisection(at.loss, (), target, 1000.0, 10000.0)[0]
+
+    # d_min + d_max overflows, so the first midpoint is inf; or a later
+    # lo + hi does, once lo has climbed past half the largest float
+    @pytest.mark.parametrize("d_min, d_max, d_target", [
+        (1e308, 1.7e308, 1.3e308), (1e307, 1.2e308, 1.1e308)])
+    def test_overflowing_midpoint_raises_as_plain_bisection(self, d_min, d_max, d_target):
+        # the ends lose about 8040 dB, inside the 1e4 dB a chord is trusted for
+        s = default_scenario(Environment.RURAL)
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+        assert at.log_affine
+        target = at.loss(d_target)
+        with pytest.raises(DomainError, match="distance must be finite"):
+            plain_bisection(at.loss, at.branch_points, target, d_min, d_max)
+        with pytest.raises(DomainError, match="distance must be finite"):
+            invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, d_min, d_max)
