@@ -21,9 +21,9 @@ does not depend on distance once, and returns
 :class:`WiGeometry` check every input range when they are built, so a binder
 checks only what valid inputs can still overflow to inf or underflow to 0,
 plus the rooftop term's roof-above-receiver condition, which spans the two.
-``at`` ignores ``link.distance_m``; it checks the distance, computes only the
-distance-dependent components and builds the :class:`PathLossResult` in the
-model's component order, joining them to component tuples the binder built
+``at`` ignores ``link.distance_m``; it labels the values of the binder's one
+distance step and builds the :class:`PathLossResult` in the model's component
+order, joining those values to component tuples that the binder has built
 once.  A binder's labels are string literals in its own code, and the
 shadow-margin wrapper of :func:`pathcast.scenario.bind` adds only
 ``shadow_margin``, which no binder emits, so both build results without a
@@ -39,12 +39,13 @@ but never regroup or reorder terms.
 
 ``at.loss(distance_m) -> float`` is ``at(distance_m).total_db`` without the
 result: the same float bit for bit, or the same error where ``at`` raises.
-It checks the distance as ``at`` does and adds the terms to 0.0 one ``+`` at a
-time in component order, never with sum(), which compensates floats from
-Python 3.12 on; a binder may fold a leading run of constant components into
-one number once, which is the same left-associated sub-expression.  Callers
-that need only the number, such as cell-range inversion and the CLI's CSV
-and table sweep rows, read it there.
+Each binder has one distance step, a local ``point(distance_m)`` that checks
+the distance and returns the values of the distance-dependent components.
+``at`` labels them; ``loss`` adds them to 0.0 and the constant terms one ``+``
+at a time in component order, never with sum(), which compensates floats
+from Python 3.12 on, and leaves out what ``at`` leaves out: Walfisch-Ikegami
+NLOS adds its floor only where it fires.  Cell-range inversion and the CLI's
+CSV and table sweep rows read the number there.
 
 ``at.branch_points`` is a sorted tuple of the distances (m) where the model's
 formula switches pieces, empty for a formula with one piece.  Between branch
@@ -296,23 +297,22 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         tail += (("shadowing", shadowing),)
     head_db = 0.0 + free_space_ref[1]
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
         _check_distance(distance_m)
         if distance_m <= d0:
             raise DomainError(
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
+        return slope * _log10(distance_m / d0)
+    log_affine = _moderate(head_db, slope, x_f, x_h, shadowing or 0.0)
+
+    def at(distance_m: float) -> PathLossResult:
         return _fill(_new_result(PathLossResult),
-                     (free_space_ref, ("distance", slope * _log10(distance_m / d0))) + tail)
+                     (free_space_ref, ("distance", point(distance_m))) + tail)
 
     def loss(distance_m: float) -> float:
-        _check_distance(distance_m)
-        if distance_m <= d0:
-            raise DomainError(
-                f"distance {distance_m:g} m is below reference distance {d0:g} m")
-        total = head_db + slope * _log10(distance_m / d0) + x_f + x_h
+        total = head_db + point(distance_m) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
-    at.branch_points, at.loss = (), loss
-    at.log_affine = _moderate(head_db, slope, x_f, x_h, shadowing or 0.0)
+    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
     return at
 
 
@@ -356,16 +356,18 @@ def cost231_hata(link: RadioLink, environment: Environment,
     area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
     head_db, area_db = _fold(head), area[1]
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
         _check_distance(distance_m)
+        return slope * _log10(distance_m / 1000.0)
+    log_affine = _moderate(*(value for _, value in head), slope)
+
+    def at(distance_m: float) -> PathLossResult:
         return _fill(_new_result(PathLossResult),
-                     head + (("distance", slope * _log10(distance_m / 1000.0)), area), warnings)
+                     head + (("distance", point(distance_m)), area), warnings)
 
     def loss(distance_m: float) -> float:
-        _check_distance(distance_m)
-        return _finite_total(head_db + slope * _log10(distance_m / 1000.0) + area_db)
-    at.branch_points, at.loss = (), loss
-    at.log_affine = _moderate(*(value for _, value in head), slope)
+        return _finite_total(head_db + point(distance_m) + area_db)
+    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
     return at
 
 
@@ -378,17 +380,18 @@ def wi_los(link: RadioLink):
     frequency = ("frequency", 20.0 * _log10(link.frequency_mhz))
     frequency_db = frequency[1]
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
         _check_distance(distance_m)
-        return _fill(
-            _new_result(PathLossResult),
-            (("constant", 42.64), ("distance", 26.0 * _log10(distance_m / 1000.0)), frequency))
+        return 26.0 * _log10(distance_m / 1000.0)
+    log_affine = True  # 20*log10(f) stays within 6,200 dB for any link: always moderate
+
+    def at(distance_m: float) -> PathLossResult:
+        return _fill(_new_result(PathLossResult),
+                     (("constant", 42.64), ("distance", point(distance_m)), frequency))
 
     def loss(distance_m: float) -> float:
-        _check_distance(distance_m)
-        return _finite_total(0.0 + 42.64 + 26.0 * _log10(distance_m / 1000.0) + frequency_db)
-    # 20*log10(f) stays within 6,200 dB for any link: always moderate
-    at.branch_points, at.log_affine, at.loss = (), True, loss
+        return _finite_total(0.0 + 42.64 + point(distance_m) + frequency_db)
+    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
     return at
 
 
@@ -498,31 +501,33 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             f"the base-station reading ({link.bs_height_m:g} m) would shift the "
             f"rooftop term by {shift:+.2f} dB",)
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
+        """Free space, L_MSD, the floor (None unless it fires) and the warnings."""
         _check_distance(distance_m)
         d_km = distance_m / 1000.0
         msd, warnings = multiscreen(d_km)
         warnings += height_warning
-        components = (("free_space", 32.45 + 20.0 * _log10(d_km) + frequency_term),
-                      rooftop, ("multiscreen", msd))
-        diffraction = rts + msd
+        diffraction, floor = rts + msd, None
         if diffraction < 0.0:
-            components += (("diffraction_floor", -diffraction),)
+            floor = -diffraction
             warnings += ("negative diffraction sum clamped to the free-space floor",)
+        return 32.45 + 20.0 * _log10(d_km) + frequency_term, msd, floor, warnings
+    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is, but
+    # the floor kinks between branch points and k_A is linear in d below 500 m
+    log_affine = False
+
+    def at(distance_m: float) -> PathLossResult:
+        free_space, msd, floor, warnings = point(distance_m)
+        components = (("free_space", free_space), rooftop, ("multiscreen", msd))
+        if floor is not None:
+            components += (("diffraction_floor", floor),)
         return _fill(_new_result(PathLossResult), components, warnings)
 
     def loss(distance_m: float) -> float:
-        _check_distance(distance_m)
-        d_km = distance_m / 1000.0
-        msd = multiscreen(d_km)[0]
-        total = 0.0 + (32.45 + 20.0 * _log10(d_km) + frequency_term) + rts + msd
-        diffraction = rts + msd
-        if diffraction < 0.0:
-            total += -diffraction
-        return _finite_total(total)
-    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is, but
-    # the floor kinks between branch points and k_A is linear in d below 500 m
-    at.branch_points, at.log_affine, at.loss = multiscreen.branch_points, False, loss
+        free_space, msd, floor, _ = point(distance_m)
+        total = 0.0 + free_space + rts + msd
+        return _finite_total(total if floor is None else total + floor)
+    at.branch_points, at.log_affine, at.loss = multiscreen.branch_points, log_affine, loss
     return at
 
 
@@ -552,18 +557,19 @@ def ericsson(link: RadioLink,
     tail = (("rx_height_offset", rx_db), ("frequency_gain", gain_db))
     head_db, a1, bs_db = 0.0 + coeffs.a0, coeffs.a1, bs_height[1]
 
-    def at(distance_m: float) -> PathLossResult:
+    def point(distance_m):
         _check_distance(distance_m)
         ld = _log10(distance_m / 1000.0)
-        return _fill(
-            _new_result(PathLossResult),
-            (constant, ("distance", coeffs.a1 * ld), bs_height,
-             ("bs_distance_cross", cross * ld)) + tail)
+        return a1 * ld, cross * ld
+    log_affine = _moderate(head_db, a1, bs_db, cross, rx_db, gain_db)
+
+    def at(distance_m: float) -> PathLossResult:
+        distance, bs_cross = point(distance_m)
+        return _fill(_new_result(PathLossResult), (constant, ("distance", distance), bs_height,
+                                                   ("bs_distance_cross", bs_cross)) + tail)
 
     def loss(distance_m: float) -> float:
-        _check_distance(distance_m)
-        ld = _log10(distance_m / 1000.0)
-        return _finite_total(head_db + a1 * ld + bs_db + cross * ld + rx_db + gain_db)
-    at.branch_points, at.loss = (), loss
-    at.log_affine = _moderate(head_db, a1, bs_db, cross, rx_db, gain_db)
+        distance, bs_cross = point(distance_m)
+        return _finite_total(head_db + distance + bs_db + bs_cross + rx_db + gain_db)
+    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
     return at

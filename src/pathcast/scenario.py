@@ -366,8 +366,7 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     each branch point inside the bracket and at d_max prove it.  The
     scenario is bound once, and each evaluation reads ``at.loss``, which
     computes only the distance-dependent terms and builds no result.  The
-    returned distance satisfies
-    PL(d) <= max_loss within 1e-6 dB.
+    returned distance satisfies PL(d) <= max_loss within 1e-6 dB.
 
     Where the model declares ``at.log_affine``, the piece between two
     checked points that holds the target is a line in log d through their

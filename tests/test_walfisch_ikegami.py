@@ -196,3 +196,25 @@ class TestNlos:
 
         corrected = wi_nlos(geometry, short, FidelityMode.CORRECTED)(short.distance_m)
         assert not any(w.startswith("garbled branch") for w in corrected.warnings)
+
+    def test_all_four_warnings_in_order(self):
+        # below the rooftops at 100 m as printed: both garbled multiscreen
+        # branches fire, the roof is not the mast height, and 1 MHz drives the
+        # diffraction sum negative, so the floor fires too
+        geometry = WiGeometry(street_width_m=100.0, roof_height_m=3.01)
+        at = wi_nlos(geometry, RadioLink(1.0, 100.0, 3.005, 3.0), FidelityMode.AS_PRINTED)
+        result = at(100.0)
+        assert result.components == (
+            ("free_space", 12.450000000000003),
+            ("rooftop_to_street", -76.28000000000017),
+            ("multiscreen", 74.68435301745424),
+            ("diffraction_floor", 1.5956469825459294))
+        assert result.warnings == (
+            "garbled branch: corrected definition substituted for the multiscreen range "
+            "offset below rooftop at d <= 0.5 km",
+            "garbled branch: corrected definition substituted for the multiscreen distance "
+            "slope below rooftop at d <= 0.5 km",
+            "height symbols bound to roof height 3.01 m; the base-station reading (3.005 m) "
+            "would shift the rooftop term by -6.02 dB",
+            "negative diffraction sum clamped to the free-space floor")
+        assert at.loss(100.0) == result.total_db
