@@ -100,7 +100,7 @@ class CurveTable:
             axes[env] = freqs, _check_log_axis(freqs, f"{env.value} area-gain frequencies"), gains
         object.__setattr__(self, "_gain_axes", axes)
         # every A_mu and area gain, and every A_mu slope in dB per decade of
-        # distance, for the Okumura binder's at.log_affine
+        # distance, for the Okumura binder's at.affine_from_m
         dist_logs = self._dist_logs
         object.__setattr__(self, "_moderate_terms", _moderate(
             *(v for row in self.amu_db for v in row),
@@ -379,5 +379,5 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     # antenna gains stay within 6,500 dB for any link and free space rises
     # 20 dB per decade, so only the table's terms can be too large.
     at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
-    at.log_affine, at.loss = curves._moderate_terms, loss
+    at.affine_from_m, at.loss = 1.0 if curves._moderate_terms else math.inf, loss
     return at

@@ -53,20 +53,24 @@ points every model is affine in log d or a sum of terms that never decrease
 with d, so losses ordered at the ends of a bracket and at each branch point
 inside it prove the loss monotone over the bracket.
 
-``at.log_affine`` is ``True`` when the first of those holds on every piece,
-the stretch between two neighbouring branch points or beyond the outermost
-one, closely enough for cell-range inversion to decide points on a piece
-from its chord.  At distances of 1 m or more where the loss stays within
-+-1e4 dB, ``at.loss`` then lies within 1e-10 dB of the chord, in log d,
-through its values at any two other distances of the piece.  That holds
-while every constant term, and every slope in dB per decade of distance,
-is at most 1e4 dB in size (:func:`_moderate`); a binder whose inputs break
-that declares ``False``, as does the shadow-margin wrapper for a margin
-over 1e4 dB.  SUI, COST-231 Hata, Walfisch-Ikegami LOS, Ericsson and
-Okumura (at its one bound frequency, clamped or not) declare it.
-Walfisch-Ikegami NLOS declares ``False``: its free-space floor kinks at a
-distance that is not a branch point, and below the rooftops its k_A is
-linear in d under 500 m.
+``at.affine_from_m`` is the distance (m) from which the first of those
+holds on every piece, the stretch between two neighbouring branch points or
+beyond the outermost one, closely enough for cell-range inversion to decide
+points on a piece that lies wholly at or beyond it from its chord.  On such
+a piece, where the loss stays within +-1e4 dB, ``at.loss`` lies within
+1e-10 dB of the chord, in log d, through its values at any two other
+distances of the piece.  That holds from 1 m on, while every constant term,
+and every slope in dB per decade of distance, is at most 1e4 dB in size
+(:func:`_moderate`).  SUI, COST-231 Hata, Walfisch-Ikegami LOS, Ericsson
+and Okumura (at its one bound frequency, clamped or not) declare 1.0.
+Walfisch-Ikegami NLOS declares where its multi-screen term is
+``c + k_d*log d`` (everywhere above the roofs; below them k_A is linear in
+d under 500 m, so from 500 m, or as printed from the first distance past
+the branches there) and its free-space floor has stopped firing: the
+diffraction sum rises through 0 at one distance, the floor's kink, which
+is not a branch point.  A binder whose terms break the size limit declares
+``math.inf``, as does the shadow-margin wrapper for a margin over 1e4 dB,
+and no piece of it is decided by its chord.
 """
 
 from __future__ import annotations
@@ -232,7 +236,7 @@ def _finite_total(total):
 
 
 # The size of term up to which a log-affine loss rounds within 1e-10 dB of
-# its chord; see ``at.log_affine`` above.
+# its chord; see ``at.affine_from_m`` above.
 _AFFINE_LIMIT_DB = 1e4
 
 
@@ -303,7 +307,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
             raise DomainError(
                 f"distance {distance_m:g} m is below reference distance {d0:g} m")
         return slope * _log10(distance_m / d0)
-    log_affine = _moderate(head_db, slope, x_f, x_h, shadowing or 0.0)
+    affine_from_m = 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         return _fill(_new_result(PathLossResult),
@@ -312,7 +316,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     def loss(distance_m: float) -> float:
         total = head_db + point(distance_m) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
-    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
+    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
     return at
 
 
@@ -359,7 +363,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
     def point(distance_m):
         _check_distance(distance_m)
         return slope * _log10(distance_m / 1000.0)
-    log_affine = _moderate(*(value for _, value in head), slope)
+    affine_from_m = 1.0 if _moderate(*(value for _, value in head), slope) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         return _fill(_new_result(PathLossResult),
@@ -367,7 +371,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
 
     def loss(distance_m: float) -> float:
         return _finite_total(head_db + point(distance_m) + area_db)
-    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
+    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
     return at
 
 
@@ -383,7 +387,7 @@ def wi_los(link: RadioLink):
     def point(distance_m):
         _check_distance(distance_m)
         return 26.0 * _log10(distance_m / 1000.0)
-    log_affine = True  # 20*log10(f) stays within 6,200 dB for any link: always moderate
+    affine_from_m = 1.0  # 20*log10(f) stays within 6,200 dB for any link: always moderate
 
     def at(distance_m: float) -> PathLossResult:
         return _fill(_new_result(PathLossResult),
@@ -391,7 +395,7 @@ def wi_los(link: RadioLink):
 
     def loss(distance_m: float) -> float:
         return _finite_total(0.0 + 42.64 + point(distance_m) + frequency_db)
-    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
+    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
     return at
 
 
@@ -400,7 +404,9 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
     """Bind L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b.
 
     Returns ``at(d_km) -> (value, garbled-branch warnings)``.  Its
-    ``branch_points`` are in metres, as on every binder's ``at``.
+    ``branch_points`` are in metres, as on every binder's ``at``.  Its
+    ``far`` is ``(start_m, k_d, terms)``: from ``start_m`` on, the value is
+    the sum of the constant ``terms`` and ``k_d*log d`` with ``k_d >= 18``.
     """
     roof = geometry.roof_height_m
     delta = bs_height_m - roof  # BS height relative to the rooftops
@@ -419,6 +425,7 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
         def at(d_km):
             return base + k_d * _log10(d_km) + frequency_term - separation_term, ()
         at.branch_points = ()  # k_d > 0: affine and increasing in log d
+        at.far = (0.0, k_d, (base, frequency_term, -separation_term))
         return at
 
     scaled_delta = 0.8 * delta
@@ -453,6 +460,8 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
         # non-decreasing in d.  The neighbours of 500 m are the last and
         # first distances in metres that fall in the outer pieces.
         at.branch_points = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
+        at.far = (at.branch_points[2], 18.0,
+                  (54.0 + scaled_delta, frequency_term, -separation_term))
         return at
 
     k_a_far = 54.0 - scaled_delta
@@ -462,6 +471,7 @@ def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: flo
         k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
         return k_a + k_d_below * _log10(d_km) + frequency_term - separation_term, ()
     at.branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
+    at.far = (500.0, k_d_below, (k_a_far, frequency_term, -separation_term))
     return at
 
 
@@ -512,9 +522,16 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             floor = -diffraction
             warnings += ("negative diffraction sum clamped to the free-space floor",)
         return 32.45 + 20.0 * _log10(d_km) + frequency_term, msd, floor, warnings
-    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is, but
-    # the floor kinks between branch points and k_A is linear in d below 500 m
-    log_affine = False
+    # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is.  On
+    # L_MSD's far piece (k_A is linear in d below 500 m under the roofs),
+    # L_RTS + L_MSD rises k_d >= 18 dB per decade through 0 at one distance,
+    # the floor's kink.  A relative 1e-9 past it the sum is 7.8e-9 dB, far
+    # above its rounding, so the floor stays off.  10**x is finite to x = 308.
+    start_m, k_d, msd_terms = multiscreen.far
+    affine_from_m = math.inf
+    if _moderate(frequency_term, rts, k_d, *msd_terms):
+        kink_m = 1000.0 * 10.0 ** min(-math.fsum((rts, *msd_terms)) / k_d, 308.0)
+        affine_from_m = max(1.0, start_m, kink_m * (1.0 + 1e-9))
 
     def at(distance_m: float) -> PathLossResult:
         free_space, msd, floor, warnings = point(distance_m)
@@ -527,7 +544,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         free_space, msd, floor, _ = point(distance_m)
         total = 0.0 + free_space + rts + msd
         return _finite_total(total if floor is None else total + floor)
-    at.branch_points, at.log_affine, at.loss = multiscreen.branch_points, log_affine, loss
+    at.branch_points, at.affine_from_m, at.loss = multiscreen.branch_points, affine_from_m, loss
     return at
 
 
@@ -561,7 +578,7 @@ def ericsson(link: RadioLink,
         _check_distance(distance_m)
         ld = _log10(distance_m / 1000.0)
         return a1 * ld, cross * ld
-    log_affine = _moderate(head_db, a1, bs_db, cross, rx_db, gain_db)
+    affine_from_m = 1.0 if _moderate(head_db, a1, bs_db, cross, rx_db, gain_db) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         distance, bs_cross = point(distance_m)
@@ -571,5 +588,5 @@ def ericsson(link: RadioLink,
     def loss(distance_m: float) -> float:
         distance, bs_cross = point(distance_m)
         return _finite_total(head_db + distance + bs_db + bs_cross + rx_db + gain_db)
-    at.branch_points, at.log_affine, at.loss = (), log_affine, loss
+    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
     return at

@@ -138,9 +138,9 @@ def bind(model: ModelId, scenario: Scenario,
     scenario's shadow margin is appended as a ``shadow_margin`` component, a
     label no binder emits, only when apply_shadow_margin is set; its
     ``loss`` adds the margin to the model's.  The evaluator carries the
-    model's ``loss``, ``branch_points`` and ``log_affine`` (see
-    :mod:`pathcast.propagation`); a margin of at most 1e4 dB keeps a piece
-    log-affine.
+    model's ``loss``, ``branch_points`` and ``affine_from_m`` (see
+    :mod:`pathcast.propagation`); a margin over 1e4 dB makes the last
+    ``math.inf``.
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -173,7 +173,7 @@ def bind(model: ModelId, scenario: Scenario,
     def loss(distance_m: float) -> float:
         return _finite_total(inner_loss(distance_m) + margin_db)
     at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
-    at_with_margin.log_affine = at.log_affine and _moderate(margin_db)
+    at_with_margin.affine_from_m = at.affine_from_m if _moderate(margin_db) else math.inf
     return at_with_margin
 
 
@@ -368,17 +368,19 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     computes only the distance-dependent terms and builds no result.  The
     returned distance satisfies PL(d) <= max_loss within 1e-6 dB.
 
-    Where the model declares ``at.log_affine``, the piece between two
-    checked points that holds the target is a line in log d through their
-    two exact losses.  The distances where that line crosses the stop levels
-    (the target and the target less 1e-6 dB, each +-1e-9 dB) are computed
-    once, and a midpoint that falls clear of them, on the piece or where
-    monotonicity alone decides it, is decided by comparing distances; only
-    midpoints within a hair of a level are evaluated.  The midpoints, the
-    stops and the returned distance are those of plain bisection, float for
-    float.  A closed-form model with no branch point inside the bracket
-    typically evaluates only d_min and d_max; Okumura evaluates the grid
-    nodes inside the bracket and a few midpoints off the target's piece.
+    Where the piece between two checked points that holds the target lies
+    wholly at or beyond the model's ``at.affine_from_m``, it is a line in
+    log d through their two exact losses.  The distances where that line
+    crosses the stop levels (the target and the target less 1e-6 dB, each
+    +-1e-9 dB) are computed once, and a midpoint that falls clear of them,
+    on the piece or where monotonicity alone decides it, is decided by
+    comparing distances; only midpoints within a hair of a level are
+    evaluated.  The midpoints, the stops and the returned distance are those
+    of plain bisection, float for float.  A closed-form model typically evaluates only d_min and d_max
+    when no branch point lies inside the bracket and d_min is at or beyond
+    ``at.affine_from_m`` (for Walfisch-Ikegami NLOS, past its floor's kink
+    and, below the roofs, from 500 m); Okumura evaluates the grid nodes
+    inside the bracket and a few midpoints off the target's piece.
     """
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
@@ -405,8 +407,8 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     if max_loss_db == pl_min:
         return d_min_m
 
-    below, stop_from, stop_to, above = (
-        _chord_regions(checked, values, max_loss_db) if at.log_affine else _UNDECIDED)
+    below, stop_from, stop_to, above = _chord_regions(checked, values, max_loss_db,
+                                                      at.affine_from_m)
     lo, hi, lo_loss = d_min_m, d_max_m, pl_min
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -431,24 +433,25 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     return lo
 
 
-def _chord_regions(checked, values, target):
+def _chord_regions(checked, values, target, affine_from_m):
     """Distances that decide a bisection step on a log-affine loss, as
     ``(below, stop_from, stop_to, above)``: the loss is more than 1e-6 dB
     under ``target`` below ``below``, within 1e-6 dB under it strictly
     between ``stop_from`` and ``stop_to``, and over it above ``above``.
 
     They come from the chord, in log d, of the first checked piece whose end
-    reaches the target.  The stop region keeps to that piece; the other two
-    reach past it only where the piece's end values decide them, since the
-    loss is monotone.  Nothing is decided when a midpoint may overflow to
-    inf, which ``lo + hi <= 2 d_max`` rules out, so that its evaluation
-    raises as in plain bisection.
+    reaches the target, if that piece starts at or beyond ``affine_from_m``.
+    The stop region keeps to that piece; the other two reach past it only
+    where the piece's end values decide them, since the loss is monotone.
+    Nothing is decided when a midpoint may overflow to inf, which
+    ``lo + hi <= 2 d_max`` rules out, so that its evaluation raises as in
+    plain bisection.
     """
     if not math.isfinite(checked[-1] + checked[-1]):
         return _UNDECIDED
     i = next(i for i, v in enumerate(values) if v >= target)
     a, b, v_a, v_b = checked[i - 1], checked[i], values[i - 1], values[i]
-    if a < 1.0 or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further
+    if a < affine_from_m or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further
         return _UNDECIDED
     ratio, span = b / a, v_b - v_a  # span >= target - v_a > 0
 

@@ -594,6 +594,12 @@ def _bound_cases(draw, clamp=True):
     scenario = default_scenario(
         draw(st.sampled_from(Environment)), frequency_mhz=freq, bs_height_m=bs,
         rx_height_m=rx, roof_height_m=draw(st.floats(rx + 1.0, 40.0)),
+        # wide streets, low roofs and a street along the path put the WI NLOS
+        # floor's kink inside many brackets
+        street_width_m=draw(st.floats(5.0, 100.0)),
+        building_separation_m=draw(st.floats(10.0, 100.0)),
+        orientation_deg=draw(st.floats(0.0, 90.0)),
+        metro_factor_k=draw(st.sampled_from([0.7, 1.5]) | st.floats(0.0, 3.0)),
         wi_los=draw(st.booleans()), mode=draw(st.sampled_from(FidelityMode)),
         apply_shadow_margin=margin, include_sui_shadowing=draw(st.booleans()),
         # a margin this large rounds the loss to a staircase
@@ -608,17 +614,30 @@ def _distance_or_error(call):
         return type(exc), str(exc)
 
 
+# WI NLOS whose floor's kink lies at about 1,075.5 m, inside 1-10 km
+_KINK = (ModelId.WALFISCH_IKEGAMI, False,
+         default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=_FLAT_SUI_BS_M,
+                          roof_height_m=25.0, wi_los=False), 1000.0, 10000.0)
+
+
+def _across_500_m(mode):
+    """WI NLOS with the BS below the roofs, on a bracket across 500 m."""
+    scenario = default_scenario(Environment.URBAN, bs_height_m=10.0, roof_height_m=25.0,
+                                mode=mode)
+    return ModelId.WALFISCH_IKEGAMI, False, scenario, 150.0, 3000.0
+
+
 class TestLogAffinePieces:
-    """A binder that declares ``at.log_affine`` is affine in log d on every
-    piece between its branch points, and cell-range inversion, which decides
-    such pieces by comparison, returns what plain bisection returns."""
+    """A binder is affine in log d on every piece between its branch points
+    from its ``at.affine_from_m`` on, and cell-range inversion, which
+    decides such pieces by comparison, returns what plain bisection
+    returns."""
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(case=_bound_cases(), shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
-    # WI NLOS with the BS below the roofs, under 500 m: k_A is linear in d
-    @example(case=(ModelId.WALFISCH_IKEGAMI, False,
-                   default_scenario(Environment.URBAN, bs_height_m=10.0, roof_height_m=25.0),
-                   150.0, 480.0), shares=[0.25, 0.5, 0.75])
+    @example(case=_KINK, shares=[0.0, 0.25, 0.75])
+    @example(case=_across_500_m(FidelityMode.CORRECTED), shares=[0.0, 0.5, 1.0])
+    @example(case=_across_500_m(FidelityMode.AS_PRINTED), shares=[0.0, 0.5, 1.0])
     def test_pieces_lie_on_their_chords(self, case, shares):
         model, clamped, scenario, lo, hi = case
         curves = load_default_curves()
@@ -626,9 +645,12 @@ class TestLogAffinePieces:
             at = okumura(scenario.link, scenario.environment, curves, clamp=True)
         else:
             at = bind(model, scenario, curves)
-        assume(at.log_affine)
+        assume(at.affine_from_m < hi)
         edges = [lo, *(d for d in at.branch_points if lo < d < hi), hi]
         for a, b in zip(edges, edges[1:]):
+            a = max(a, at.affine_from_m)  # the part of the piece from there on
+            if a >= b:
+                continue
             v_a, v_b = at.loss(a), at.loss(b)
             for share in shares:
                 d = a * (b / a) ** share
@@ -664,6 +686,15 @@ class TestLogAffinePieces:
                    1e307, 1.2e308), share=0.97, at_checked_point=False, offset=0.0)
     @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN),
                    9e307, 1.79e308), share=0.9, at_checked_point=False, offset=-1e-6)
+    # a bracket that holds the WI NLOS floor's kink, with targets on both sides
+    @example(case=_KINK, share=0.02, at_checked_point=False, offset=0.0)
+    @example(case=_KINK, share=0.6, at_checked_point=False, offset=0.0)
+    # brackets across 500 m below the roofs: corrected k_A is linear in d
+    # there, and as printed the loss steps down at 500 m
+    @example(case=_across_500_m(FidelityMode.CORRECTED), share=0.3, at_checked_point=False,
+             offset=0.0)
+    @example(case=_across_500_m(FidelityMode.AS_PRINTED), share=0.3, at_checked_point=False,
+             offset=0.0)
     def test_inversion_equals_plain_bisection(self, case, share, at_checked_point, offset):
         model, _, scenario, lo, hi = case
         curves = load_default_curves()

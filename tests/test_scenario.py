@@ -307,6 +307,11 @@ def _dip_table(bundled):
 _PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
 
 
+def _wi_below_roofs(mode):
+    """Urban Walfisch-Ikegami NLOS with the BS 15 m below the roofs."""
+    return default_scenario(Environment.URBAN, bs_height_m=10.0, roof_height_m=25.0, mode=mode)
+
+
 def _record_evaluations(monkeypatch):
     """Make every later binding record each (distance, loss) its ``at.loss``
     evaluates; the inversion reads the loss through nothing else."""
@@ -416,54 +421,94 @@ class TestInvertCellRange:
         s = default_scenario(Environment.URBAN, apply_shadow_margin=True)
         assert scenario_module.bind(ModelId.OKUMURA, s, table).branch_points == nodes
 
-    def test_log_affine_declared_by_every_model_but_wi_nlos(self, bundled_curves):
+    def test_affine_from_declared_by_every_model(self, bundled_curves):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
         for mode in FidelityMode:
-            assert wi_nlos(WiGeometry(), link, mode).log_affine is False
-            assert wi_nlos(WiGeometry(roof_height_m=40.0), link, mode).log_affine is False
-            assert cost231_hata(link, Environment.URBAN, mode).log_affine is True
-            assert ericsson(link, EricssonCoefficients(), mode).log_affine is True
-        assert sui(link, Environment.URBAN).log_affine is True
-        assert wi_los(link).log_affine is True
+            assert cost231_hata(link, Environment.URBAN, mode).affine_from_m == 1.0
+            assert ericsson(link, EricssonCoefficients(), mode).affine_from_m == 1.0
+        assert sui(link, Environment.URBAN).affine_from_m == 1.0
+        assert wi_los(link).affine_from_m == 1.0
         for clamp in (False, True):
-            assert okumura(link, Environment.URBAN, bundled_curves, clamp).log_affine is True
+            assert okumura(link, Environment.URBAN, bundled_curves, clamp).affine_from_m == 1.0
+        # WI NLOS below the roofs: from 500 m, where k_A stops being linear in
+        # d, or from the first distance past the printed branches there
+        below = WiGeometry(roof_height_m=40.0)
+        assert wi_nlos(below, link).affine_from_m == 500.0
+        assert wi_nlos(below, link, FidelityMode.AS_PRINTED).affine_from_m == \
+            _PRINTED_BRANCH_POINTS[2]
+        # above the roofs: from a relative 1e-9 past the floor's kink, here at
+        # about 14.3 m (corrected) and 69.8 m (as printed, where k_d is steeper)
+        for mode, kink_m in ((FidelityMode.CORRECTED, 14.278), (FidelityMode.AS_PRINTED, 69.838)):
+            affine_from_m = wi_nlos(WiGeometry(), link, mode).affine_from_m
+            assert affine_from_m == pytest.approx(kink_m, abs=1e-3)
+        # a kink inside 1-10 km: the floor fires a relative 2e-9 before the
+        # declared distance and not at it
+        s = default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
+                             roof_height_m=25.0, wi_los=False)
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+        assert at.affine_from_m == pytest.approx(1075.4968, abs=1e-4)
+        labels = [label for label, _ in at(at.affine_from_m * (1.0 - 2e-9)).components]
+        assert labels[-1] == "diffraction_floor"
+        assert [label for label, _ in at(at.affine_from_m).components][-1] == "multiscreen"
         # the shadow-margin wrapper passes it on
         for env in (Environment.URBAN, Environment.RURAL):  # WI NLOS, then LOS
-            for margin in (False, True):
-                s = default_scenario(env, apply_shadow_margin=margin)
-                assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).log_affine is (
-                    env is Environment.RURAL)
+            unwrapped = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, default_scenario(env))
+            s = default_scenario(env, apply_shadow_margin=True)
+            assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).affine_from_m == \
+                unwrapped.affine_from_m
 
-    def test_log_affine_only_while_terms_are_moderate(self, bundled_curves):
+    def test_affine_only_while_terms_are_moderate(self, bundled_curves):
         # past 1e4 dB, a term rounds the loss too coarsely for its chord
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
-        assert ericsson(link, EricssonCoefficients(a0=1e4)).log_affine is True
-        assert ericsson(link, EricssonCoefficients(a0=1.0001e4)).log_affine is False
-        assert ericsson(link, EricssonCoefficients(a3=1e5)).log_affine is False
+        assert ericsson(link, EricssonCoefficients(a0=1e4)).affine_from_m == 1.0
+        assert ericsson(link, EricssonCoefficients(a0=1.0001e4)).affine_from_m == math.inf
+        assert ericsson(link, EricssonCoefficients(a3=1e5)).affine_from_m == math.inf
         # SUI's slope 10*gamma holds c/h_b: 126,000 dB per decade at h_b = 1 mm
-        assert sui(RadioLink(1900.0, 5000.0, 0.001, 0.0005), Environment.URBAN).log_affine \
-            is False
+        assert sui(RadioLink(1900.0, 5000.0, 0.001, 0.0005),
+                   Environment.URBAN).affine_from_m == math.inf
         # the misprinted suburban a(h_r) holds 1.58*f: about 3000 dB, and 1e4 dB
         # beyond 6300 MHz
-        for freq, moderate in ((1900.0, True), (6400.0, False)):
+        for freq, affine_from_m in ((1900.0, 1.0), (6400.0, math.inf)):
             at = cost231_hata(dataclasses.replace(link, frequency_mhz=freq),
                               Environment.SUBURBAN, FidelityMode.AS_PRINTED)
-            assert at.log_affine is moderate
-        for margin_db, moderate in ((-1e4, True), (1.5e4, False)):
+            assert at.affine_from_m == affine_from_m
+        for margin_db, affine_from_m in ((-1e4, 1.0), (1.5e4, math.inf)):
             s = default_scenario(Environment.RURAL, apply_shadow_margin=True,
                                  shadow_margin_db=margin_db)
-            assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).log_affine is moderate
+            assert scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).affine_from_m == \
+                affine_from_m
         # A_mu climbs 11,300 dB per decade from 1 to 1.5 km on this table
-        assert okumura(link, Environment.URBAN, bundled_curves).log_affine is True
+        assert okumura(link, Environment.URBAN, bundled_curves).affine_from_m == 1.0
         steep = load_curves("AMU,1,1.5,100\n100,10,2000,2100\n3000,10,2000,2100\n"
                             "GAREA,freq_mhz,environment,gain_db\n100,urban,0\n"
                             "# source: steep\n")
-        assert okumura(link, Environment.URBAN, steep).log_affine is False
+        assert okumura(link, Environment.URBAN, steep).affine_from_m == math.inf
+        # WI NLOS at 3500 MHz: metro k = 1e300 makes k_F*log f about 9.9e300 dB
+        # and 1e308 makes it inf; -1000 keeps it at -9,880 dB, but puts the
+        # floor's kink at 10**544 km, past every float.  Each binds without
+        # raising, and evaluates to a finite total or to DomainError.
+        for metro_k, evaluated in ((1e300, (9.865919150488606e+300, "multiscreen")),
+                                   (1e308, None),
+                                   (-1e3, (117.31076097372716, "diffraction_floor"))):
+            s = default_scenario(Environment.URBAN, frequency_mhz=3500.0, metro_factor_k=metro_k)
+            at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+            assert at.affine_from_m == math.inf
+            if evaluated is None:
+                with pytest.raises(DomainError, match="path-loss total must be finite"):
+                    at(5000.0)
+                continue
+            result = at(5000.0)
+            assert (result.total_db, result.components[-1][0]) == evaluated
+            assert at.loss(5000.0) == result.total_db
 
-    @pytest.mark.parametrize("model", list(ModelId))
+    # urban Walfisch-Ikegami is NLOS above the roofs; then NLOS below them
+    @pytest.mark.parametrize("model, s", [
+        *(pytest.param(model, default_scenario(Environment.URBAN), id=str(model))
+          for model in ModelId),
+        *(pytest.param(ModelId.WALFISCH_IKEGAMI, _wi_below_roofs(mode),
+                       id=f"wi_nlos_below-{mode.value}") for mode in FidelityMode)])
     @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
-    def test_no_distance_evaluated_twice(self, model, distance_m, bundled_curves, monkeypatch):
-        s = default_scenario(Environment.URBAN)
+    def test_no_distance_evaluated_twice(self, model, s, distance_m, bundled_curves, monkeypatch):
         at = scenario_module.bind(model, s, bundled_curves)
         target = at.loss(distance_m)
         plain, midpoints = plain_bisection(at.loss, at.branch_points, target, 1000.0, 10000.0)
@@ -479,22 +524,51 @@ class TestInvertCellRange:
         assert found == plain
         assert len(seen) == len({d for d, _ in seen})
 
-    @pytest.mark.parametrize("model, environment", [
-        (ModelId.SUI, Environment.URBAN), (ModelId.COST231_HATA, Environment.URBAN),
-        (ModelId.WALFISCH_IKEGAMI, Environment.RURAL), (ModelId.ERICSSON9999, Environment.URBAN)])
-    @pytest.mark.parametrize("distance_m", [1000.5, 3210.0, 9999.0])
-    def test_closed_forms_evaluate_only_the_checked_points(self, model, environment, distance_m,
+    @pytest.mark.parametrize("model, s, d_min, d_max", [
+        (ModelId.SUI, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+        (ModelId.COST231_HATA, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+        (ModelId.WALFISCH_IKEGAMI, default_scenario(Environment.RURAL), 1000.0, 10000.0),
+        (ModelId.ERICSSON9999, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+        (ModelId.WALFISCH_IKEGAMI, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+        (ModelId.WALFISCH_IKEGAMI, _wi_below_roofs(FidelityMode.CORRECTED), 600.0, 8000.0)],
+        ids=["sui", "cost231_hata", "wi_los", "ericsson9999", "wi_nlos", "wi_nlos_below"])
+    @pytest.mark.parametrize("share", [1e-4, 0.5, 0.9999])
+    def test_closed_forms_evaluate_only_the_checked_points(self, model, s, d_min, d_max, share,
                                                            monkeypatch):
-        # log-affine with no branch point (rural Walfisch-Ikegami is LOS): the
+        # affine in log d over the whole bracket, which holds no branch point
+        # (rural Walfisch-Ikegami is LOS; urban NLOS has its floor's kink
+        # under 15 m, and below the roofs k_A is constant from 500 m): the
         # chord through PL(d_min) and PL(d_max) decides every midpoint
-        s = default_scenario(environment)
         at = scenario_module.bind(model, s)
-        assert at.log_affine and at.branch_points == ()
-        target = at.loss(distance_m)
+        assert at.affine_from_m <= d_min and at.branch_points == ()
+        target = at.loss(d_min * (d_max / d_min) ** share)
         seen = _record_evaluations(monkeypatch)
-        found = invert_cell_range(model, s, target, 1000.0, 10000.0)
-        assert [d for d, _ in seen] == [1000.0, 10000.0]
-        assert found == plain_bisection(at.loss, (), target, 1000.0, 10000.0)[0]
+        found = invert_cell_range(model, s, target, d_min, d_max)
+        assert [d for d, _ in seen] == [d_min, d_max]
+        assert found == plain_bisection(at.loss, (), target, d_min, d_max)[0]
+
+    def test_wi_nlos_evaluation_count(self, monkeypatch):
+        # The at.loss evaluations of a fixed set of WI NLOS inversions, pinned
+        # so that a fall-back to plain bisection fails here: 2 for each
+        # bracket that starts at or beyond its affine_from_m, and plain
+        # bisection's count for the one that holds the floor's kink
+        cases = [(default_scenario(env, mode=mode, wi_los=False), 1000.0, 10000.0)
+                 for env in Environment for mode in FidelityMode]
+        cases += [(_wi_below_roofs(mode), 600.0, 8000.0) for mode in FidelityMode]
+        kink = default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
+                                roof_height_m=25.0, wi_los=False)
+        cases.append((kink, 1000.0, 10000.0))
+        inversions = []
+        for s, d_min, d_max in cases:
+            loss = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).loss
+            for share in (0.1, 0.5, 0.9):
+                target = loss(d_min * (d_max / d_min) ** share)
+                plain = plain_bisection(loss, (), target, d_min, d_max)[0]
+                inversions.append((s, target, d_min, d_max, plain))
+        seen = _record_evaluations(monkeypatch)
+        for s, target, d_min, d_max, plain in inversions:
+            assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, d_min, d_max) == plain
+        assert len(seen) == 126  # 24 inversions at 2, three over the kink at 26
 
     # d_min + d_max overflows, so the first midpoint is inf; or a later
     # lo + hi does, once lo has climbed past half the largest float
@@ -504,7 +578,7 @@ class TestInvertCellRange:
         # the ends lose about 8040 dB, inside the 1e4 dB a chord is trusted for
         s = default_scenario(Environment.RURAL)
         at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
-        assert at.log_affine
+        assert at.affine_from_m == 1.0
         target = at.loss(d_target)
         with pytest.raises(DomainError, match="distance must be finite"):
             plain_bisection(at.loss, at.branch_points, target, d_min, d_max)
