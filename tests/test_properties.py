@@ -616,7 +616,7 @@ def _distance_or_error(call):
 
 # WI NLOS whose floor's kink lies at about 1,075.5 m, inside 1-10 km
 _KINK = (ModelId.WALFISCH_IKEGAMI, False,
-         default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=_FLAT_SUI_BS_M,
+         default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
                           roof_height_m=25.0, wi_los=False), 1000.0, 10000.0)
 
 

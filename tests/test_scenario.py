@@ -307,6 +307,12 @@ def _dip_table(bundled):
 _PRINTED_BRANCH_POINTS = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
 
 
+# Walfisch-Ikegami NLOS whose floor's kink lies at about 1,075.5 m
+_WI_KINK_INSIDE_1_TO_10_KM = default_scenario(
+    Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389, roof_height_m=25.0,
+    wi_los=False)
+
+
 def _wi_below_roofs(mode):
     """Urban Walfisch-Ikegami NLOS with the BS 15 m below the roofs."""
     return default_scenario(Environment.URBAN, bs_height_m=10.0, roof_height_m=25.0, mode=mode)
@@ -443,9 +449,7 @@ class TestInvertCellRange:
             assert affine_from_m == pytest.approx(kink_m, abs=1e-3)
         # a kink inside 1-10 km: the floor fires a relative 2e-9 before the
         # declared distance and not at it
-        s = default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
-                             roof_height_m=25.0, wi_los=False)
-        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, _WI_KINK_INSIDE_1_TO_10_KM)
         assert at.affine_from_m == pytest.approx(1075.4968, abs=1e-4)
         labels = [label for label, _ in at(at.affine_from_m * (1.0 - 2e-9)).components]
         assert labels[-1] == "diffraction_floor"
@@ -555,9 +559,7 @@ class TestInvertCellRange:
         cases = [(default_scenario(env, mode=mode, wi_los=False), 1000.0, 10000.0)
                  for env in Environment for mode in FidelityMode]
         cases += [(_wi_below_roofs(mode), 600.0, 8000.0) for mode in FidelityMode]
-        kink = default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
-                                roof_height_m=25.0, wi_los=False)
-        cases.append((kink, 1000.0, 10000.0))
+        cases.append((_WI_KINK_INSIDE_1_TO_10_KM, 1000.0, 10000.0))
         inversions = []
         for s, d_min, d_max in cases:
             loss = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s).loss
