@@ -1,8 +1,10 @@
 """Scenario defaults, dispatch, sweeps, reference comparison, inversion."""
 
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
 
 import pytest
 
@@ -32,6 +34,7 @@ from pathcast import (
     wi_nlos,
 )
 from pathcast import scenario as scenario_module
+from pathcast.propagation import _moderate
 
 from conftest import plain_bisection
 
@@ -76,6 +79,150 @@ class TestDefaults:
         s = default_scenario(Environment.RURAL)
         with pytest.raises(TypeError):
             Scenario(s.link, s.environment, s.wi_geometry)
+
+
+_URBAN = default_scenario(Environment.URBAN)
+#: Each scenario value type: its fields in order with their defaults, and the
+#: positional arguments of one valid instance.
+_VALUE_TYPES = {
+    RadioLink: ((("frequency_mhz", dataclasses.MISSING), ("distance_m", dataclasses.MISSING),
+                 ("bs_height_m", dataclasses.MISSING), ("rx_height_m", dataclasses.MISSING),
+                 ("sui_reference_distance_m", 100.0)),
+                (1900.0, 5000.0, 30.0, 3.0, 100.0)),
+    WiGeometry: ((("street_width_m", 25.0), ("building_separation_m", 50.0),
+                  ("roof_height_m", 15.0), ("orientation_deg", 30.0),
+                  ("metro_factor_k", 1.5), ("los", False)),
+                 (25.0, 50.0, 15.0, 30.0, 1.5, False)),
+    Scenario: (tuple((name, dataclasses.MISSING) for name in (
+                   "link", "environment", "wi_geometry", "ericsson", "mode",
+                   "shadow_margin_db", "apply_shadow_margin", "include_sui_shadowing")),
+               tuple(getattr(_URBAN, f.name) for f in dataclasses.fields(Scenario))),
+}
+_VALUE_TYPE_IDS = [cls.__name__ for cls in _VALUE_TYPES]
+
+
+class TestValueTypes:
+    """The frozen value types a scenario is built from."""
+
+    @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
+    def test_fields_and_signature(self, cls):
+        expected, _ = _VALUE_TYPES[cls]
+        fields = dataclasses.fields(cls)
+        assert tuple((f.name, f.default) for f in fields) == expected
+        assert all(f.init and f.default_factory is dataclasses.MISSING for f in fields)
+        parameters = inspect.signature(cls).parameters.values()
+        assert tuple((p.name, dataclasses.MISSING if p.default is p.empty else p.default)
+                     for p in parameters) == expected
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+
+    @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
+    def test_construction_forms_agree(self, cls):
+        fields, args = _VALUE_TYPES[cls]
+        names = [name for name, _ in fields]
+        required = [arg for (_, default), arg in zip(fields, args)
+                    if default is dataclasses.MISSING]
+        built = (cls(*args), cls(**dict(zip(names, args))), cls(*required),
+                 cls(*args[:2], **dict(zip(names[2:], args[2:]))))
+        assert all(instance == built[0] for instance in built)
+        assert list(vars(built[0]).items()) == list(zip(names, args))
+        with pytest.raises(TypeError):
+            cls(*args, args[0])
+        with pytest.raises(TypeError):
+            cls(*args[:len(names) - 1], **{names[0]: args[0]})
+        with pytest.raises(TypeError):
+            cls(*args, unknown=1.0)
+        if required:
+            with pytest.raises(TypeError):
+                cls(*required[:-1])
+
+    @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
+    def test_frozen(self, cls):
+        fields, args = _VALUE_TYPES[cls]
+        instance = cls(*args)
+        for name, _ in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, name, args[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(instance, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instance.extra = 1.0
+        assert cls(*args) == instance
+
+    @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
+    def test_equal_hash_and_repr_by_value(self, cls):
+        fields, args = _VALUE_TYPES[cls]
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert repr(a) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={arg!r}" for (name, _), arg in zip(fields, args)) + ")"
+        assert len({a, b}) == 1
+        last = fields[-1][0]
+        value = getattr(a, last)
+        other = dataclasses.replace(a, **{last: not value if isinstance(value, bool)
+                                          else value * 2})
+        assert other != a and a != args
+
+    @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
+    def test_pickle_and_copy_round_trip(self, cls):
+        _, args = _VALUE_TYPES[cls]
+        instance = cls(*args)
+        copies = [pickle.loads(pickle.dumps(instance, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(instance), copy.deepcopy(instance)]
+        for duplicate in copies:
+            assert type(duplicate) is cls
+            assert duplicate == instance and hash(duplicate) == hash(instance)
+            assert list(vars(duplicate)) == list(vars(instance))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(duplicate, "extra", 1.0)
+
+    def test_replace_reruns_the_checks(self):
+        link = _URBAN.link
+        with pytest.raises(DomainError, match="^frequency_mhz must be finite$"):
+            dataclasses.replace(link, frequency_mhz=math.nan)
+        with pytest.raises(DomainError, match=r"^heights must satisfy"):
+            dataclasses.replace(link, rx_height_m=30.0)
+        with pytest.raises(DomainError, match=r"^street orientation must lie in \[0, 90\]"):
+            dataclasses.replace(_URBAN.wi_geometry, orientation_deg=90.5)
+        moved = dataclasses.replace(link, distance_m=7000.0)
+        assert moved == RadioLink(1900.0, 7000.0, 30.0, 3.0) and link.distance_m == 5000.0
+        applied = dataclasses.replace(_URBAN, apply_shadow_margin=True)
+        assert applied == Scenario(*_VALUE_TYPES[Scenario][1][:6], True, True)
+
+    @pytest.mark.parametrize("cls, args, kwargs, message", [
+        # each case also breaks every check after the one that reports it
+        (RadioLink, (math.nan, -1.0, 1.0, 2.0, 0.0), {}, "frequency_mhz must be finite"),
+        (RadioLink, (1900.0, math.inf, 1.0, 2.0, 0.0), {}, "distance_m must be finite"),
+        (RadioLink, (1900.0, -1.0, 1.0, 2.0, math.nan), {},
+         "sui_reference_distance_m must be finite"),
+        (RadioLink, (-5.0, -1.0, 1.0, 2.0, 0.0), {}, "frequency must be positive"),
+        (RadioLink, (1e305, -1.0, 1.0, 2.0, 0.0), {},
+         "frequency 1e+305 MHz has no finite, nonzero wavelength"),
+        (RadioLink, (1900.0, -1.0, 1.0, 2.0, 0.0), {}, "distance must be positive"),
+        (RadioLink, (1900.0, 5e-324, 1.0, 2.0, 0.0), {},
+         "distance 4.94066e-324 m underflows to 0 km"),
+        (RadioLink, (1900.0, 5000.0, 1.0, 2.0, 0.0), {},
+         "heights must satisfy bs_height > rx_height > 0"),
+        (RadioLink, (1900.0, 5000.0, 30.0, 0.0, 0.0), {},
+         "heights must satisfy bs_height > rx_height > 0"),
+        (RadioLink, (1900.0, 5000.0, 30.0, 3.0, 0.0), {},
+         "SUI reference distance must be positive"),
+        (WiGeometry, (), dict(street_width_m=-1.0, roof_height_m=math.inf),
+         "roof_height_m must be finite"),
+        (WiGeometry, (), dict(metro_factor_k=-math.inf, orientation_deg=-1.0),
+         "metro_factor_k must be finite"),
+        (WiGeometry, (), dict(building_separation_m=0.0, roof_height_m=-1.0,
+                              orientation_deg=91.0), "street width and building "
+         "separation must be positive"),
+        (WiGeometry, (), dict(roof_height_m=0.0, orientation_deg=91.0),
+         "roof height must be positive"),
+        (WiGeometry, (), dict(orientation_deg=-0.5), "street orientation must lie in "
+         "[0, 90] degrees"),
+    ])
+    def test_first_failing_check_wins(self, cls, args, kwargs, message):
+        with pytest.raises(DomainError) as caught:
+            cls(*args, **kwargs)
+        assert str(caught.value) == message
 
 
 class TestEvaluate:
@@ -504,6 +651,15 @@ class TestInvertCellRange:
             result = at(5000.0)
             assert (result.total_db, result.components[-1][0]) == evaluated
             assert at.loss(5000.0) == result.total_db
+
+    def test_moderate_bounds(self):
+        limit = 1e4
+        assert _moderate() and _moderate(limit, -limit) and _moderate(0.0, -0.0, limit)
+        for bad in (math.nextafter(limit, math.inf), math.nextafter(-limit, -math.inf),
+                    math.nan, math.inf, -math.inf):
+            assert not _moderate(bad)
+            assert not _moderate(1.0, bad, limit)
+            assert not _moderate(bad, math.nan)
 
     # urban Walfisch-Ikegami is NLOS above the roofs; then NLOS below them
     @pytest.mark.parametrize("model, s", [

@@ -182,6 +182,15 @@ class TestNlos:
         at_roof = wi_nlos(URBAN_GEOMETRY, RadioLink(1900.0, 5000.0, 15.0, 3.0))(5000.0)
         assert not any("base-station reading" in w for w in at_roof.warnings)
 
+    def test_height_binding_warning_on_every_result_of_a_binding(self):
+        at = wi_nlos(URBAN_GEOMETRY, RadioLink(1900.0, 5000.0, 30.0, 3.0))
+        with pytest.raises(DomainError, match="distance must be positive"):
+            at(-1.0)
+        at.loss(2000.0)
+        assert at(2000.0).warnings == at(5000.0).warnings == (
+            "height symbols bound to roof height 15 m; the base-station reading (30 m) "
+            "would shift the rooftop term by +7.04 dB",)
+
     def test_garbled_branch_warnings_as_printed(self):
         geometry = WiGeometry(roof_height_m=15.0, metro_factor_k=1.5)
         below_roof = RadioLink(1900.0, 1000.0, 10.0, 3.0)
