@@ -68,7 +68,7 @@ DEFAULT_METRO_K = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scenario:
     link: RadioLink
     environment: Environment
@@ -78,6 +78,20 @@ class Scenario:
     shadow_margin_db: float
     apply_shadow_margin: bool
     include_sui_shadowing: bool
+
+    # Not generated, for speed; see the note above pathcast.propagation.RadioLink
+    def __init__(self, link: RadioLink, environment: Environment, wi_geometry: WiGeometry,
+                 ericsson: EricssonCoefficients, mode: FidelityMode, shadow_margin_db: float,
+                 apply_shadow_margin: bool, include_sui_shadowing: bool):
+        fields = vars(self)
+        fields["link"] = link
+        fields["environment"] = environment
+        fields["wi_geometry"] = wi_geometry
+        fields["ericsson"] = ericsson
+        fields["mode"] = mode
+        fields["shadow_margin_db"] = shadow_margin_db
+        fields["apply_shadow_margin"] = apply_shadow_margin
+        fields["include_sui_shadowing"] = include_sui_shadowing
 
 
 def default_scenario(environment: Environment,
