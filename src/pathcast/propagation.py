@@ -113,7 +113,7 @@ _SUI_TERRAIN = {
 # reads each default from its field.  The frozen __init__ that dataclass
 # generates pays one object.__setattr__ per field: on CPython 3.11.7 (one
 # core of a 2-vCPU x86-64 VM) Scenario's eight fields took 1.3 us that way
-# against 0.45 us here, and default_scenario fell from about 7.7 to 5.0 us.
+# against 0.45 us here, and default_scenario fell from 7.9 to 5.4 us.
 @dataclass(frozen=True, init=False)
 class RadioLink:
     """One transmitter-receiver geometry.
