@@ -160,7 +160,7 @@ class TestValueTypes:
         value = getattr(a, last)
         other = dataclasses.replace(a, **{last: not value if isinstance(value, bool)
                                           else value * 2})
-        assert other != a and a != args
+        assert other != a
 
     @pytest.mark.parametrize("cls", _VALUE_TYPES, ids=_VALUE_TYPE_IDS)
     def test_pickle_and_copy_round_trip(self, cls):
