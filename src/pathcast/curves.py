@@ -38,8 +38,8 @@ from importlib import resources
 from typing import IO, Union
 
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
-from .propagation import (Environment, PathLossResult, RadioLink, _check_distance, _fill,
-                          _finite_total, _log10_positive, _moderate, _new_result)
+from .propagation import (Environment, PathLossResult, RadioLink, _check_distance,
+                          _finite_total, _log10_positive, _moderate)
 
 _ENVIRONMENTS = {env.value: env for env in Environment}
 
@@ -366,8 +366,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
 
     def at(distance_m: float) -> PathLossResult:
         free_space, amu, warnings = point(distance_m)
-        return _fill(
-            _new_result(PathLossResult),
+        return PathLossResult(
             (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
             warnings)
 

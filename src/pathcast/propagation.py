@@ -24,14 +24,12 @@ plus the rooftop term's roof-above-receiver condition, which spans the two.
 ``at`` ignores ``link.distance_m``; it labels the values of the binder's one
 distance step and builds the :class:`PathLossResult` in the model's component
 order, joining those values to component tuples that the binder has built
-once.  A binder's labels are string literals in its own code, and the
-shadow-margin wrapper of :func:`pathcast.scenario.bind` adds only
-``shadow_margin``, which no binder emits, so both build results without a
-label check: they only sum the components and check that the total is
-finite.  Labels are checked in one place, ``PathLossResult(...)``, where a
-caller's own components come in.  The loss at the link's own distance is
-``binder(link, ...)(link.distance_m)``, and a sweep over a bound model
-returns exactly what a fresh binding returns at each point.  That equality
+once.  Every result, the binders' and the shadow-margin wrapper's of
+:func:`pathcast.scenario.bind` alike, is built as
+``PathLossResult(components, warnings)``, which checks the labels, sums the
+components and checks that the total is finite.  The loss at the link's own
+distance is ``binder(link, ...)(link.distance_m)``, and a sweep over a bound
+model gives exactly what a fresh binding returns at each point.  That equality
 holds only if hoisting never reorders floating-point arithmetic: a binder may
 precompute a whole left-associated sub-expression (``10.0 * gamma`` out of
 ``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
@@ -219,26 +217,10 @@ class PathLossResult:
             raise DomainError("a path-loss result needs at least one component")
         if len(set(labels)) != len(labels):
             raise DomainError("component labels must be unique")
-        _fill(self, self.components, self.warnings)
+        object.__setattr__(self, "total_db", _finite_total(_fold(self.components)))
 
     def component(self, label: str) -> float:
         return dict(self.components)[label]
-
-
-_new_result = object.__new__
-# The slots' own descriptors: a frozen dataclass's __setattr__ refuses every write
-_set_total = PathLossResult.total_db.__set__
-_set_components = PathLossResult.components.__set__
-_set_warnings = PathLossResult.warnings.__set__
-
-
-def _fill(result, components, warnings=()):
-    """Set the slots of ``result``, whose component labels are unique; the
-    total is :func:`_fold` of the components and must be finite."""
-    _set_total(result, _finite_total(_fold(components)))
-    _set_components(result, components)
-    _set_warnings(result, warnings)
-    return result
 
 
 def _fold(components):
@@ -336,8 +318,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     affine_from_m = 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
-        return _fill(_new_result(PathLossResult),
-                     (free_space_ref, ("distance", point(distance_m))) + tail)
+        return PathLossResult((free_space_ref, ("distance", point(distance_m))) + tail)
 
     def loss(distance_m: float) -> float:
         total = head_db + point(distance_m) + x_f + x_h
@@ -392,8 +373,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
     affine_from_m = 1.0 if _moderate(*[value for _, value in head], slope) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
-        return _fill(_new_result(PathLossResult),
-                     head + (("distance", point(distance_m)), area), warnings)
+        return PathLossResult(head + (("distance", point(distance_m)), area), warnings)
 
     def loss(distance_m: float) -> float:
         return _finite_total(head_db + point(distance_m) + area_db)
@@ -416,8 +396,7 @@ def wi_los(link: RadioLink):
     affine_from_m = 1.0  # 20*log10(f) stays within 6,200 dB for any link: always moderate
 
     def at(distance_m: float) -> PathLossResult:
-        return _fill(_new_result(PathLossResult),
-                     (("constant", 42.64), ("distance", point(distance_m)), frequency))
+        return PathLossResult((("constant", 42.64), ("distance", point(distance_m)), frequency))
 
     def loss(distance_m: float) -> float:
         return _finite_total(0.0 + 42.64 + point(distance_m) + frequency_db)
@@ -572,7 +551,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         if floor is not None:
             components += (("diffraction_floor", floor),)
             warnings += ("negative diffraction sum clamped to the free-space floor",)
-        return _fill(_new_result(PathLossResult), components, warnings)
+        return PathLossResult(components, warnings)
 
     def loss(distance_m: float) -> float:
         free_space, msd, _, floor = point(distance_m)
@@ -616,8 +595,8 @@ def ericsson(link: RadioLink,
 
     def at(distance_m: float) -> PathLossResult:
         distance, bs_cross = point(distance_m)
-        return _fill(_new_result(PathLossResult), (constant, ("distance", distance), bs_height,
-                                                   ("bs_distance_cross", bs_cross)) + tail)
+        return PathLossResult((constant, ("distance", distance), bs_height,
+                               ("bs_distance_cross", bs_cross)) + tail)
 
     def loss(distance_m: float) -> float:
         distance, bs_cross = point(distance_m)

@@ -31,10 +31,8 @@ from .propagation import (
     RadioLink,
     WiGeometry,
     _AFFINE_LIMIT_DB,
-    _fill,
     _finite_total,
     _moderate,
-    _new_result,
     cost231_hata,
     ericsson,
     sui,
@@ -181,8 +179,7 @@ def bind(model: ModelId, scenario: Scenario,
 
     def at_with_margin(distance_m: float) -> PathLossResult:
         result = at(distance_m)
-        return _fill(_new_result(PathLossResult), result.components + margin_component,
-                     result.warnings)
+        return PathLossResult(result.components + margin_component, result.warnings)
 
     def loss(distance_m: float) -> float:
         return _finite_total(inner_loss(distance_m) + margin_db)

@@ -1,9 +1,11 @@
 """Property suites over seeded random inputs (>= 100 cases each)."""
 
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 from functools import partial
@@ -296,7 +298,8 @@ _LAYOUT_SCENARIOS = (
 
 
 class TestBinderResults:
-    """Results the binders build through the fold-only path."""
+    """Results the binders and the shadow-margin wrapper build, each through
+    ``PathLossResult(...)``."""
 
     def test_every_layout_rebuilds_through_the_public_constructor(self, bundled_curves):
         emitted = set()
@@ -314,7 +317,8 @@ class TestBinderResults:
 
     @pytest.mark.parametrize("model", list(ModelId))
     def test_replace_rebuilds_through_the_public_checks(self, model, bundled_curves):
-        result = bind(model, default_scenario(Environment.URBAN), bundled_curves)(5000.0)
+        scenario = default_scenario(Environment.URBAN)
+        result = bind(model, scenario, bundled_curves)(5000.0)
         replaced = dataclasses.replace(result, warnings=("x",))
         assert replaced.total_db == result.total_db
         assert (replaced.components, replaced.warnings) == (result.components, ("x",))
@@ -323,6 +327,54 @@ class TestBinderResults:
         assert not hasattr(result, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.total_db = 0.0
+        margined = bind(model, dataclasses.replace(scenario, apply_shadow_margin=True),
+                        bundled_curves)(5000.0)
+        for original in (result, margined):
+            copies = [pickle.loads(pickle.dumps(original, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copied in copies + [copy.copy(original), copy.deepcopy(original)]:
+                assert copied == original
+                assert hash(copied) == hash(original)
+                assert copied.total_db.hex() == original.total_db.hex()
+                assert not hasattr(copied, "__dict__")
+
+    def test_results_built_per_call(self, monkeypatch, bundled_curves):
+        """``at(d)`` builds one result, two with the margin (the model's, then
+        the margined one); ``at.loss``, inversion and CSV and table sweeps
+        build none."""
+        built = []
+        post_init = PathLossResult.__post_init__
+
+        def counting_post_init(result):
+            post_init(result)
+            built.append(result)
+        monkeypatch.setattr(PathLossResult, "__post_init__", counting_post_init)
+        for scenario in _LAYOUT_SCENARIOS:
+            margined = dataclasses.replace(scenario, apply_shadow_margin=True)
+            for model in ModelId:
+                at = bind(model, scenario, bundled_curves)
+                built.clear()
+                result = at(5000.0)
+                assert len(built) == 1 and built[0] is result
+                at = bind(model, margined, bundled_curves)
+                built.clear()
+                outer = at(5000.0)
+                assert len(built) == 2 and built[1] is outer
+                assert built[0].components == outer.components[:-1]
+                built.clear()
+                for s in (scenario, margined):
+                    at = bind(model, s, bundled_curves)
+                    at.loss(5000.0)
+                    invert_cell_range(model, s, at.loss(3000.0), 1000.0, 10_000.0,
+                                      bundled_curves)
+                assert built == []
+        for model, output in itertools.product(ModelId, ("csv", "table")):
+            for margin in ([], ["--apply-shadow-margin"]):
+                code, out, _ = invoke_cli(["sweep", "--model", model.value, "--steps", "5",
+                                           "--curves", bundled_curves_path(),
+                                           "--output", output, *margin])
+                assert code == 0 and out
+        assert built == []
 
 
 #: NaN, the infinities, zero, a negative and the smallest subnormal; SUI's d0
@@ -498,7 +550,7 @@ class TestFiniteOrPathcastError:
             except PathcastError:
                 return
             assert math.isfinite(result.total_db)
-            # binders build results without the public constructor's label check
+            # a result rebuilt from its own fields is the same result
             rebuilt = PathLossResult(result.components, result.warnings)
             assert rebuilt == result
             assert hash(rebuilt) == hash(result)
