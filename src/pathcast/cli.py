@@ -9,24 +9,25 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 evaluation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import inspect
 import io
-import json
 import os
 import sys
 from enum import Enum
 from types import SimpleNamespace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .curves import CurveTable, load_curves, load_default_curves
 from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
 from .scenario import (DEFAULT_METRO_K, DEFAULT_ORIENTATION_DEG, DEFAULT_SHADOW_MARGIN_DB,
-                       ModelId, Scenario, _sweep_points, compare_against_reference,
-                       default_scenario, evaluate, invert_cell_range, iter_sweep,
-                       load_reference_rows)
+                       DEFAULT_TOLERANCE_DB, ModelId, Scenario, _sweep_points,
+                       default_scenario, evaluate, invert_cell_range, iter_sweep)
+
+# json, csv, the curve table and the reference comparison are imported by
+# the commands and formats that read them, so that no other command loads them.
+if TYPE_CHECKING:
+    from .curves import CurveTable
 
 CURVES_ENV_VAR = "PATHCAST_CURVES"
 
@@ -94,8 +95,7 @@ _FIELDS = [
      "include the SUI closed-form shadowing term"),
     ("curves", str, None, None, f"curve CSV for the okumura model (default: ${CURVES_ENV_VAR})"),
     ("output", str, "csv", ["csv", "json", "table"], "output format"),
-    ("tolerance_db", float, _defaults(compare_against_reference)["tolerance_db"], None,
-     "match tolerance in dB"),
+    ("tolerance_db", float, DEFAULT_TOLERANCE_DB, None, "match tolerance in dB"),
     ("strict", bool, False, None, "exit 3 when any entry mismatches"),
     ("max_loss_db", float, _REQUIRED, None, "maximum tolerable path loss in dB"),
     ("d_min_m", float, None, None, None),  # default and help per command
@@ -167,6 +167,7 @@ def _build_parser(only) -> argparse.ArgumentParser:
 
 
 def _load_config_file(parser, path):
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -242,6 +243,7 @@ def _curves_for(config) -> Optional[CurveTable]:
     read = config.command == "compare" or config.model is ModelId.OKUMURA
     if not (config.curves and read):
         return None
+    from .curves import load_curves
     try:
         fh = open(config.curves, "rb")
     except ValueError as exc:  # a NUL byte, which only a --config string can carry
@@ -279,6 +281,7 @@ def _series(config, points, buffer):
         for distance, total in points:
             write(f"{distance:.2f}{middle}{total:.2f}\n")
     elif config.output == "json":
+        import json
         # The envelope's dump, cut where its one-element series goes; each
         # entry, dumped alone and indented to that depth, gives the same
         # bytes as one dump of the whole tree (json escapes newlines).
@@ -302,6 +305,7 @@ def _pathloss(config, buffer):
     if config.output == "csv":
         _series(config, [(config.dist_m, result.total_db)], buffer)
     elif config.output == "json":
+        import json
         body = dict(_model_json(config), inputs={
             "freq_mhz": config.freq_mhz, "distance_m": config.dist_m,
             "bs_m": config.bs_m, "rx_m": config.rx_m}, **_result_json_body(result))
@@ -325,11 +329,14 @@ def _sweep(config, buffer):
 
 
 def _compare(config, buffer) -> int:
+    from .curves import load_default_curves
+    from .reference import compare_against_reference, load_reference_rows
     curves = _curves_for(config) or load_default_curves()
     ledger = compare_against_reference(
         load_reference_rows(), config.tolerance_db, curves, config.mode)
     code = 3 if config.strict and ledger.matched < len(ledger.entries) else 0
     if config.output == "json":
+        import json
         body = {
             "tolerance_db": ledger.tolerance_db,
             "mode": ledger.mode.value,
@@ -344,6 +351,7 @@ def _compare(config, buffer) -> int:
         buffer.write(json.dumps(body, indent=2) + "\n")
         return code
     if config.output == "csv":
+        import csv
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["model", "freq_mhz", "dist_km", "bs_m", "rx_m", "environment",
                          "mode", "printed_db", "computed_db", "delta_db", "verdict", "notes"])
@@ -371,9 +379,13 @@ def _compare(config, buffer) -> int:
 def _cell_range(config, buffer):
     distance = invert_cell_range(config.model, _scenario_from(config), config.max_loss_db,
                                  config.d_min_m, config.d_max_m, _curves_for(config))
-    buffer.write({"csv": f"distance_m\n{distance:.2f}\n", "table": f"{distance:.2f} m\n",
-                  "json": json.dumps({"distance_m": distance}, indent=2) + "\n",
-                  }[config.output])
+    if config.output == "csv":
+        buffer.write(f"distance_m\n{distance:.2f}\n")
+    elif config.output == "json":
+        import json
+        buffer.write(json.dumps({"distance_m": distance}, indent=2) + "\n")
+    else:
+        buffer.write(f"{distance:.2f} m\n")
 
 
 _RUN = {"pathloss": _pathloss, "sweep": _sweep, "compare": _compare, "cell-range": _cell_range}

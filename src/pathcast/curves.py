@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from importlib import resources
 from typing import IO, Union
 
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
@@ -237,6 +236,8 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
 
 def load_default_curves() -> CurveTable:
     """The bundled digitization of the published curve family."""
+    from importlib import resources  # slow to import, and read only here
+
     data = resources.files("pathcast.data").joinpath("okumura_curves.csv").read_bytes()
     return load_curves(data)
 

@@ -202,9 +202,10 @@ class EricssonCoefficients:
 class PathLossResult:
     """Total loss plus an itemized breakdown and provenance warnings.
 
-    Built as ``PathLossResult(components, warnings=())``; ``total_db`` is
-    computed, the left-to-right sum of the component values, and must be
-    finite.  Labels are unique within one result.
+    Built as ``PathLossResult(components, warnings=())`` from any iterables,
+    each read once and stored as a tuple; ``total_db`` is computed, the
+    left-to-right sum of the component values, and must be finite.  Labels
+    are strings, unique within one result, and every warning is a string.
     """
 
     total_db: float = field(init=False)
@@ -212,12 +213,28 @@ class PathLossResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        labels = [label for label, _ in self.components]
+        components, warnings = tuple(self.components), self.warnings
+        labels = [label for label, _ in components]
         if not labels:
             raise DomainError("a path-loss result needs at least one component")
+        for label in labels:
+            if not isinstance(label, str):
+                raise DomainError(f"component label {label!r} is not a string")
         if len(set(labels)) != len(labels):
             raise DomainError("component labels must be unique")
-        object.__setattr__(self, "total_db", _finite_total(_fold(self.components)))
+        if isinstance(warnings, str):
+            raise DomainError("warnings must be a sequence of strings, not one string")
+        warnings = tuple(warnings)
+        for warning in warnings:
+            if not isinstance(warning, str):
+                raise DomainError(f"warning {warning!r} is not a string")
+        try:
+            total = _fold(components)
+        except OverflowError:  # an int value too large for a float
+            total = math.inf
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "total_db", _finite_total(total))
 
     def component(self, label: str) -> float:
         return dict(self.components)[label]
@@ -254,15 +271,23 @@ def _moderate(*terms):
 
 
 def _check_finite(instance):
-    """Reject a non-finite field of a dataclass instance, naming the field."""
+    """Reject a non-finite field of a dataclass instance, naming the field;
+    an int too large for a float is not finite either."""
     for name, value in vars(instance).items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite")
+        try:
+            if math.isfinite(value):
+                continue
+        except OverflowError:
+            pass
+        raise DomainError(f"{name} must be finite")
 
 
 def _check_distance(distance_m):
-    if not math.isfinite(distance_m):
-        raise DomainError("distance must be finite")
+    try:
+        if not math.isfinite(distance_m):
+            raise DomainError("distance must be finite")
+    except OverflowError:  # an int too large for a float
+        raise DomainError("distance must be finite") from None
     if not distance_m / 1000.0 > 0.0:  # a subnormal distance underflows to 0 km
         raise DomainError("distance must be positive" if distance_m <= 0
                           else f"distance {distance_m:g} m underflows to 0 km")

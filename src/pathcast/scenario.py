@@ -1,5 +1,5 @@
-"""Scenario binding, model dispatch, distance sweeps, reference comparison and
-cell-range inversion.
+"""Scenario binding, model dispatch, distance sweeps and cell-range inversion;
+the reference comparison, which builds on them, is :mod:`pathcast.reference`.
 
 A Scenario is one fully-bound evaluation context with no field defaults;
 :func:`default_scenario` is their one source.  Its defaults reproduce the
@@ -12,16 +12,12 @@ explicit request).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from itertools import chain
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .curves import CurveTable, okumura
 from .errors import BoundsError, DomainError, PathcastError
 from .propagation import (
     Environment,
@@ -39,6 +35,9 @@ from .propagation import (
     wi_los,
     wi_nlos,
 )
+
+if TYPE_CHECKING:
+    from .curves import CurveTable
 
 
 class ModelId(Enum):
@@ -64,6 +63,14 @@ DEFAULT_METRO_K = {
     Environment.SUBURBAN: 0.7,
     Environment.RURAL: 0.7,
 }
+_ENVIRONMENT_DEFAULTS = {environment: (DEFAULT_ORIENTATION_DEG[environment],
+                                       DEFAULT_METRO_K[environment],
+                                       DEFAULT_SHADOW_MARGIN_DB[environment])
+                         for environment in Environment}
+# The match tolerance of the reference comparison (pathcast.reference)
+DEFAULT_TOLERANCE_DB = 0.5
+
+_curves = None  # pathcast.curves, which only the Okumura model reads; see _import_curves
 
 
 @dataclass(frozen=True, init=False)
@@ -115,16 +122,18 @@ def default_scenario(environment: Environment,
     Unset geometry fields take the environment-specific defaults; rural links
     default to the line-of-sight dispatch.
     """
+    try:
+        orientation, metro_k, margin = _ENVIRONMENT_DEFAULTS[environment]
+    except KeyError:
+        raise DomainError(f"unknown environment {environment!r}") from None
     link = RadioLink(frequency_mhz, distance_m, bs_height_m, rx_height_m,
                      sui_reference_distance_m)
     geometry = WiGeometry(
         street_width_m=street_width_m,
         building_separation_m=building_separation_m,
         roof_height_m=roof_height_m,
-        orientation_deg=DEFAULT_ORIENTATION_DEG[environment]
-        if orientation_deg is None else orientation_deg,
-        metro_factor_k=DEFAULT_METRO_K[environment]
-        if metro_factor_k is None else metro_factor_k,
+        orientation_deg=orientation if orientation_deg is None else orientation_deg,
+        metro_factor_k=metro_k if metro_factor_k is None else metro_factor_k,
         los=(environment is Environment.RURAL) if wi_los is None else wi_los,
     )
     return Scenario(
@@ -133,8 +142,7 @@ def default_scenario(environment: Environment,
         wi_geometry=geometry,
         ericsson=ericsson,
         mode=mode,
-        shadow_margin_db=DEFAULT_SHADOW_MARGIN_DB[environment]
-        if shadow_margin_db is None else shadow_margin_db,
+        shadow_margin_db=margin if shadow_margin_db is None else shadow_margin_db,
         apply_shadow_margin=apply_shadow_margin,
         include_sui_shadowing=include_sui_shadowing,
     )
@@ -158,7 +166,7 @@ def bind(model: ModelId, scenario: Scenario,
     if model is ModelId.SUI:
         at = sui(link, scenario.environment, scenario.include_sui_shadowing)
     elif model is ModelId.OKUMURA:
-        at = okumura(link, scenario.environment, curves)
+        at = (_curves or _import_curves()).okumura(link, scenario.environment, curves)
     elif model is ModelId.COST231_HATA:
         at = cost231_hata(link, scenario.environment, scenario.mode)
     elif model is ModelId.WALFISCH_IKEGAMI:
@@ -182,10 +190,24 @@ def bind(model: ModelId, scenario: Scenario,
         return PathLossResult(result.components + margin_component, result.warnings)
 
     def loss(distance_m: float) -> float:
-        return _finite_total(inner_loss(distance_m) + margin_db)
+        try:
+            total = inner_loss(distance_m) + margin_db
+        except OverflowError:  # an int margin too large for a float
+            total = math.inf
+        return _finite_total(total)
     at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
     at_with_margin.affine_from_m = at.affine_from_m if _moderate(margin_db) else math.inf
     return at_with_margin
+
+
+def _import_curves():
+    """Import :mod:`pathcast.curves` on the first Okumura binding.  ``bind``
+    keeps the module, not its binder, so each binding looks ``okumura`` up
+    on it and a replaced binder is the one bound."""
+    global _curves
+    from . import curves
+    _curves = curves
+    return curves
 
 
 def evaluate(model: ModelId, scenario: Scenario,
@@ -206,6 +228,10 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
         raise DomainError("a sweep needs at least 2 steps")
     if not d_min_m < d_max_m:
         raise DomainError("sweep requires d_min < d_max")
+    try:
+        float(d_min_m), float(d_max_m)
+    except OverflowError:  # an int too large for a float
+        raise DomainError("distance must be finite") from None
     if spacing == "log":
         if d_min_m <= 0:
             raise DomainError("log spacing requires d_min > 0")
@@ -255,100 +281,6 @@ def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
           spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
     """Every point of :func:`iter_sweep` in one tuple; ascending and deterministic."""
     return tuple(iter_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing))
-
-
-# --------------------------------------------------------------------------
-# Reference comparison
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One printed row of the embedded comparison table."""
-
-    model: ModelId
-    freq_mhz: float
-    dist_km: float
-    bs_m: float
-    rx_m: float
-    urban_db: float
-    suburban_db: float
-    rural_db: float
-
-    def printed(self, environment: Environment) -> float:
-        return getattr(self, f"{environment.value}_db")
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    row: ReferenceRow
-    environment: Environment
-    printed_db: float
-    computed_db: Optional[float]
-    delta_db: Optional[float]
-    verdict: str  # "match" | "mismatch"
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DiscrepancyLedger:
-    entries: tuple[LedgerEntry, ...]
-    tolerance_db: float
-    mode: FidelityMode
-
-    @property
-    def matched(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == "match")
-
-    @property
-    def summary(self) -> str:
-        return (f"matched {self.matched}/{len(self.entries)} "
-                f"within {self.tolerance_db:.2f} dB")
-
-
-def load_reference_rows() -> tuple[ReferenceRow, ...]:
-    """The embedded reference table (19 printed rows)."""
-    data = resources.files("pathcast.data").joinpath("table3.csv").read_text("utf-8")
-    numbers = ("freq_mhz", "dist_km", "bs_m", "rx_m", "urban_db", "suburban_db", "rural_db")
-    return tuple(ReferenceRow(ModelId(record["model"]), *(float(record[k]) for k in numbers))
-                 for record in csv.DictReader(io.StringIO(data)))
-
-
-def compare_against_reference(reference, tolerance_db: float = 0.5,
-                              curves: Optional[CurveTable] = None,
-                              mode: FidelityMode = FidelityMode.CORRECTED,
-                              ) -> DiscrepancyLedger:
-    """Evaluate every (row, environment) pair against its printed value.
-
-    Individual evaluation failures become ledger notes, never aborts.
-    """
-    if not 0.0 < tolerance_db < math.inf:
-        raise DomainError("tolerance must be positive and finite")
-    entries = []
-    for row in reference:
-        anomaly = row.rural_db > row.urban_db
-        for environment in Environment:
-            scenario = default_scenario(
-                environment,
-                frequency_mhz=row.freq_mhz,
-                distance_m=row.dist_km * 1000.0,
-                bs_height_m=row.bs_m,
-                rx_height_m=row.rx_m,
-                mode=mode,
-            )
-            notes = [f"mode={mode.value}"]
-            if anomaly:
-                notes.append("printed reference anomaly: rural exceeds urban")
-            printed = row.printed(environment)
-            try:
-                computed = evaluate(row.model, scenario, curves).total_db
-                delta = computed - printed
-            except PathcastError as exc:
-                computed = delta = None
-                notes.append(f"evaluation failed: {exc}")
-            verdict = "match" if delta is not None and abs(delta) <= tolerance_db else "mismatch"
-            entries.append(LedgerEntry(row, environment, printed, computed, delta, verdict,
-                                       tuple(notes)))
-    return DiscrepancyLedger(tuple(entries), tolerance_db, mode)
 
 
 # --------------------------------------------------------------------------

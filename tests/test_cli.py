@@ -428,6 +428,43 @@ class TestRun:
             assert out
 
 
+_LAZY_MODULES = {"pathcast.curves", "pathcast.reference", "json", "csv", "importlib.resources"}
+
+
+class TestImportFootprint:
+    """A command loads only the modules it reads: the curve table, the
+    reference comparison, json, csv and the bundled-data reader are imported
+    on first use."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["pathloss", "--model", "sui", "--output", "csv"], set()),
+        (["pathloss", "--model", "sui", "--env", "urban"], set()),
+        (["pathloss"], set()),  # a usage error
+        (["pathloss", "--model", "okumura", "--curves", bundled_curves_path()],
+         {"pathcast.curves"}),
+        (["compare", "--output", "json"], _LAZY_MODULES),
+    ])
+    def test_command_loads_only_what_it_reads(self, argv, loaded):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pathcast
+        # -S keeps site's imports out, -B writes no bytecode; the child
+        # imports the pathcast under test
+        env = {"PYTHONPATH": str(Path(pathcast.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-B", "-c", "import sys, pathcast.cli\n"
+             "code = pathcast.cli.main(sys.argv[1:])\n"
+             "print(' '.join(sorted(sys.modules)))\n"
+             "sys.exit(code)", *argv],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == (2 if argv == ["pathloss"] else 0), proc.stderr
+        modules = set(proc.stdout.splitlines()[-1].split())
+        assert {"pathcast.cli", "pathcast.scenario"} <= modules
+        assert modules & _LAZY_MODULES == loaded
+
+
 REQUIRED_ARGS = {"pathloss": ["--model", "sui"], "sweep": ["--model", "sui"], "compare": [],
                  "cell-range": ["--model", "sui", "--max-loss-db", "130"]}
 

@@ -190,10 +190,15 @@ class TestHome:
         with pytest.raises(DomainError, match="^curve table required for the okumura model$"):
             okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, None)
 
-    def test_every_name_is_the_curves_binder(self):
+    def test_every_name_is_the_curves_binder(self, monkeypatch):
         assert pathcast.okumura is pathcast.curves.okumura
-        assert pathcast.scenario.okumura is pathcast.curves.okumura
         assert not hasattr(pathcast.propagation, "okumura")
+        # bind looks the binder up on pathcast.curves at each Okumura binding
+        calls = []
+        monkeypatch.setattr(pathcast.curves, "okumura", lambda *args: calls.append(args) or "at")
+        scenario = default_scenario(Environment.URBAN)
+        assert pathcast.scenario.bind(ModelId.OKUMURA, scenario, "table") == "at"
+        assert calls == [(scenario.link, Environment.URBAN, "table")]
 
     def test_propagation_imports_nothing_from_curves(self):
         """curves imports propagation, so an import back would be a cycle."""

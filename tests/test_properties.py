@@ -258,10 +258,28 @@ class TestResultInvariants:
         with pytest.raises(DomainError, match="unique"):
             PathLossResult((("a", 1.0), ("b", 2.0), ("a", 1.0)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_component(self, bad):
         with pytest.raises(DomainError, match="finite"):
             PathLossResult((("a", 1.0), ("b", bad)))
+
+    def test_any_iterables_read_once_and_stored_as_tuples(self):
+        result = PathLossResult((c for c in (("a", 1.0), ("b", 2.0))), (w for w in ("note",)))
+        assert result.components == (("a", 1.0), ("b", 2.0))
+        assert result.total_db == 3.0 and result.warnings == ("note",)
+        listed = PathLossResult([("a", 1.0)], ["note"])
+        assert type(listed.components) is tuple and type(listed.warnings) is tuple
+        assert hash(listed) == hash(PathLossResult((("a", 1.0),), ("note",)))
+
+    @pytest.mark.parametrize("components, warnings, message", [
+        (((1, 1.0),), (), "component label 1 is not a string"),
+        ((("a", 1.0), (None, 2.0)), (), "component label None is not a string"),
+        ((("a", 1.0),), "abc", "warnings must be a sequence of strings, not one string"),
+        ((("a", 1.0),), ("note", 7), "warning 7 is not a string"),
+    ])
+    def test_label_or_warning_not_a_string(self, components, warnings, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            PathLossResult(components, warnings)
 
     def test_margin_adds_exactly(self, bundled_curves):
         rng = random.Random(77)
@@ -457,8 +475,10 @@ _EDGE_FLOATS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1e3
 
 
 def _any_float(lo, hi):
-    """Arbitrary floats, edge values and a plausible range, in equal parts."""
-    return st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats(lo, hi))
+    """Arbitrary floats, edge values, ints up to 10**400 in size, past the
+    float range, and a plausible range, in equal parts."""
+    return st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                     st.integers(-10**400, 10**400), st.floats(lo, hi))
 
 
 def _any_tuple(*ranges):
@@ -518,6 +538,38 @@ class TestFiniteOrPathcastError:
         at = bind(model, default_scenario(environment))
         with pytest.raises(DomainError, match="underflows to 0 km"):
             at(5e-324)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RadioLink(1900.0, 10**400, 30.0, 3.0), "distance_m must be finite"),
+        (lambda: WiGeometry(street_width_m=-10**400), "street_width_m must be finite"),
+        (lambda: EricssonCoefficients(10**400), "a0 must be finite"),
+        (lambda: default_scenario(Environment.URBAN, bs_height_m=10**400),
+         "bs_height_m must be finite"),
+        (lambda: invert_cell_range(ModelId.COST231_HATA, default_scenario(Environment.URBAN),
+                                   140.0, d_max_m=10**400), "distance must be finite"),
+        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), d_max_m=10**400),
+         "distance must be finite"),
+        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), 10**400, 10**401,
+                       spacing="linear"), "distance must be finite"),
+    ])
+    def test_int_past_the_float_range(self, make, message):
+        """An int too large for a float is a DomainError, never an OverflowError."""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    @pytest.mark.parametrize("margin", [None, 10**400])
+    def test_int_past_the_float_range_at_a_binding(self, model, margin, bundled_curves):
+        scenario = default_scenario(Environment.URBAN)
+        if margin is not None:
+            scenario = dataclasses.replace(scenario, apply_shadow_margin=True,
+                                           shadow_margin_db=margin)
+        at = bind(model, scenario, bundled_curves)
+        message = "distance must be finite" if margin is None else "path-loss total must be finite"
+        distance = 10**400 if margin is None else 5000
+        for evaluate_at in (at, at.loss):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                evaluate_at(distance)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(link=_any_tuple((50.0, 3500.0), (1.0, 120_000.0), (1.0, 250.0), (0.5, 20.0),

@@ -5,6 +5,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import pathcast
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,8 +36,16 @@ def test_python_examples_run(capsys):
 
 
 def test_public_names_are_the_listed_surface():
-    names = sorted(name for name, value in vars(pathcast).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    """pathcast resolves its names on first access, so the surface is what
+    __all__, dir() and getattr give, not what the module has loaded yet."""
+    assert pathcast.__all__ == PUBLIC_NAMES
+    names = sorted(name for name in dir(pathcast) if not name.startswith("_")
+                   and not isinstance(getattr(pathcast, name), types.ModuleType))
     assert names == PUBLIC_NAMES
+    star = {}
+    exec("from pathcast import *", star)
+    assert sorted(name for name in star if name != "__builtins__") == PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="has no attribute 'Reference'"):
+        pathcast.Reference
     library = README.read_text("utf-8").split("\n## Library\n", 1)[1]
     assert [name for name in PUBLIC_NAMES if f"`{name}`" not in library] == []

@@ -246,6 +246,12 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="^unknown model 'sui'$"):
             scenario_module.bind("sui", default_scenario(Environment.URBAN))
 
+    @pytest.mark.parametrize("defaults", [{}, dict(orientation_deg=30.0, metro_factor_k=1.5,
+                                                   shadow_margin_db=10.6)])
+    def test_unknown_environment_refused(self, defaults):
+        with pytest.raises(DomainError, match="^unknown environment 'urban'$"):
+            default_scenario("urban", **defaults)
+
     def test_shadow_margin_only_on_request(self):
         s = default_scenario(Environment.URBAN)
         base = evaluate(ModelId.SUI, s)
