@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
-from .scenario import (DEFAULT_METRO_K, DEFAULT_ORIENTATION_DEG, DEFAULT_SHADOW_MARGIN_DB,
-                       DEFAULT_TOLERANCE_DB, ModelId, Scenario, _sweep_points,
-                       default_scenario, evaluate, invert_cell_range, iter_sweep)
+from .scenario import (DEFAULT_TOLERANCE_DB, _ENVIRONMENT_DEFAULTS, ModelId, Scenario,
+                       _sweep_points, default_scenario, evaluate, invert_cell_range, iter_sweep)
 
 # json, csv, the curve table and the reference comparison are imported by
 # the commands and formats that read them, so that no other command loads them.
@@ -37,11 +36,11 @@ def _defaults(function):
     return {name: p.default for name, p in inspect.signature(function).parameters.items()}
 
 
-def _per_environment(defaults):
-    """Help text for an Environment -> value map; environments sharing a value are grouped."""
+def _per_environment(column):
+    """Help text for one column of the per-environment defaults, equal values grouped."""
     groups = {}
-    for environment, value in defaults.items():
-        groups.setdefault(value, []).append(environment.value)
+    for environment, row in _ENVIRONMENT_DEFAULTS.items():
+        groups.setdefault(row[column], []).append(environment.value)
     return "(default: " + " / ".join(
         f"{value:g} {', '.join(names)}" for value, names in groups.items()) + ")"
 
@@ -80,15 +79,17 @@ _FIELDS = [
     ("roof_height_m", float, _SCENARIO["roof_height_m"], None,
      "average building height in meters"),
     ("orientation_deg", float, _SCENARIO["orientation_deg"], None,
-     "street orientation angle in degrees " + _per_environment(DEFAULT_ORIENTATION_DEG)),
+     "street orientation angle in degrees " + _per_environment(0)),
     ("metro_k", float, _SCENARIO["metro_k"], None,
-     "metro factor k " + _per_environment(DEFAULT_METRO_K)),
+     "metro factor k " + _per_environment(1)),
     ("wi_condition", str, "auto", ["auto", "los", "nlos"],
-     "walfisch_ikegami dispatch (default: {} = LOS for rural, NLOS otherwise)"),
+     "walfisch_ikegami dispatch (default: {} = LOS for "
+     + ", ".join(env.value for env, row in _ENVIRONMENT_DEFAULTS.items() if row[3])
+     + ", NLOS otherwise)"),
     *[(name, float, getattr(EricssonCoefficients(), name), None, f"Ericsson {name}")
       for name in ("a0", "a1", "a2", "a3")],
     ("shadow_margin_db", float, _SCENARIO["shadow_margin_db"], None,
-     "shadow margin in dB " + _per_environment(DEFAULT_SHADOW_MARGIN_DB)),
+     "shadow margin in dB " + _per_environment(2)),
     ("apply_shadow_margin", bool, _SCENARIO["apply_shadow_margin"], None,
      "add the shadow margin as a component"),
     ("sui_shadowing", bool, _SCENARIO["sui_shadowing"], None,

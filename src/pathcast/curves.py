@@ -268,7 +268,7 @@ def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
     d_km = min(max(distance_m / 1000.0, table.dist_km[0]), table.dist_km[-1])
     _check_bounds(d_km, table.dist_km[0], table.dist_km[-1], "distance", "km")
     if d_km != distance_m / 1000.0:
-        notes += (f"distance {distance_m:g} m clamped to grid edge {d_km * 1000.0:g} m",)
+        notes += (f"distance {float(distance_m):g} m clamped to grid edge {d_km * 1000.0:g} m",)
     return f, d_km * 1000.0, notes
 
 

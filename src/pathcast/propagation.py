@@ -134,7 +134,9 @@ class RadioLink:
         fields["bs_height_m"] = bs_height_m
         fields["rx_height_m"] = rx_height_m
         fields["sui_reference_distance_m"] = sui_reference_distance_m
-        _check_finite(self)
+        if _check_finite(self):  # check the floats stored
+            frequency_mhz, distance_m, bs_height_m, rx_height_m, sui_reference_distance_m = \
+                fields.values()
         if not frequency_mhz > 0:
             raise DomainError("frequency must be positive")
         if self.wavelength_m in (0.0, math.inf):
@@ -178,7 +180,9 @@ class WiGeometry:
         fields["orientation_deg"] = orientation_deg
         fields["metro_factor_k"] = metro_factor_k
         fields["los"] = los
-        _check_finite(self)
+        if _check_finite(self):  # check the floats stored
+            street_width_m, building_separation_m, roof_height_m, orientation_deg, *_ = \
+                fields.values()
         if street_width_m <= 0 or building_separation_m <= 0:
             raise DomainError("street width and building separation must be positive")
         if roof_height_m <= 0:
@@ -203,9 +207,11 @@ class PathLossResult:
     """Total loss plus an itemized breakdown and provenance warnings.
 
     Built as ``PathLossResult(components, warnings=())`` from any iterables,
-    each read once and stored as a tuple; ``total_db`` is computed, the
+    each read once and stored as a tuple, and each component a ``(label,
+    value)`` pair, stored as a tuple; ``total_db`` is computed, the
     left-to-right sum of the component values, and must be finite.  Labels
-    are strings, unique within one result, and every warning is a string.
+    are strings, unique within one result, values are real numbers, and
+    every warning is a string.
     """
 
     total_db: float = field(init=False)
@@ -213,14 +219,18 @@ class PathLossResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        components, warnings = tuple(self.components), self.warnings
-        labels = [label for label, _ in components]
-        if not labels:
-            raise DomainError("a path-loss result needs at least one component")
-        for label in labels:
+        components, warnings = [], self.warnings
+        for item in self.components:
+            try:
+                label, value = item
+            except (TypeError, ValueError):  # not two items
+                raise DomainError(f"component {item!r} is not a (label, value) pair") from None
             if not isinstance(label, str):
                 raise DomainError(f"component label {label!r} is not a string")
-        if len(set(labels)) != len(labels):
+            components.append((label, value))
+        if not components:
+            raise DomainError("a path-loss result needs at least one component")
+        if len({label for label, _ in components}) != len(components):
             raise DomainError("component labels must be unique")
         if isinstance(warnings, str):
             raise DomainError("warnings must be a sequence of strings, not one string")
@@ -229,12 +239,14 @@ class PathLossResult:
             if not isinstance(warning, str):
                 raise DomainError(f"warning {warning!r} is not a string")
         try:
-            total = _fold(components)
+            total = _finite_total(_fold(components))
         except OverflowError:  # an int value too large for a float
-            total = math.inf
-        object.__setattr__(self, "components", components)
+            raise DomainError("path-loss total must be finite") from None
+        except TypeError:  # a value float arithmetic refuses, such as "x", None or 1j
+            raise DomainError("every component value must be a real number") from None
+        object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "total_db", _finite_total(total))
+        object.__setattr__(self, "total_db", total)
 
     def component(self, label: str) -> float:
         return dict(self.components)[label]
@@ -272,14 +284,20 @@ def _moderate(*terms):
 
 def _check_finite(instance):
     """Reject a non-finite field of a dataclass instance, naming the field;
-    an int too large for a float is not finite either."""
-    for name, value in vars(instance).items():
+    an int too large for a float is not finite either.  Store any other
+    real number, such as a Fraction, as its float, and return whether any
+    was: the range checks must see the value the terms compute with."""
+    fields, converted = vars(instance), False
+    for name, value in fields.items():
         try:
             if math.isfinite(value):
+                if type(value) is not float and not isinstance(value, int):
+                    fields[name], converted = float(value), True
                 continue
         except OverflowError:
             pass
         raise DomainError(f"{name} must be finite")
+    return converted
 
 
 def _check_distance(distance_m):
@@ -290,7 +308,7 @@ def _check_distance(distance_m):
         raise DomainError("distance must be finite") from None
     if not distance_m / 1000.0 > 0.0:  # a subnormal distance underflows to 0 km
         raise DomainError("distance must be positive" if distance_m <= 0
-                          else f"distance {distance_m:g} m underflows to 0 km")
+                          else f"distance {float(distance_m):g} m underflows to 0 km")
 
 
 def _finite(value, what):
@@ -338,7 +356,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         _check_distance(distance_m)
         if distance_m <= d0:
             raise DomainError(
-                f"distance {distance_m:g} m is below reference distance {d0:g} m")
+                f"distance {float(distance_m):g} m is below reference distance {d0:g} m")
         return slope * _log10(distance_m / d0)
     affine_from_m = 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf
 

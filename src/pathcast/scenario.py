@@ -2,17 +2,17 @@
 the reference comparison, which builds on them, is :mod:`pathcast.reference`.
 
 A Scenario is one fully-bound evaluation context with no field defaults;
-:func:`default_scenario` is their one source.  Its defaults reproduce the
-simulation parameters of the embedded comparison: 1900/2100 MHz, 5 km, BS
-30/80 m, receiver 3 m, street width 25 m, building separation 50 m, roof
-height 15 m, orientation 30 deg urban / 40 deg suburban, shadow margin
-10.6 dB urban / 8.2 dB suburban and rural (carried but only applied on
-explicit request).
+:func:`default_scenario` is their one source, and reproduces the simulation
+parameters of the embedded comparison.  The link and street geometry take
+the field defaults of :class:`RadioLink` and :class:`WiGeometry`; what
+differs by environment is one row of ``_ENVIRONMENT_DEFAULTS``, whose shadow
+margin is carried but only applied on explicit request.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -48,25 +48,13 @@ class ModelId(Enum):
     ERICSSON9999 = "ericsson9999"
 
 
-DEFAULT_SHADOW_MARGIN_DB = {
-    Environment.URBAN: 10.6,
-    Environment.SUBURBAN: 8.2,
-    Environment.RURAL: 8.2,
+# The one source of each per-environment default of default_scenario:
+# (orientation_deg, metro_factor_k, shadow_margin_db, wi_los)
+_ENVIRONMENT_DEFAULTS = {
+    Environment.URBAN: (30.0, 1.5, 10.6, False),
+    Environment.SUBURBAN: (40.0, 0.7, 8.2, False),
+    Environment.RURAL: (40.0, 0.7, 8.2, True),
 }
-DEFAULT_ORIENTATION_DEG = {
-    Environment.URBAN: 30.0,
-    Environment.SUBURBAN: 40.0,
-    Environment.RURAL: 40.0,
-}
-DEFAULT_METRO_K = {
-    Environment.URBAN: 1.5,
-    Environment.SUBURBAN: 0.7,
-    Environment.RURAL: 0.7,
-}
-_ENVIRONMENT_DEFAULTS = {environment: (DEFAULT_ORIENTATION_DEG[environment],
-                                       DEFAULT_METRO_K[environment],
-                                       DEFAULT_SHADOW_MARGIN_DB[environment])
-                         for environment in Environment}
 # The match tolerance of the reference comparison (pathcast.reference)
 DEFAULT_TOLERANCE_DB = 0.5
 
@@ -105,10 +93,10 @@ def default_scenario(environment: Environment,
                      distance_m: float = 5000.0,
                      bs_height_m: float = 30.0,
                      rx_height_m: float = 3.0,
-                     sui_reference_distance_m: float = 100.0,
-                     street_width_m: float = 25.0,
-                     building_separation_m: float = 50.0,
-                     roof_height_m: float = 15.0,
+                     sui_reference_distance_m: float = RadioLink.sui_reference_distance_m,
+                     street_width_m: float = WiGeometry.street_width_m,
+                     building_separation_m: float = WiGeometry.building_separation_m,
+                     roof_height_m: float = WiGeometry.roof_height_m,
                      orientation_deg: Optional[float] = None,
                      metro_factor_k: Optional[float] = None,
                      wi_los: Optional[bool] = None,
@@ -119,33 +107,22 @@ def default_scenario(environment: Environment,
                      include_sui_shadowing: bool = True) -> Scenario:
     """Scenario with the standard simulation defaults for ``environment``.
 
-    Unset geometry fields take the environment-specific defaults; rural links
-    default to the line-of-sight dispatch.
+    Unset per-environment fields take the environment's row of
+    ``_ENVIRONMENT_DEFAULTS``.
     """
     try:
-        orientation, metro_k, margin = _ENVIRONMENT_DEFAULTS[environment]
+        orientation, metro_k, margin, los = _ENVIRONMENT_DEFAULTS[environment]
     except KeyError:
         raise DomainError(f"unknown environment {environment!r}") from None
     link = RadioLink(frequency_mhz, distance_m, bs_height_m, rx_height_m,
                      sui_reference_distance_m)
-    geometry = WiGeometry(
-        street_width_m=street_width_m,
-        building_separation_m=building_separation_m,
-        roof_height_m=roof_height_m,
-        orientation_deg=orientation if orientation_deg is None else orientation_deg,
-        metro_factor_k=metro_k if metro_factor_k is None else metro_factor_k,
-        los=(environment is Environment.RURAL) if wi_los is None else wi_los,
-    )
-    return Scenario(
-        link=link,
-        environment=environment,
-        wi_geometry=geometry,
-        ericsson=ericsson,
-        mode=mode,
-        shadow_margin_db=margin if shadow_margin_db is None else shadow_margin_db,
-        apply_shadow_margin=apply_shadow_margin,
-        include_sui_shadowing=include_sui_shadowing,
-    )
+    geometry = WiGeometry(street_width_m, building_separation_m, roof_height_m,
+                          orientation if orientation_deg is None else orientation_deg,
+                          metro_k if metro_factor_k is None else metro_factor_k,
+                          los if wi_los is None else wi_los)
+    return Scenario(link, environment, geometry, ericsson, mode,
+                    margin if shadow_margin_db is None else shadow_margin_db,
+                    apply_shadow_margin, include_sui_shadowing)
 
 
 def bind(model: ModelId, scenario: Scenario,
@@ -154,13 +131,12 @@ def bind(model: ModelId, scenario: Scenario,
 
     The returned evaluator ignores ``scenario.link.distance_m`` and computes
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
-    geometry's LOS flag (rural defaults to LOS, urban/suburban to NLOS).  The
-    scenario's shadow margin is appended as a ``shadow_margin`` component, a
-    label no binder emits, only when apply_shadow_margin is set; its
-    ``loss`` adds the margin to the model's.  The evaluator carries the
-    model's ``loss``, ``branch_points`` and ``affine_from_m`` (see
-    :mod:`pathcast.propagation`); a margin over 1e4 dB makes the last
-    ``math.inf``.
+    geometry's LOS flag.  The scenario's shadow margin is appended as a
+    ``shadow_margin`` component, a label no binder emits, only when
+    apply_shadow_margin is set; its ``loss`` adds the margin to the model's.
+    The evaluator carries the model's ``loss``, ``branch_points`` and
+    ``affine_from_m`` (see :mod:`pathcast.propagation`); a margin over 1e4 dB
+    makes the last ``math.inf``.
     """
     link = scenario.link
     if model is ModelId.SUI:
@@ -233,7 +209,7 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     except OverflowError:  # an int too large for a float
         raise DomainError("distance must be finite") from None
     if spacing == "log":
-        if d_min_m <= 0:
+        if float(d_min_m) <= 0:  # as a float: a Fraction may round to 0.0
             raise DomainError("log spacing requires d_min > 0")
         ratio = d_max_m / d_min_m
         inner = (d_min_m * ratio ** (i / (steps - 1)) for i in range(1, steps - 1))
@@ -273,7 +249,7 @@ def _sweep_points(model, scenario, d_min_m, d_max_m, steps, curves, spacing, tot
         for distance in distances:
             yield distance, at(distance)
     except PathcastError as exc:
-        raise DomainError(f"sweep aborted at {distance:.2f} m: {exc}") from exc
+        raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
 
 
 def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
@@ -338,13 +314,17 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
         if v_b < v_a:
             raise DomainError(
                 f"loss is not monotone increasing over the bracket: "
-                f"PL({d_a:.2f} m) = {v_a:.4f} dB > PL({d_b:.2f} m) = {v_b:.4f} dB")
+                f"PL({float(d_a):.2f} m) = {v_a:.4f} dB > PL({float(d_b):.2f} m) = {v_b:.4f} dB")
 
     pl_min, pl_max = values[0], values[-1]
     if not pl_min <= max_loss_db <= pl_max:
+        try:
+            target = float(max_loss_db)
+        except OverflowError:  # an int too large for a float shows as inf
+            target = math.inf if max_loss_db > 0 else -math.inf
         raise BoundsError(
-            f"target {max_loss_db:.4f} dB outside bracket: "
-            f"PL({d_min_m:g} m) = {pl_min:.4f} dB, PL({d_max_m:g} m) = {pl_max:.4f} dB")
+            f"target {target:.4f} dB outside bracket: PL({float(d_min_m):g} m) = "
+            f"{pl_min:.4f} dB, PL({float(d_max_m):g} m) = {pl_max:.4f} dB")
     if max_loss_db == pl_max:
         return d_max_m
     if max_loss_db == pl_min:
@@ -392,7 +372,7 @@ def _chord_regions(checked, values, target, affine_from_m):
     """
     if not math.isfinite(checked[-1] + checked[-1]):
         return _UNDECIDED
-    i = next(i for i, v in enumerate(values) if v >= target)
+    i = bisect_left(values, target)  # values never decrease; values[0] < target
     a, b, v_a, v_b = checked[i - 1], checked[i], values[i - 1], values[i]
     if a < affine_from_m or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further
         return _UNDECIDED

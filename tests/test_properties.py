@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import re
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathcast import (
+    BoundsError,
     CurveTable,
     DomainError,
     Environment,
@@ -281,6 +283,28 @@ class TestResultInvariants:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             PathLossResult(components, warnings)
 
+    @pytest.mark.parametrize("components, message", [
+        ((("a", "x"),), "every component value must be a real number"),
+        ((("a", 1.0), ("b", None)), "every component value must be a real number"),
+        ((("a", 1j),), "every component value must be a real number"),
+        ((("a", 0.5), ("b", 0.5j)), "every component value must be a real number"),
+        ((("a",),), "component ('a',) is not a (label, value) pair"),
+        ((("a", 1.0, 2.0),), "component ('a', 1.0, 2.0) is not a (label, value) pair"),
+        ((5,), "component 5 is not a (label, value) pair"),
+        # the earlier checks keep their messages
+        ((("a", 1.0), ("a", "x")), "component labels must be unique"),
+        (((1, "x"),), "component label 1 is not a string"),
+    ])
+    def test_component_not_a_label_and_real_number(self, components, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            PathLossResult(components)
+
+    def test_real_number_values_and_any_pairs(self):
+        result = PathLossResult((("a", 1), ["b", Fraction(1, 2)], iter(("c", True))))
+        assert result.total_db == 2.5
+        assert result.components == (("a", 1), ("b", Fraction(1, 2)), ("c", True))
+        assert all(type(component) is tuple for component in result.components)
+
     def test_margin_adds_exactly(self, bundled_curves):
         rng = random.Random(77)
         for _ in range(N_CASES):
@@ -474,11 +498,20 @@ _EDGE_FLOATS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1e3
                 1.7976931348623157e308, math.inf, -math.inf, math.nan)
 
 
+#: Fractions past the float range: two that round to 0.0 and two whose
+#: float() overflows.
+_EDGE_FRACTIONS = (Fraction(1, 10**400), Fraction(-3, 10**400), Fraction(10**400, 3),
+                   Fraction(-(10**400), 7))
+
+
 def _any_float(lo, hi):
     """Arbitrary floats, edge values, ints up to 10**400 in size, past the
-    float range, and a plausible range, in equal parts."""
+    float range, fractions (arbitrary, edge and plausible), bools, and a
+    plausible range, in equal parts."""
     return st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
-                     st.integers(-10**400, 10**400), st.floats(lo, hi))
+                     st.integers(-10**400, 10**400),
+                     st.fractions() | st.sampled_from(_EDGE_FRACTIONS) | st.fractions(lo, hi),
+                     st.booleans(), st.floats(lo, hi))
 
 
 def _any_tuple(*ranges):
@@ -556,6 +589,59 @@ class TestFiniteOrPathcastError:
         """An int too large for a float is a DomainError, never an OverflowError."""
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             make()
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: RadioLink(Fraction(1, 10**400), 5000.0, 30.0, 3.0), DomainError,
+         "frequency must be positive"),
+        (lambda: WiGeometry(street_width_m=Fraction(1, 10**400)), DomainError, _STREET),
+        (lambda: bind(ModelId.SUI, default_scenario(Environment.URBAN))(Fraction(1, 3)),
+         DomainError, "distance 0.333333 m is below reference distance 100 m"),
+        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), Fraction(1, 10**400)),
+         DomainError, "log spacing requires d_min > 0"),
+        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), Fraction(1, 10**400),
+                       spacing="linear"),
+         DomainError, "sweep aborted at 0.00 m: distance 0 m underflows to 0 km"),
+        (lambda: invert_cell_range(ModelId.SUI, default_scenario(Environment.URBAN),
+                                   Fraction(7, 2), Fraction(1000), Fraction(10_000)),
+         BoundsError, "target 3.5000 dB outside bracket: PL(1000 m) = 165.6627 dB, "
+                      "PL(10000 m) = 213.6127 dB"),
+        (lambda: invert_cell_range(ModelId.SUI, default_scenario(Environment.URBAN), 10**400),
+         BoundsError, "target inf dB outside bracket: PL(1000 m) = 165.6627 dB, "
+                      "PL(10000 m) = 213.6127 dB"),
+    ])
+    def test_fraction_or_int_past_the_float_range(self, make, error, message):
+        """A Fraction is checked as the float it computes with, so one too small
+        for a float is 0.0; a message shows a Fraction or an int as a float."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_fraction_fields_stored_as_floats(self):
+        link = RadioLink(Fraction(1900), 5000, 30, 3)
+        assert (link.frequency_mhz, type(link.frequency_mhz)) == (1900.0, float)
+        assert type(link.distance_m) is int  # ints are stored as given
+        assert EricssonCoefficients(Fraction(1, 2)).a0 == 0.5
+        assert WiGeometry(los=True).los is True
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: RadioLink("1900", 5000.0, 30.0, 3.0), TypeError, "must be real number, not str"),
+        (lambda: WiGeometry(street_width_m=None), TypeError, "must be real number, not NoneType"),
+        (lambda: EricssonCoefficients(1j), TypeError, "must be real number, not complex"),
+        (lambda: bind(ModelId.SUI, default_scenario(Environment.URBAN))("5000"), TypeError,
+         "must be real number, not str"),
+        (lambda: bind(ModelId.SUI, default_scenario(Environment.URBAN)).loss(None), TypeError,
+         "must be real number, not NoneType"),
+        (lambda: invert_cell_range(ModelId.COST231_HATA, default_scenario(Environment.URBAN),
+                                   "150"), TypeError, "'<=' not supported"),
+        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), "a", "b"), ValueError,
+         "could not convert string to float: 'a'"),
+    ])
+    def test_wrong_type_is_pythons_error(self, make, error, message):
+        """A str, None or complex where a number belongs raises Python's own
+        TypeError (ValueError for a sweep end float() cannot read), not a
+        PathcastError; README's "Library" section states this."""
+        with pytest.raises(error, match=f"^{re.escape(message)}") as raised:
+            make()
+        assert not isinstance(raised.value, PathcastError)
 
     @pytest.mark.parametrize("model", list(ModelId))
     @pytest.mark.parametrize("margin", [None, 10**400])
