@@ -66,7 +66,8 @@ class CurveTable:
 
     Built directly, it checks what :func:`load_curves` checks, without line
     numbers: every number finite, at least 2 nodes on each A_mu axis, a
-    rectangular grid, and axes that log interpolation can use.  ``garea``
+    rectangular grid, axes that log interpolation can use, and a 0 dB area
+    gain wherever urban, the reference environment, has one.  ``garea``
     is a read-only copy of the mapping it was built with: a change raises
     ``TypeError``.
     """
@@ -96,6 +97,8 @@ class CurveTable:
         axes = {}
         for env, rows in self.garea.items():
             freqs, gains = tuple(f for f, _ in rows), tuple(gain for _, gain in rows)
+            if env is Environment.URBAN and any(gain != 0.0 for gain in gains):
+                raise CurveParseError("urban area gain must be 0 dB (reference environment)")
             axes[env] = freqs, _check_log_axis(freqs, f"{env.value} area-gain frequencies"), gains
         object.__setattr__(self, "_gain_axes", axes)
         # every A_mu and area gain, and every A_mu slope in dB per decade of

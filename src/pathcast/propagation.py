@@ -447,82 +447,6 @@ def wi_los(link: RadioLink):
     return at
 
 
-def _wi_multiscreen(geometry: WiGeometry, frequency_mhz: float, bs_height_m: float,
-                    mode: FidelityMode):
-    """Bind L_MSD = L_BSH + k_A + k_D*log d + k_F*log f - 9*log s_b.
-
-    Returns ``at(d_km) -> (value, garbled-branch warnings)``.  Its
-    ``branch_points`` are in metres, as on every binder's ``at``.  Its
-    ``far`` is ``(start_m, k_d, terms)``: from ``start_m`` on, the value is
-    the sum of the constant ``terms`` and ``k_d*log d`` with ``k_d >= 18``.
-    """
-    roof = geometry.roof_height_m
-    delta = bs_height_m - roof  # BS height relative to the rooftops
-    printed = mode is FidelityMode.AS_PRINTED
-    if printed:
-        k_f = -4.0 + geometry.metro_factor_k * (frequency_mhz / 924.0)
-    else:
-        k_f = -4.0 + geometry.metro_factor_k * (frequency_mhz / 925.0 - 1.0)
-    frequency_term = k_f * _log10(frequency_mhz)
-    separation_term = 9.0 * _log10(geometry.building_separation_m)
-
-    if delta > 0:
-        base = -18.0 * _log10(1.0 + delta) + 54.0  # L_BSH + k_A
-        k_d = 18.0 + 15.0 * delta / roof if printed else 18.0
-
-        def at(d_km):
-            return base + k_d * _log10(d_km) + frequency_term - separation_term, ()
-        at.branch_points = ()  # k_d > 0: affine and increasing in log d
-        at.far = (0.0, k_d, (base, frequency_term, -separation_term))
-        return at
-
-    scaled_delta = 0.8 * delta
-    k_d_below = 18.0 - 15.0 * delta / roof
-    if printed:
-        # The printed branch sets only cover (d < 0.5 km) for L_BSH and
-        # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
-        def at(d_km):
-            warnings = ()
-            if d_km < 0.5:
-                l_bsh = 54.0 + scaled_delta * 2.0 * d_km
-            else:
-                l_bsh = 0.0
-                warnings += (
-                    "garbled branch: corrected definition substituted for the "
-                    "multiscreen base term below rooftop at d >= 0.5 km",)
-            if d_km > 0.5:
-                k_a = 54.0 + scaled_delta
-                k_d = 18.0
-            else:
-                k_a = 54.0 - scaled_delta * (d_km / 0.5)
-                k_d = k_d_below
-                warnings += (
-                    "garbled branch: corrected definition substituted for the "
-                    "multiscreen range offset below rooftop at d <= 0.5 km",
-                    "garbled branch: corrected definition substituted for the "
-                    "multiscreen distance slope below rooftop at d <= 0.5 km")
-            return (l_bsh + k_a + k_d * _log10(d_km) + frequency_term - separation_term,
-                    warnings)
-        # Three pieces, d_km < 0.5 (L_BSH + k_A is a flat 108 dB), == 0.5
-        # (about 54 dB lower) and > 0.5 (k_A and k_D constant), each
-        # non-decreasing in d.  The neighbours of 500 m are the last and
-        # first distances in metres that fall in the outer pieces.
-        at.branch_points = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
-        at.far = (at.branch_points[2], 18.0,
-                  (54.0 + scaled_delta, frequency_term, -separation_term))
-        return at
-
-    k_a_far = 54.0 - scaled_delta
-
-    def at(d_km):
-        # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
-        k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
-        return k_a + k_d_below * _log10(d_km) + frequency_term - separation_term, ()
-    at.branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
-    at.far = (500.0, k_d_below, (k_a_far, frequency_term, -separation_term))
-    return at
-
-
 def _height_warning(geometry: WiGeometry, link: RadioLink):
     """The warning that the rooftop term's height symbols are bound to the
     roof height, with the shift of the base-station reading; none where the
@@ -543,12 +467,14 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     The rooftop-to-street term reads its height difference as roof height
     minus receiver height; the printed form reuses the base-station symbol,
     and a warning gives the shift of that reading.  Its street-orientation
-    correction is piecewise over [0, 35), [35, 55) and [55, 90] degrees.  A
-    negative diffraction sum is clamped to the free-space floor and reported
-    as a warning.
+    correction is piecewise over [0, 35), [35, 55) and [55, 90] degrees.
+    Multi-screen diffraction is L_MSD = L_BSH + k_A + k_D*log d + k_F*log f
+    - 9*log s_b, d in km.  A negative diffraction sum is clamped to the
+    free-space floor and reported as a warning.
     """
     frequency_term = 20.0 * _log10(link.frequency_mhz)
-    drop = geometry.roof_height_m - link.rx_height_m
+    roof = geometry.roof_height_m
+    drop = roof - link.rx_height_m
     if drop <= 0:
         raise DomainError("rooftop term undefined: roof height must exceed receiver height")
     angle = geometry.orientation_deg
@@ -561,7 +487,70 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     rts = (-16.9 - 10.0 * _log10(geometry.street_width_m)
            + 10.0 * _log10(link.frequency_mhz) + 20.0 * _log10(drop) + orientation)
     rooftop = ("rooftop_to_street", rts)
-    multiscreen = _wi_multiscreen(geometry, link.frequency_mhz, link.bs_height_m, mode)
+
+    delta = link.bs_height_m - roof  # BS height relative to the rooftops
+    printed = mode is FidelityMode.AS_PRINTED
+    if printed:
+        k_f = -4.0 + geometry.metro_factor_k * (link.frequency_mhz / 924.0)
+    else:
+        k_f = -4.0 + geometry.metro_factor_k * (link.frequency_mhz / 925.0 - 1.0)
+    k_f_term = k_f * _log10(link.frequency_mhz)
+    separation_term = 9.0 * _log10(geometry.building_separation_m)
+    # Each branch binds multiscreen(d_km) -> (L_MSD, garbled-branch warnings)
+    # and its branch points in metres.  From far_m on, L_MSD is the sum of
+    # the constant far_terms and far_k_d*log d, with far_k_d >= 18.
+    if delta > 0:
+        base = -18.0 * _log10(1.0 + delta) + 54.0  # L_BSH + k_A
+        far_k_d = 18.0 + 15.0 * delta / roof if printed else 18.0
+
+        def multiscreen(d_km):
+            return base + far_k_d * _log10(d_km) + k_f_term - separation_term, ()
+        branch_points = ()  # far_k_d > 0: affine and increasing in log d
+        far_m, far_terms = 0.0, (base, k_f_term, -separation_term)
+    else:
+        scaled_delta = 0.8 * delta
+        k_d_below = 18.0 - 15.0 * delta / roof
+        if printed:
+            # The printed branch sets only cover (d < 0.5 km) for L_BSH and
+            # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
+            def multiscreen(d_km):
+                warnings = ()
+                if d_km < 0.5:
+                    l_bsh = 54.0 + scaled_delta * 2.0 * d_km
+                else:
+                    l_bsh = 0.0
+                    warnings += (
+                        "garbled branch: corrected definition substituted for the "
+                        "multiscreen base term below rooftop at d >= 0.5 km",)
+                if d_km > 0.5:
+                    k_a = 54.0 + scaled_delta
+                    k_d = 18.0
+                else:
+                    k_a = 54.0 - scaled_delta * (d_km / 0.5)
+                    k_d = k_d_below
+                    warnings += (
+                        "garbled branch: corrected definition substituted for the "
+                        "multiscreen range offset below rooftop at d <= 0.5 km",
+                        "garbled branch: corrected definition substituted for the "
+                        "multiscreen distance slope below rooftop at d <= 0.5 km")
+                return (l_bsh + k_a + k_d * _log10(d_km) + k_f_term - separation_term,
+                        warnings)
+            # Three pieces, d_km < 0.5 (L_BSH + k_A is a flat 108 dB), == 0.5
+            # (about 54 dB lower) and > 0.5 (k_A and k_D constant), each
+            # non-decreasing in d.  The neighbours of 500 m are the last and
+            # first distances in metres that fall in the outer pieces.
+            branch_points = (math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
+            far_m, far_k_d = branch_points[2], 18.0
+            far_terms = (54.0 + scaled_delta, k_f_term, -separation_term)
+        else:
+            k_a_far = 54.0 - scaled_delta
+
+            def multiscreen(d_km):
+                # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
+                k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
+                return k_a + k_d_below * _log10(d_km) + k_f_term - separation_term, ()
+            branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
+            far_m, far_k_d, far_terms = 500.0, k_d_below, (k_a_far, k_f_term, -separation_term)
 
     def point(distance_m):
         """Free space, L_MSD with its warnings, and the floor (None unless it fires)."""
@@ -573,14 +562,13 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
                 -diffraction if diffraction < 0.0 else None)
     # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is.  On
     # L_MSD's far piece (k_A is linear in d below 500 m under the roofs),
-    # L_RTS + L_MSD rises k_d >= 18 dB per decade through 0 at one distance,
-    # the floor's kink.  A relative 1e-9 past it the sum is 7.8e-9 dB, far
-    # above its rounding, so the floor stays off.  10**x is finite to x = 308.
-    start_m, k_d, msd_terms = multiscreen.far
+    # L_RTS + L_MSD rises far_k_d >= 18 dB per decade through 0 at one
+    # distance, the floor's kink.  A relative 1e-9 past it the sum is 7.8e-9 dB,
+    # far above its rounding, so the floor stays off.  10**x is finite to x = 308.
     affine_from_m = math.inf
-    if _moderate(frequency_term, rts, k_d, *msd_terms):
-        kink_m = 1000.0 * 10.0 ** min(-math.fsum((rts, *msd_terms)) / k_d, 308.0)
-        affine_from_m = max(1.0, start_m, kink_m * (1.0 + 1e-9))
+    if _moderate(frequency_term, rts, far_k_d, *far_terms):
+        kink_m = 1000.0 * 10.0 ** min(-math.fsum((rts, *far_terms)) / far_k_d, 308.0)
+        affine_from_m = max(1.0, far_m, kink_m * (1.0 + 1e-9))
 
     height_warning = None  # built by the first result: at.loss never reads it
 
@@ -600,7 +588,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         free_space, msd, _, floor = point(distance_m)
         total = 0.0 + free_space + rts + msd
         return _finite_total(total if floor is None else total + floor)
-    at.branch_points, at.affine_from_m, at.loss = multiscreen.branch_points, affine_from_m, loss
+    at.branch_points, at.affine_from_m, at.loss = branch_points, affine_from_m, loss
     return at
 
 

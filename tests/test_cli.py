@@ -445,24 +445,34 @@ class TestImportFootprint:
         (["compare", "--output", "json"], _LAZY_MODULES),
     ])
     def test_command_loads_only_what_it_reads(self, argv, loaded):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import pathcast
-        # -S keeps site's imports out, -B writes no bytecode; the child
-        # imports the pathcast under test
-        env = {"PYTHONPATH": str(Path(pathcast.__file__).parent.parent)}
-        proc = subprocess.run(
-            [sys.executable, "-S", "-B", "-c", "import sys, pathcast.cli\n"
-             "code = pathcast.cli.main(sys.argv[1:])\n"
-             "print(' '.join(sorted(sys.modules)))\n"
-             "sys.exit(code)", *argv],
-            capture_output=True, text=True, env=env)
+        proc = _fresh_python("import sys, pathcast.cli\n"
+                             "code = pathcast.cli.main(sys.argv[1:])\n"
+                             "print(' '.join(sorted(sys.modules)))\n"
+                             "sys.exit(code)", *argv)
         assert proc.returncode == (2 if argv == ["pathloss"] else 0), proc.stderr
         modules = set(proc.stdout.splitlines()[-1].split())
         assert {"pathcast.cli", "pathcast.scenario"} <= modules
         assert modules & _LAZY_MODULES == loaded
+
+    def test_submodule_loads_on_first_access(self):
+        # in this process every submodule is loaded before a test runs
+        proc = _fresh_python("import sys, pathcast\n"
+                             "print('pathcast.reference' in sys.modules)\n"
+                             "print(pathcast.reference is sys.modules['pathcast.reference'])")
+        assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
+def _fresh_python(code, *argv):
+    """Run ``code`` in a new interpreter that imports the pathcast under test."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pathcast
+    # -S keeps site's imports out, -B writes no bytecode
+    env = {"PYTHONPATH": str(Path(pathcast.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-S", "-B", "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
 
 
 REQUIRED_ARGS = {"pathloss": ["--model", "sui"], "sweep": ["--model", "sui"], "compare": [],

@@ -84,6 +84,10 @@ class TestLoad:
                                                   "a table has one distance axis$"):
             load_curves(f"AMU,1,10\n100,1,2\n3000,3,4\n{second}\n# source: x\n")
 
+    def test_data_before_amu_header_names_line(self):
+        with pytest.raises(CurveParseError, match="^line 1: data before the AMU header$"):
+            load_curves("1,2,3\nAMU,1,100\n")
+
     def test_non_utf8_names_line(self, tmp_path):
         with pytest.raises(CurveParseError, match="line 2: not UTF-8"):
             load_curves(b"AMU,1,2\n\xff\n")
@@ -148,8 +152,12 @@ class TestDirectTable:
         (dict(garea={Environment.SUBURBAN: ((3000.0, 1.0), (100.0, 2.0))}),
          "suburban area-gain frequencies must be strictly increasing in log10, "
          "got 100.0 after 3000.0"),
+        # before, this built, and its urban Okumura results carried area_gain -5.0
+        (dict(garea={Environment.URBAN: ((100.0, 5.0), (3000.0, 5.0))}),
+         "urban area gain must be 0 dB (reference environment)"),
     ], ids=["frequency-log-equal", "distance-zero", "frequency-inf", "amu-nan", "gain-inf",
-            "one-distance", "one-frequency", "ragged-row", "missing-row", "gain-unsorted"])
+            "one-distance", "one-frequency", "ragged-row", "missing-row", "gain-unsorted",
+            "urban-gain-nonzero"])
     def test_loader_rules_hold(self, changes, message):
         with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
             _direct_table(**changes)

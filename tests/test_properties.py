@@ -13,7 +13,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathcast import (
@@ -657,7 +657,10 @@ class TestFiniteOrPathcastError:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 evaluate_at(distance)
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    # No shrink phase: shrinking a failure among Fractions with 400-digit
+    # denominators took over five minutes; the first failing example reports.
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     @given(link=_any_tuple((50.0, 3500.0), (1.0, 120_000.0), (1.0, 250.0), (0.5, 20.0),
                            (1.0, 500.0)),
            geometry=_any_tuple((1.0, 60.0), (1.0, 120.0), (1.0, 60.0), (0.0, 90.0), (0.1, 3.0)),
