@@ -294,9 +294,16 @@ def amu_at_frequency(table: CurveTable, frequency_mhz: float):
     fi, tf = _locate(table.freq_mhz, table._freq_logs, frequency_mhz, "frequency", "MHz")
     row0, row1 = table.amu_db[fi], table.amu_db[fi + 1]
     dists, dist_logs = table.dist_km, table._dist_logs
+    first, last, last_segment = dists[0], dists[-1], len(dists) - 2
 
     def at(distance_m: float) -> float:
-        di, td = _locate(dists, dist_logs, distance_m / 1000.0, "distance", "km")
+        d_km = distance_m / 1000.0  # located as _locate does, with the axis bound here
+        if not first <= d_km <= last:
+            _check_bounds(d_km, first, last, "distance", "km")
+        di = bisect_right(dists, d_km) - 1
+        if di > last_segment:  # d_km is the last node
+            di = last_segment
+        td = (math.log10(d_km) - dist_logs[di]) / (dist_logs[di + 1] - dist_logs[di])
         low = row0[di] * (1.0 - td) + row0[di + 1] * td
         high = row1[di] * (1.0 - td) + row1[di + 1] * td
         return low * (1.0 - tf) + high * tf
@@ -347,7 +354,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     bs_db, rx_db = -g_bs, -g_rx
     bs_gain, rx_gain = ("bs_height_gain", bs_db), ("rx_height_gain", rx_db)
     freq = link.frequency_mhz
-    wavelength = link.wavelength_m
+    wavelength, four_pi = link.wavelength_m, 4.0 * math.pi
     amu_at = area = None
 
     def point(distance_m):
@@ -364,7 +371,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         amu = amu_at(dist)
         if area is None:
             area = ("area_gain", -garea_lookup(curves, f, environment))
-        free_space = 20.0 * _log10_positive(4.0 * math.pi * distance_m / wavelength,
+        free_space = 20.0 * _log10_positive(four_pi * distance_m / wavelength,
                                             "4*pi*d/lambda")
         return free_space, amu, warnings
 

@@ -95,6 +95,11 @@ class Environment(Enum):
     RURAL = "rural"
 
 
+# The members the binders test for, as plain module names: on CPython 3.11
+# reading a member off its class runs a Python-level descriptor, about ten
+# times the cost of reading a global
+_URBAN, _AS_PRINTED = Environment.URBAN, FidelityMode.AS_PRINTED
+
 # SUI terrain per environment: urban is terrain A (densest), suburban B and
 # rural C (flattest).  Each row is (a, b per m, c in m) of the exponent
 # gamma = a - b*h_b + c/h_b, the slope of X_h = slope*log10(h_r/2000) and the
@@ -289,9 +294,11 @@ def _check_finite(instance):
     was: the range checks must see the value the terms compute with."""
     fields, converted = vars(instance), False
     for name, value in fields.items():
+        if type(value) is float and math.isfinite(value):
+            continue
         try:
             if math.isfinite(value):
-                if type(value) is not float and not isinstance(value, int):
+                if not isinstance(value, int):
                     fields[name], converted = float(value), True
                 continue
         except OverflowError:
@@ -387,9 +394,9 @@ def cost231_hata(link: RadioLink, environment: Environment,
     of 1.56*log f) as printed.
     """
     freq, h_r = link.frequency_mhz, link.rx_height_m
-    if environment is Environment.URBAN:
+    if environment is _URBAN:
         rx_correction = 3.2 * _log10(11.75 * h_r) ** 2 - 4.97
-    elif mode is FidelityMode.AS_PRINTED:
+    elif mode is _AS_PRINTED:
         rx_correction = 1.1 * _log10(freq) - 0.7 * h_r - (1.58 * freq - 0.8)
     else:
         lf = _log10(freq)
@@ -407,7 +414,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
         ("rx_correction", -_finite(rx_correction, "receiver correction a(h_r)")),
     )
     slope = 44.9 - 6.55 * _log10(link.bs_height_m)
-    area = ("environment", 3.0 if environment is Environment.URBAN else 0.0)
+    area = ("environment", 3.0 if environment is _URBAN else 0.0)
     head_db, area_db = _fold(head), area[1]
 
     def point(distance_m):
@@ -489,7 +496,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     rooftop = ("rooftop_to_street", rts)
 
     delta = link.bs_height_m - roof  # BS height relative to the rooftops
-    printed = mode is FidelityMode.AS_PRINTED
+    printed = mode is _AS_PRINTED
     if printed:
         k_f = -4.0 + geometry.metro_factor_k * (link.frequency_mhz / 924.0)
     else:
@@ -608,7 +615,7 @@ def ericsson(link: RadioLink,
     """
     lb = _log10(link.bs_height_m)
     cross = coeffs.a3 * lb
-    if mode is FidelityMode.AS_PRINTED:
+    if mode is _AS_PRINTED:
         offset = 3.2 * _log10(11.75) ** 2
     else:
         offset = 3.2 * _log10(11.75 * link.rx_height_m) ** 2

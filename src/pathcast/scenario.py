@@ -48,6 +48,11 @@ class ModelId(Enum):
     ERICSSON9999 = "ericsson9999"
 
 
+# The members as plain module names for bind's tests; see _URBAN in
+# pathcast.propagation
+_SUI, _OKUMURA, _COST231_HATA, _WALFISCH_IKEGAMI, _ERICSSON9999 = ModelId
+
+
 # The one source of each per-environment default of default_scenario:
 # (orientation_deg, metro_factor_k, shadow_margin_db, wi_los)
 _ENVIRONMENT_DEFAULTS = {
@@ -139,18 +144,18 @@ def bind(model: ModelId, scenario: Scenario,
     makes the last ``math.inf``.
     """
     link = scenario.link
-    if model is ModelId.SUI:
+    if model is _SUI:
         at = sui(link, scenario.environment, scenario.include_sui_shadowing)
-    elif model is ModelId.OKUMURA:
+    elif model is _OKUMURA:
         at = (_curves or _import_curves()).okumura(link, scenario.environment, curves)
-    elif model is ModelId.COST231_HATA:
+    elif model is _COST231_HATA:
         at = cost231_hata(link, scenario.environment, scenario.mode)
-    elif model is ModelId.WALFISCH_IKEGAMI:
+    elif model is _WALFISCH_IKEGAMI:
         if scenario.wi_geometry.los:
             at = wi_los(link)
         else:
             at = wi_nlos(scenario.wi_geometry, link, scenario.mode)
-    elif model is ModelId.ERICSSON9999:
+    elif model is _ERICSSON9999:
         at = ericsson(link, scenario.ericsson, scenario.mode)
     else:
         raise DomainError(f"unknown model {model!r}")
@@ -295,11 +300,12 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     on the piece or where monotonicity alone decides it, is decided by
     comparing distances; only midpoints within a hair of a level are
     evaluated.  The midpoints, the stops and the returned distance are those
-    of plain bisection, float for float.  A closed-form model typically evaluates only d_min and d_max
-    when no branch point lies inside the bracket and d_min is at or beyond
-    ``at.affine_from_m`` (for Walfisch-Ikegami NLOS, past its floor's kink
-    and, below the roofs, from 500 m); Okumura evaluates the grid nodes
-    inside the bracket and a few midpoints off the target's piece.
+    of plain bisection, float for float.  A closed-form model typically
+    evaluates only d_min and d_max when no branch point lies inside the
+    bracket and d_min is at or beyond ``at.affine_from_m`` (for
+    Walfisch-Ikegami NLOS, past its floor's kink and, below the roofs, from
+    500 m); Okumura evaluates the grid nodes inside the bracket and a few
+    midpoints off the target's piece.
     """
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
@@ -308,13 +314,14 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
 
     at = bind(model, scenario, curves)
     loss = at.loss
-    checked = [d_min_m, *(d for d in at.branch_points if d_min_m < d < d_max_m), d_max_m]
+    checked = [d_min_m, *[d for d in at.branch_points if d_min_m < d < d_max_m], d_max_m]
     values = [loss(d) for d in checked]
-    for (d_a, v_a), (d_b, v_b) in zip(zip(checked, values), zip(checked[1:], values[1:])):
-        if v_b < v_a:
+    for i in range(1, len(values)):
+        if values[i] < values[i - 1]:
             raise DomainError(
                 f"loss is not monotone increasing over the bracket: "
-                f"PL({float(d_a):.2f} m) = {v_a:.4f} dB > PL({float(d_b):.2f} m) = {v_b:.4f} dB")
+                f"PL({float(checked[i - 1]):.2f} m) = {values[i - 1]:.4f} dB > "
+                f"PL({float(checked[i]):.2f} m) = {values[i]:.4f} dB")
 
     pl_min, pl_max = values[0], values[-1]
     if not pl_min <= max_loss_db <= pl_max:
@@ -332,10 +339,12 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
 
     below, stop_from, stop_to, above = _chord_regions(checked, values, max_loss_db,
                                                       at.affine_from_m)
-    lo, hi, lo_loss = d_min_m, d_max_m, pl_min
+    lo, hi = d_min_m, d_max_m
+    # only d_min's loss can meet the safety stop: a midpoint's within 1e-6 dB stops the loop
+    near = max_loss_db - pl_min <= _INVERT_TOL_DB
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid < below:  # loss more than 1e-6 dB under the target, as lo_loss is
+        if mid < below:  # loss more than 1e-6 dB under the target
             lo = mid
         elif stop_from < mid < stop_to:  # loss within 1e-6 dB under the target
             lo = mid
@@ -345,13 +354,13 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
         else:
             value = loss(mid)
             if value <= max_loss_db:
-                lo, lo_loss = mid, value
+                lo = mid
                 if max_loss_db - value <= _INVERT_TOL_DB:
                     break
+                near = False
             else:
                 hi = mid
-        # secondary safety stop for degenerate brackets
-        if hi - lo <= _INVERT_TOL_M and max_loss_db - lo_loss <= _INVERT_TOL_DB:
+        if near and hi - lo <= _INVERT_TOL_M:  # secondary safety stop for degenerate brackets
             break
     return lo
 
@@ -374,17 +383,24 @@ def _chord_regions(checked, values, target, affine_from_m):
         return _UNDECIDED
     i = bisect_left(values, target)  # values never decrease; values[0] < target
     a, b, v_a, v_b = checked[i - 1], checked[i], values[i - 1], values[i]
-    if a < affine_from_m or max(-v_a, v_b) > _AFFINE_LIMIT_DB:  # the chord may stray further
-        return _UNDECIDED
+    if a < affine_from_m or -v_a > _AFFINE_LIMIT_DB or v_b > _AFFINE_LIMIT_DB:
+        return _UNDECIDED  # the chord may stray further
     ratio, span = b / a, v_b - v_a  # span >= target - v_a > 0
-
-    def crossing(level):
-        e = (level - v_a) / span  # out of [0, 1] on a nearly flat piece
-        return a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e
-
     stop = target - _INVERT_TOL_DB
     low, high = 1.0 - _CHORD_WIDEN, 1.0 + _CHORD_WIDEN
-    below = crossing(stop - _CHORD_EPS_DB) * low if stop - _CHORD_EPS_DB > v_a else 0.0
-    above = crossing(target + _CHORD_EPS_DB) * high if target + _CHORD_EPS_DB < v_b else math.inf
-    return (below, crossing(stop + _CHORD_EPS_DB) * high,
-            crossing(target - _CHORD_EPS_DB) * low, above)
+    # Each level crosses the chord at a * ratio ** e, e the level's share of
+    # the span; out of [0, 1] on a nearly flat piece, at the piece's end.
+    below, above = 0.0, math.inf
+    level = stop - _CHORD_EPS_DB
+    if level > v_a:
+        e = (level - v_a) / span
+        below = (a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e) * low
+    e = (stop + _CHORD_EPS_DB - v_a) / span
+    stop_from = (a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e) * high
+    e = (target - _CHORD_EPS_DB - v_a) / span
+    stop_to = (a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e) * low
+    level = target + _CHORD_EPS_DB
+    if level < v_b:
+        e = (level - v_a) / span
+        above = (a if e <= 0.0 else b if e >= 1.0 else a * ratio ** e) * high
+    return below, stop_from, stop_to, above

@@ -867,6 +867,16 @@ class TestLogAffinePieces:
     # 2 km from below, and one within 1e-6 dB of the target stops there
     @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
                    10000.0), share=0.34, at_checked_point=True, offset=5e-7)
+    # 5e-7 and 1e-6 dB over the loss at d_min, which alone can meet the
+    # secondary safety stop
+    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+             share=0.0, at_checked_point=True, offset=5e-7)
+    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+             share=0.0, at_checked_point=True, offset=1e-6)
+    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
+                   10000.0), share=0.0, at_checked_point=True, offset=5e-7)
+    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
+                   10000.0), share=0.0, at_checked_point=True, offset=1e-6)
     # distances whose km value is subnormal, which rounds coarsely
     @example(case=(ModelId.ERICSSON9999, False, default_scenario(Environment.URBAN),
                    1.85536e-318, 3.88244992897547e-309), share=0.5, at_checked_point=False,

@@ -734,6 +734,55 @@ class TestInvertCellRange:
             assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, d_min, d_max) == plain
         assert len(seen) == 126  # 24 inversions at 2, three over the kink at 26
 
+    def test_okumura_evaluation_count(self, bundled_curves, monkeypatch):
+        # The at.loss evaluations of a fixed set of Okumura inversions on the
+        # bundled grid, pinned so that neither the bisection loop nor the
+        # A_mu lookup adds one.  Targets inside each bracket and 5e-7 dB
+        # either side of the loss at its first inner grid node
+        inversions = []
+        for env in Environment:
+            for frequency_mhz in (450.0, 1900.0):
+                s = default_scenario(env, frequency_mhz=frequency_mhz)
+                at = scenario_module.bind(ModelId.OKUMURA, s, bundled_curves)
+                for d_min, d_max in ((1000.0, 10000.0), (1500.0, 40000.0), (3000.0, 100000.0)):
+                    node_db = at.loss(next(d for d in at.branch_points if d > d_min))
+                    for target in (*(at.loss(d_min * (d_max / d_min) ** share)
+                                     for share in (0.1, 0.5, 0.9)),
+                                   node_db + 5e-7, node_db - 5e-7):
+                        plain = plain_bisection(at.loss, at.branch_points, target, d_min, d_max)[0]
+                        inversions.append((s, target, d_min, d_max, plain))
+        seen = _record_evaluations(monkeypatch)
+        for s, target, d_min, d_max, plain in inversions:
+            assert invert_cell_range(ModelId.OKUMURA, s, target, d_min, d_max,
+                                     bundled_curves) == plain
+        # 570 at the brackets' ends and the grid nodes inside them, 192 at
+        # midpoints that close in on a node within 1e-6 dB of the target
+        assert len(seen) == 762
+
+    def test_safety_stop_only_on_d_min_loss(self, monkeypatch):
+        # The secondary safety stop needs lo's loss within 1e-6 dB under the
+        # target.  Here the target is 9e-7 dB over PL(d_min), and the loss
+        # dips 2e-7 dB under PL(d_min) up to 5 km, which no model does by
+        # more than rounding, then jumps over the target: the first midpoint
+        # in the dip replaces d_min's loss, so the stop never fires and the
+        # loop runs all its steps up to the last float under 5 km
+        base = 120.0
+
+        def loss(d):
+            return base if d == 1000.0 else base - 2e-7 if d < 5000.0 else base + 1.0
+        bind = scenario_module.bind
+
+        def dipping_bind(*args):
+            at = bind(*args)
+            at.loss, at.branch_points, at.affine_from_m = loss, (), math.inf
+            return at
+        target = base + 9e-7
+        expected, midpoints = plain_bisection(loss, (), target, 1000.0, 10000.0)
+        assert expected == math.nextafter(5000.0, 0.0) and len(midpoints) == 200
+        monkeypatch.setattr(scenario_module, "bind", dipping_bind)
+        assert invert_cell_range(ModelId.SUI, default_scenario(Environment.URBAN), target,
+                                 1000.0, 10000.0) == expected
+
     # d_min + d_max overflows, so the first midpoint is inf; or a later
     # lo + hi does, once lo has climbed past half the largest float
     @pytest.mark.parametrize("d_min, d_max, d_target", [
