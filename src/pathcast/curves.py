@@ -40,8 +40,6 @@ from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance,
                           _finite_total, _log10_positive, _moderate)
 
-_ENVIRONMENTS = {env.value: env for env in Environment}
-
 
 class _ReadOnlyDict(dict):
     """A dict that refuses every change once built, so that a curve table's
@@ -198,13 +196,13 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             if len(fields) != 3:
                 raise CurveParseError(f"line {lineno}: expected freq,environment,gain")
             freq = _parse_floats([fields[0]], lineno)[0]
-            env_name = fields[1]
-            if env_name not in _ENVIRONMENTS:
+            try:
+                env = Environment(fields[1])
+            except ValueError:
                 raise CurveParseError(
-                    f"line {lineno}: unknown environment {env_name!r} "
-                    f"(expected urban, suburban or rural)")
+                    f"line {lineno}: unknown environment {fields[1]!r} "
+                    f"(expected urban, suburban or rural)") from None
             gain = _parse_floats([fields[2]], lineno)[0]
-            env = _ENVIRONMENTS[env_name]
             if env is Environment.URBAN and gain != 0.0:
                 raise CurveParseError(
                     f"line {lineno}: urban area gain must be 0 dB (reference environment)")

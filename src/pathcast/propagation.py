@@ -308,14 +308,16 @@ def _check_finite(instance):
 
 
 def _check_distance(distance_m):
+    """Refuse a distance no model can use; return it in km."""
     try:
         if not math.isfinite(distance_m):
             raise DomainError("distance must be finite")
     except OverflowError:  # an int too large for a float
         raise DomainError("distance must be finite") from None
-    if not distance_m / 1000.0 > 0.0:  # a subnormal distance underflows to 0 km
+    if not (d_km := distance_m / 1000.0) > 0.0:  # a subnormal distance underflows to 0 km
         raise DomainError("distance must be positive" if distance_m <= 0
                           else f"distance {float(distance_m):g} m underflows to 0 km")
+    return d_km
 
 
 def _finite(value, what):
@@ -418,8 +420,7 @@ def cost231_hata(link: RadioLink, environment: Environment,
     head_db, area_db = _fold(head), area[1]
 
     def point(distance_m):
-        _check_distance(distance_m)
-        return slope * _log10(distance_m / 1000.0)
+        return slope * _log10(_check_distance(distance_m))
     affine_from_m = 1.0 if _moderate(*[value for _, value in head], slope) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
@@ -441,8 +442,7 @@ def wi_los(link: RadioLink):
     frequency_db = frequency[1]
 
     def point(distance_m):
-        _check_distance(distance_m)
-        return 26.0 * _log10(distance_m / 1000.0)
+        return 26.0 * _log10(_check_distance(distance_m))
     affine_from_m = 1.0  # 20*log10(f) stays within 6,200 dB for any link: always moderate
 
     def at(distance_m: float) -> PathLossResult:
@@ -503,15 +503,15 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         k_f = -4.0 + geometry.metro_factor_k * (link.frequency_mhz / 925.0 - 1.0)
     k_f_term = k_f * _log10(link.frequency_mhz)
     separation_term = 9.0 * _log10(geometry.building_separation_m)
-    # Each branch binds multiscreen(d_km) -> (L_MSD, garbled-branch warnings)
+    # Each branch binds multiscreen(d_km, log10(d_km)) -> (L_MSD, garbled-branch warnings)
     # and its branch points in metres.  From far_m on, L_MSD is the sum of
     # the constant far_terms and far_k_d*log d, with far_k_d >= 18.
     if delta > 0:
         base = -18.0 * _log10(1.0 + delta) + 54.0  # L_BSH + k_A
         far_k_d = 18.0 + 15.0 * delta / roof if printed else 18.0
 
-        def multiscreen(d_km):
-            return base + far_k_d * _log10(d_km) + k_f_term - separation_term, ()
+        def multiscreen(d_km, log_d):
+            return base + far_k_d * log_d + k_f_term - separation_term, ()
         branch_points = ()  # far_k_d > 0: affine and increasing in log d
         far_m, far_terms = 0.0, (base, k_f_term, -separation_term)
     else:
@@ -520,7 +520,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         if printed:
             # The printed branch sets only cover (d < 0.5 km) for L_BSH and
             # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
-            def multiscreen(d_km):
+            def multiscreen(d_km, log_d):
                 warnings = ()
                 if d_km < 0.5:
                     l_bsh = 54.0 + scaled_delta * 2.0 * d_km
@@ -540,7 +540,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
                         "multiscreen range offset below rooftop at d <= 0.5 km",
                         "garbled branch: corrected definition substituted for the "
                         "multiscreen distance slope below rooftop at d <= 0.5 km")
-                return (l_bsh + k_a + k_d * _log10(d_km) + k_f_term - separation_term,
+                return (l_bsh + k_a + k_d * log_d + k_f_term - separation_term,
                         warnings)
             # Three pieces, d_km < 0.5 (L_BSH + k_A is a flat 108 dB), == 0.5
             # (about 54 dB lower) and > 0.5 (k_A and k_D constant), each
@@ -552,20 +552,20 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         else:
             k_a_far = 54.0 - scaled_delta
 
-            def multiscreen(d_km):
+            def multiscreen(d_km, log_d):
                 # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
                 k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
-                return k_a + k_d_below * _log10(d_km) + k_f_term - separation_term, ()
+                return k_a + k_d_below * log_d + k_f_term - separation_term, ()
             branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
             far_m, far_k_d, far_terms = 500.0, k_d_below, (k_a_far, k_f_term, -separation_term)
 
     def point(distance_m):
         """Free space, L_MSD with its warnings, and the floor (None unless it fires)."""
-        _check_distance(distance_m)
-        d_km = distance_m / 1000.0
-        msd, warnings = multiscreen(d_km)
+        d_km = _check_distance(distance_m)
+        log_d = _log10(d_km)
+        msd, warnings = multiscreen(d_km, log_d)
         diffraction = rts + msd
-        return (32.45 + 20.0 * _log10(d_km) + frequency_term, msd, warnings,
+        return (32.45 + 20.0 * log_d + frequency_term, msd, warnings,
                 -diffraction if diffraction < 0.0 else None)
     # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is.  On
     # L_MSD's far piece (k_A is linear in d below 500 m under the roofs),
@@ -626,8 +626,7 @@ def ericsson(link: RadioLink,
     head_db, a1, bs_db = 0.0 + coeffs.a0, coeffs.a1, bs_height[1]
 
     def point(distance_m):
-        _check_distance(distance_m)
-        ld = _log10(distance_m / 1000.0)
+        ld = _log10(_check_distance(distance_m))
         return a1 * ld, cross * ld
     affine_from_m = 1.0 if _moderate(head_db, a1, bs_db, cross, rx_db, gain_db) else math.inf
 

@@ -18,6 +18,7 @@ from enum import Enum
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
+import pathcast  # bind reads pathcast.curves, which the package imports on first access
 from .errors import BoundsError, DomainError, PathcastError
 from .propagation import (
     Environment,
@@ -62,8 +63,6 @@ _ENVIRONMENT_DEFAULTS = {
 }
 # The match tolerance of the reference comparison (pathcast.reference)
 DEFAULT_TOLERANCE_DB = 0.5
-
-_curves = None  # pathcast.curves, which only the Okumura model reads; see _import_curves
 
 
 @dataclass(frozen=True, init=False)
@@ -147,7 +146,7 @@ def bind(model: ModelId, scenario: Scenario,
     if model is _SUI:
         at = sui(link, scenario.environment, scenario.include_sui_shadowing)
     elif model is _OKUMURA:
-        at = (_curves or _import_curves()).okumura(link, scenario.environment, curves)
+        at = pathcast.curves.okumura(link, scenario.environment, curves)
     elif model is _COST231_HATA:
         at = cost231_hata(link, scenario.environment, scenario.mode)
     elif model is _WALFISCH_IKEGAMI:
@@ -179,16 +178,6 @@ def bind(model: ModelId, scenario: Scenario,
     at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
     at_with_margin.affine_from_m = at.affine_from_m if _moderate(margin_db) else math.inf
     return at_with_margin
-
-
-def _import_curves():
-    """Import :mod:`pathcast.curves` on the first Okumura binding.  ``bind``
-    keeps the module, not its binder, so each binding looks ``okumura`` up
-    on it and a replaced binder is the one bound."""
-    global _curves
-    from . import curves
-    _curves = curves
-    return curves
 
 
 def evaluate(model: ModelId, scenario: Scenario,
