@@ -38,7 +38,7 @@ from typing import IO, Union
 
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance,
-                          _finite_total, _log10_positive, _moderate)
+                          _check_environment, _finite_total, _log10_positive, _moderate)
 
 
 class _ReadOnlyDict(dict):
@@ -63,9 +63,11 @@ class CurveTable:
     """Sampled A_mu(f,d) surface plus per-environment area-gain rows.
 
     Built directly, it checks what :func:`load_curves` checks, without line
-    numbers: every number finite, at least 2 nodes on each A_mu axis, a
-    rectangular grid, axes that log interpolation can use, and a 0 dB area
-    gain wherever urban, the reference environment, has one.  ``garea``
+    numbers: every area-gain key an :class:`Environment` and every row a
+    (frequency, gain) pair, every number finite (an int past the float range
+    shows as inf), at least 2 nodes on each A_mu axis, a rectangular grid,
+    axes that log interpolation can use, and a 0 dB area gain wherever
+    urban, the reference environment, has one.  ``garea``
     is a read-only copy of the mapping it was built with: a change raises
     ``TypeError``.
     """
@@ -78,9 +80,21 @@ class CurveTable:
 
     def __post_init__(self):
         object.__setattr__(self, "garea", _ReadOnlyDict(self.garea))
+        for env, rows in self.garea.items():
+            _check_environment(env, CurveParseError)
+            for row in rows:
+                try:
+                    _, _ = row
+                except (TypeError, ValueError):  # not two items
+                    raise CurveParseError(f"area-gain row {row!r} is not a "
+                                          f"(frequency, gain) pair") from None
         for value in (*self.freq_mhz, *self.dist_km, *(v for row in self.amu_db for v in row),
                       *(v for rows in self.garea.values() for row in rows for v in row)):
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                value, finite = math.inf if value > 0 else -math.inf, False
+            if not finite:
                 raise CurveParseError(f"non-finite value {value!r}")
         for axis, what in ((self.dist_km, "distance"), (self.freq_mhz, "frequency")):
             if len(axis) < 2:
@@ -168,6 +182,8 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
             body = line[1:].strip()
             if body.lower().startswith("source:"):
                 source_tag = body[len("source:"):].strip()
+                if not source_tag:
+                    raise CurveParseError(f"line {lineno}: empty '# source:' provenance tag")
             continue
         fields = [f.strip() for f in line.split(",")]
         if fields[0] == "AMU":
@@ -210,7 +226,7 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
         else:
             raise CurveParseError(f"line {lineno}: data before the AMU header")
 
-    if section is None:
+    if not dist_km:
         raise CurveParseError("line 1: missing AMU header")
     if len(freq_mhz) < 2:
         raise CurveParseError("at least 2 frequency samples required")
@@ -322,6 +338,7 @@ def garea_lookup(table: CurveTable, frequency_mhz: float,
                  environment: Environment) -> float:
     """Area gain, linear in log f along the environment's rows, as the table
     held them when it was built."""
+    _check_environment(environment)
     freqs, logs, gains = table._gain_axes.get(environment, ((), (), ()))
     if not freqs:
         raise CurveLookupError(
@@ -345,6 +362,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     the area gain is looked up at the first point whose A_mu lookup
     succeeds.  So a point reports the same error as a fresh evaluation.
     """
+    _check_environment(environment)
     if curves is None:
         raise DomainError("curve table required for the okumura model")
     g_bs = 20.0 * _log10_positive(link.bs_height_m / 200.0, "h_b/200")

@@ -20,7 +20,8 @@ does not depend on distance once, and returns
 ``at(distance_m) -> PathLossResult``.  :class:`RadioLink` and
 :class:`WiGeometry` check every input range when they are built, so a binder
 checks only what valid inputs can still overflow to inf or underflow to 0,
-plus the rooftop term's roof-above-receiver condition, which spans the two.
+plus the rooftop term's roof-above-receiver condition, which spans the two,
+and that each :class:`Environment` or :class:`FidelityMode` argument is a member.
 ``at`` ignores ``link.distance_m``; it labels the values of the binder's one
 distance step and builds the :class:`PathLossResult` in the model's component
 order, joining those values to component tuples that the binder has built
@@ -95,10 +96,11 @@ class Environment(Enum):
     RURAL = "rural"
 
 
-# The members the binders test for, as plain module names: on CPython 3.11
+# The members as plain module names for the binders' tests: on CPython 3.11
 # reading a member off its class runs a Python-level descriptor, about ten
 # times the cost of reading a global
-_URBAN, _AS_PRINTED = Environment.URBAN, FidelityMode.AS_PRINTED
+_URBAN, _SUBURBAN, _RURAL = Environment
+_CORRECTED, _AS_PRINTED = FidelityMode
 
 # SUI terrain per environment: urban is terrain A (densest), suburban B and
 # rural C (flattest).  Each row is (a, b per m, c in m) of the exponent
@@ -320,6 +322,20 @@ def _check_distance(distance_m):
     return d_km
 
 
+def _check_environment(environment, error=DomainError):
+    """Refuse anything but an :class:`Environment` member, such as the string
+    ``'urban'``.  Identity tests, not a set or dict lookup: on CPython 3.11
+    hashing a member runs a Python-level ``__hash__``."""
+    if environment is not _URBAN and environment is not _SUBURBAN and environment is not _RURAL:
+        raise error(f"unknown environment {environment!r}")
+
+
+def _check_mode(mode):
+    """Refuse anything but a :class:`FidelityMode` member, such as ``'as_printed'``."""
+    if mode is not _CORRECTED and mode is not _AS_PRINTED:
+        raise DomainError(f"unknown mode {mode!r}")
+
+
 def _finite(value, what):
     """Return ``value`` unless extreme inputs overflowed it to +-inf."""
     if not math.isfinite(value):
@@ -345,6 +361,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     and S = 0.65*(log f)^2 - 1.3*log f + alpha is the closed-form shadowing
     term, deterministic by design.
     """
+    _check_environment(environment)
     d0 = link.sui_reference_distance_m
     a, b, c, height_slope, alpha = _SUI_TERRAIN[environment]
     h_b, freq = link.bs_height_m, link.frequency_mhz
@@ -395,6 +412,8 @@ def cost231_hata(link: RadioLink, environment: Environment,
     mode; the misprinted variant (0.7 multiplying h_r alone, 1.58*f in place
     of 1.56*log f) as printed.
     """
+    _check_environment(environment)
+    _check_mode(mode)
     freq, h_r = link.frequency_mhz, link.rx_height_m
     if environment is _URBAN:
         rx_correction = 3.2 * _log10(11.75 * h_r) ** 2 - 4.97
@@ -479,6 +498,7 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
     - 9*log s_b, d in km.  A negative diffraction sum is clamped to the
     free-space floor and reported as a warning.
     """
+    _check_mode(mode)
     frequency_term = 20.0 * _log10(link.frequency_mhz)
     roof = geometry.roof_height_m
     drop = roof - link.rx_height_m
@@ -613,6 +633,7 @@ def ericsson(link: RadioLink,
     printed; corrected mode restores the receiver height inside the log,
     3.2*(log10(11.75*h_r))^2.
     """
+    _check_mode(mode)
     lb = _log10(link.bs_height_m)
     cross = coeffs.a3 * lb
     if mode is _AS_PRINTED:

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, PathcastError
-from .propagation import Environment, FidelityMode
+from .propagation import Environment, FidelityMode, _check_mode
 from .scenario import DEFAULT_TOLERANCE_DB, ModelId, default_scenario, evaluate
 
 if TYPE_CHECKING:
@@ -85,6 +85,7 @@ def compare_against_reference(reference, tolerance_db: float = DEFAULT_TOLERANCE
     """
     if not 0.0 < tolerance_db < math.inf:
         raise DomainError("tolerance must be positive and finite")
+    _check_mode(mode)
     entries = []
     for row in reference:
         anomaly = row.rural_db > row.urban_db

@@ -28,6 +28,8 @@ from .propagation import (
     RadioLink,
     WiGeometry,
     _AFFINE_LIMIT_DB,
+    _check_environment,
+    _check_mode,
     _finite_total,
     _moderate,
     cost231_hata,
@@ -114,10 +116,9 @@ def default_scenario(environment: Environment,
     Unset per-environment fields take the environment's row of
     ``_ENVIRONMENT_DEFAULTS``.
     """
-    try:
-        orientation, metro_k, margin, los = _ENVIRONMENT_DEFAULTS[environment]
-    except KeyError:
-        raise DomainError(f"unknown environment {environment!r}") from None
+    _check_environment(environment)
+    _check_mode(mode)
+    orientation, metro_k, margin, los = _ENVIRONMENT_DEFAULTS[environment]
     link = RadioLink(frequency_mhz, distance_m, bs_height_m, rx_height_m,
                      sui_reference_distance_m)
     geometry = WiGeometry(street_width_m, building_separation_m, roof_height_m,

@@ -443,13 +443,18 @@ class TestImportFootprint:
         (["pathloss", "--model", "okumura", "--curves", bundled_curves_path()],
          {"pathcast.curves"}),
         (["compare", "--output", "json"], _LAZY_MODULES),
+        # bind is the first importer of pathcast.curves, and refuses the missing table
+        (["pathloss", "--model", "okumura"], {"pathcast.curves"}),
     ])
     def test_command_loads_only_what_it_reads(self, argv, loaded):
         proc = _fresh_python("import sys, pathcast.cli\n"
                              "code = pathcast.cli.main(sys.argv[1:])\n"
                              "print(' '.join(sorted(sys.modules)))\n"
                              "sys.exit(code)", *argv)
-        assert proc.returncode == (2 if argv == ["pathloss"] else 0), proc.stderr
+        failures = {("pathloss",): (2, "required"),
+                    ("pathloss", "--model", "okumura"): (1, "curve table required")}
+        code, message = failures.get(tuple(argv), (0, ""))
+        assert proc.returncode == code and message in proc.stderr, proc.stderr
         modules = set(proc.stdout.splitlines()[-1].split())
         assert {"pathcast.cli", "pathcast.scenario"} <= modules
         assert modules & _LAZY_MODULES == loaded

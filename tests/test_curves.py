@@ -84,6 +84,20 @@ class TestLoad:
                                                   "a table has one distance axis$"):
             load_curves(f"AMU,1,10\n100,1,2\n3000,3,4\n{second}\n# source: x\n")
 
+    def test_area_gains_without_amu_header(self):
+        # before, this was refused as "at least 2 frequency samples required"
+        with pytest.raises(CurveParseError, match="^line 1: missing AMU header$"):
+            load_curves("GAREA,freq_mhz,environment,gain_db\n100,urban,0\n# source: x\n")
+
+    @pytest.mark.parametrize("tag", ["# source:", "#  source:   "])
+    def test_empty_source_tag_names_line(self, tag):
+        # before, the table loaded with source_tag ''
+        bad = VALID.replace("# source: unit-test fixture", tag)
+        line = VALID.splitlines().index("# source: unit-test fixture") + 1
+        with pytest.raises(CurveParseError,
+                           match=f"^line {line}: empty '# source:' provenance tag$"):
+            load_curves(bad)
+
     def test_data_before_amu_header_names_line(self):
         with pytest.raises(CurveParseError, match="^line 1: data before the AMU header$"):
             load_curves("1,2,3\nAMU,1,100\n")
@@ -155,9 +169,15 @@ class TestDirectTable:
         # before, this built, and its urban Okumura results carried area_gain -5.0
         (dict(garea={Environment.URBAN: ((100.0, 5.0), (3000.0, 5.0))}),
          "urban area gain must be 0 dB (reference environment)"),
+        # before, these three raised ValueError, AttributeError and OverflowError
+        (dict(garea={Environment.URBAN: ((100.0, 0.0, 1.0),)}),
+         "area-gain row (100.0, 0.0, 1.0) is not a (frequency, gain) pair"),
+        (dict(garea={"urban": ((100.0, 0.0),)}), "unknown environment 'urban'"),
+        (dict(freq_mhz=(100, 10**400)), "non-finite value inf"),
     ], ids=["frequency-log-equal", "distance-zero", "frequency-inf", "amu-nan", "gain-inf",
             "one-distance", "one-frequency", "ragged-row", "missing-row", "gain-unsorted",
-            "urban-gain-nonzero"])
+            "urban-gain-nonzero", "gain-row-not-a-pair", "gain-key-not-an-environment",
+            "frequency-int-past-float-range"])
     def test_loader_rules_hold(self, changes, message):
         with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
             _direct_table(**changes)

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from pathcast import (
     default_scenario,
     ericsson,
     evaluate,
+    garea_lookup,
     invert_cell_range,
     load_curves,
     load_reference_rows,
@@ -251,6 +253,36 @@ class TestEvaluate:
     def test_unknown_environment_refused(self, defaults):
         with pytest.raises(DomainError, match="^unknown environment 'urban'$"):
             default_scenario("urban", **defaults)
+
+    # Before, the strings gave a silently wrong loss (Hata's "urban" the
+    # suburban 157.25 dB, "as_printed" the corrected formulas), a bare
+    # KeyError (sui), an AttributeError (okumura's first point, garea_lookup,
+    # compare) or a TypeError (an unhashable environment).
+    @pytest.mark.parametrize("call, message", [
+        (lambda link, t: sui(link, "urban"), "unknown environment 'urban'"),
+        (lambda link, t: okumura(link, "urban", t), "unknown environment 'urban'"),
+        (lambda link, t: cost231_hata(link, "urban"), "unknown environment 'urban'"),
+        (lambda link, t: cost231_hata(link, Environment.SUBURBAN, "as_printed"),
+         "unknown mode 'as_printed'"),
+        (lambda link, t: wi_nlos(WiGeometry(), link, "as_printed"), "unknown mode 'as_printed'"),
+        (lambda link, t: ericsson(link, EricssonCoefficients(), "as_printed"),
+         "unknown mode 'as_printed'"),
+        (lambda link, t: garea_lookup(t, 1900.0, "urban"), "unknown environment 'urban'"),
+        (lambda link, t: default_scenario(Environment.URBAN, mode="as_printed"),
+         "unknown mode 'as_printed'"),
+        (lambda link, t: default_scenario(["urban"]), "unknown environment ['urban']"),
+        (lambda link, t: scenario_module.bind(ModelId.SUI, dataclasses.replace(
+            default_scenario(Environment.URBAN), environment="urban")),
+         "unknown environment 'urban'"),
+        (lambda link, t: compare_against_reference((), 0.5, t, "as_printed"),
+         "unknown mode 'as_printed'"),
+    ], ids=["sui", "okumura", "cost231_hata-environment", "cost231_hata-mode", "wi_nlos",
+            "ericsson", "garea_lookup", "default_scenario-mode",
+            "default_scenario-unhashable-environment", "bind", "compare_against_reference"])
+    def test_enum_argument_refuses_a_non_member(self, call, message, bundled_curves):
+        link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(link, bundled_curves)
 
     def test_shadow_margin_only_on_request(self):
         s = default_scenario(Environment.URBAN)
