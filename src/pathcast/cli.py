@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Optional
 from .errors import PathcastError
 from .propagation import Environment, EricssonCoefficients, FidelityMode, PathLossResult
 from .scenario import (DEFAULT_TOLERANCE_DB, _ENVIRONMENT_DEFAULTS, ModelId, Scenario,
-                       _sweep_points, default_scenario, evaluate, invert_cell_range, iter_sweep)
+                       _sweep_totals, default_scenario, evaluate, invert_cell_range,
+                       iter_sweep)
 
 # json, csv, the curve table and the reference comparison are imported by
 # the commands and formats that read them, so that no other command loads them.
@@ -271,17 +272,11 @@ def _model_json(config):
 
 def _series(config, points, buffer):
     """Sweep output, also ``pathloss --output csv`` as a one-point series; each
-    point is formatted as ``points`` yields it, so no result is held.  CSV and
-    table points are ``(distance, total_db)``, JSON ones ``(distance, result)``."""
+    chunk of points is formatted as ``points`` yields it, so no result is
+    held.  CSV and table chunks are ``(distances, totals)`` lists, formatted
+    with one ``%`` template per row; JSON points are ``(distance, result)``."""
     write = buffer.write
-    if config.output == "csv":
-        middle = ",".join(["", config.model.value, config.environment.value,
-                           f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
-                           config.mode.value, ""])
-        write(_SERIES_HEADER)
-        for distance, total in points:
-            write(f"{distance:.2f}{middle}{total:.2f}\n")
-    elif config.output == "json":
+    if config.output == "json":
         import json
         # The envelope's dump, cut where its one-element series goes; each
         # entry, dumped alone and indented to that depth, gives the same
@@ -295,16 +290,24 @@ def _series(config, points, buffer):
             write(separator + entry.replace("\n", "\n    "))
             separator = ",\n    "
         write(tail + "\n")
+        return
+    if config.output == "csv":
+        middle = ",".join(["", config.model.value, config.environment.value,
+                           f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
+                           config.mode.value, ""])
+        write(_SERIES_HEADER)
+        row = ("%.2f" + middle + "%.2f\n").__mod__  # middle holds no "%"
     else:
         write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
-        for distance, total in points:
-            write(f"{distance:>12.2f}  {total:>12.2f}\n")
+        row = "%12.2f  %12.2f\n".__mod__
+    for distances, totals in points:
+        write("".join(map(row, zip(distances, totals))))
 
 
 def _pathloss(config, buffer):
     result = evaluate(config.model, _scenario_from(config), _curves_for(config))
     if config.output == "csv":
-        _series(config, [(config.dist_m, result.total_db)], buffer)
+        _series(config, [([config.dist_m], [result.total_db])], buffer)
     elif config.output == "json":
         import json
         body = dict(_model_json(config), inputs={
@@ -324,9 +327,10 @@ def _pathloss(config, buffer):
 
 
 def _sweep(config, buffer):
-    _series(config, _sweep_points(config.model, _scenario_from(config), config.d_min_m,
-                                  config.d_max_m, config.steps, _curves_for(config),
-                                  config.spacing, totals_only=config.output != "json"), buffer)
+    points = iter_sweep if config.output == "json" else _sweep_totals
+    _series(config, points(config.model, _scenario_from(config), config.d_min_m,
+                           config.d_max_m, config.steps, _curves_for(config),
+                           config.spacing), buffer)
 
 
 def _compare(config, buffer) -> int:

@@ -68,8 +68,8 @@ class CurveTable:
     shows as inf), at least 2 nodes on each A_mu axis, a rectangular grid,
     axes that log interpolation can use, and a 0 dB area gain wherever
     urban, the reference environment, has one.  ``garea``
-    is a read-only copy of the mapping it was built with: a change raises
-    ``TypeError``.
+    is a read-only copy of the mapping it was built with, each environment's
+    rows a tuple of (frequency, gain) tuples: a change raises ``TypeError``.
     """
 
     freq_mhz: tuple[float, ...]
@@ -79,15 +79,19 @@ class CurveTable:
     source_tag: str
 
     def __post_init__(self):
-        object.__setattr__(self, "garea", _ReadOnlyDict(self.garea))
-        for env, rows in self.garea.items():
+        garea = {}
+        for env, rows in dict(self.garea).items():
             _check_environment(env, CurveParseError)
+            pairs = []  # kept, so that rows given as a generator outlive the checks
             for row in rows:
                 try:
-                    _, _ = row
+                    freq, gain = row
                 except (TypeError, ValueError):  # not two items
                     raise CurveParseError(f"area-gain row {row!r} is not a "
                                           f"(frequency, gain) pair") from None
+                pairs.append((freq, gain))
+            garea[env] = tuple(pairs)
+        object.__setattr__(self, "garea", _ReadOnlyDict(garea))
         for value in (*self.freq_mhz, *self.dist_km, *(v for row in self.amu_db for v in row),
                       *(v for rows in self.garea.values() for row in rows for v in row)):
             try:

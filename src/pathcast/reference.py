@@ -16,7 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, PathcastError
-from .propagation import Environment, FidelityMode, _check_mode
+from .propagation import Environment, FidelityMode, _check_environment, _check_mode
 from .scenario import DEFAULT_TOLERANCE_DB, ModelId, default_scenario, evaluate
 
 if TYPE_CHECKING:
@@ -37,6 +37,7 @@ class ReferenceRow:
     rural_db: float
 
     def printed(self, environment: Environment) -> float:
+        _check_environment(environment)
         return getattr(self, f"{environment.value}_db")
 
 

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import pathcast  # bind reads pathcast.curves, which the package imports on first access
@@ -228,21 +228,39 @@ def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
     the scenario itself cannot be bound).  As in any generator, the argument
     checks run when the first point is asked for.
     """
-    return _sweep_points(model, scenario, d_min_m, d_max_m, steps, curves, spacing,
-                         totals_only=False)
-
-
-def _sweep_points(model, scenario, d_min_m, d_max_m, steps, curves, spacing, totals_only):
-    """:func:`iter_sweep`'s loop; with ``totals_only`` each point is
-    ``(distance, at.loss(distance))``, the total without a result."""
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
     distance = d_min_m
     try:
         at = bind(model, scenario, curves)
-        if totals_only:
-            at = at.loss
         for distance in distances:
             yield distance, at(distance)
+    except PathcastError as exc:
+        raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
+
+
+# Points per chunk of _sweep_totals: large enough that the per-chunk cost
+# vanishes, small enough that a chunk's formatted rows stay far below the
+# output they join
+_SWEEP_CHUNK = 4096
+
+
+def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
+    """:func:`iter_sweep`'s points as totals, for CSV and table output:
+    ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, each total
+    ``at.loss`` at its distance, so no result and no per-point tuple is built.
+    A failure names the same distance as :func:`iter_sweep`."""
+    distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
+    distance = d_min_m
+    try:
+        loss = bind(model, scenario, curves).loss
+        while chunk := list(islice(distances, _SWEEP_CHUNK)):
+            try:
+                totals = list(map(loss, chunk))
+            except PathcastError:  # loss is deterministic: rerun to find the point
+                for distance in chunk:
+                    loss(distance)
+                raise
+            yield chunk, totals
     except PathcastError as exc:
         raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
 

@@ -9,7 +9,9 @@ import tracemalloc
 import pytest
 
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
+from pathcast import scenario as scenario_module
 from pathcast.cli import _scenario_from, parse_args, run
+from pathcast.scenario import iter_sweep, sweep_distances
 
 from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
                       invoke_cli)
@@ -426,6 +428,70 @@ class TestRun:
             code, out, err = invoke_cli(argv + ["--output", output])
             assert code == 0, (argv, err)
             assert out
+
+
+def _per_point_rows(model, spacing, steps, curves):
+    """Sweep output for ``model`` in suburban terrain as the CLI wrote it one
+    point at a time: (CSV, table) from iter_sweep's totals and per-row f-strings."""
+    argv = ["sweep", "--model", model, "--env", "suburban", "--spacing", spacing,
+            "--steps", str(steps), "--curves", bundled_curves_path()]
+    config = parse_args(argv)
+    points = [(d, result.total_db) for d, result in iter_sweep(
+        config.model, _scenario_from(config), config.d_min_m, config.d_max_m, steps,
+        curves, spacing)]
+    middle = f",{model},suburban,1900.00,30.00,3.00,corrected,"
+    return argv, (
+        "distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db\n"
+        + "".join(f"{d:.2f}{middle}{t:.2f}\n" for d, t in points),
+        "  distance_m  path_loss_db\n" + "".join(f"{d:>12.2f}  {t:>12.2f}\n" for d, t in points))
+
+
+class TestSweepChunks:
+    """CSV and table sweeps evaluate and format their points a chunk at a
+    time: the bytes on either side of a chunk edge, and the distance an abort
+    names, are those of one point at a time."""
+
+    def _check_edges(self, model, spacing, curves):
+        chunk = scenario_module._SWEEP_CHUNK
+        for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            argv, expected = _per_point_rows(model, spacing, steps, curves)
+            for output, rows in zip(["csv", "table"], expected):
+                code, out, err = invoke_cli(argv + ["--output", output])
+                assert code == 0, err
+                assert out == rows, (steps, output)
+
+    def test_rows_equal_per_point_formatting_at_the_chunk_size(self, bundled_curves):
+        self._check_edges("cost231_hata", "log", bundled_curves)
+
+    # A 16-point chunk puts the same edges in small sweeps of every model
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("model", [m.value for m in ModelId])
+    def test_rows_equal_per_point_formatting(self, model, spacing, bundled_curves,
+                                             monkeypatch):
+        monkeypatch.setattr(scenario_module, "_SWEEP_CHUNK", 16)
+        self._check_edges(model, spacing, bundled_curves)
+
+    @pytest.mark.parametrize("output", ["csv", "table", "json"])
+    def test_failed_binding_names_d_min(self, output, monkeypatch):
+        monkeypatch.delenv("PATHCAST_CURVES", raising=False)
+        code, out, err = invoke_cli(["sweep", "--model", "okumura", "--output", output])
+        assert (code, out) == (1, "")
+        assert err == "error: sweep aborted at 1000.00 m: " \
+                      "curve table required for the okumura model\n"
+
+    @pytest.mark.parametrize("output", ["csv", "table", "json"])
+    def test_abort_past_the_first_chunk_names_its_point(self, output):
+        # 1-150 km in 4,600 log steps leaves the 100 km curve grid in the second chunk
+        distances = list(sweep_distances(1000.0, 150_000.0, 4600))
+        index = next(i for i, d in enumerate(distances) if d > 100_000.0)
+        assert scenario_module._SWEEP_CHUNK < index < 2 * scenario_module._SWEEP_CHUNK - 1
+        d = distances[index]
+        code, out, err = invoke_cli(["sweep", "--model", "okumura", "--curves",
+                                     bundled_curves_path(), "--d-min-m", "1000", "--d-max-m",
+                                     "150000", "--steps", "4600", "--output", output])
+        assert (code, out) == (1, "")
+        assert err == f"error: sweep aborted at {d:.2f} m: " \
+                      f"distance {d / 1000:g} km above grid maximum 100 km\n"
 
 
 _LAZY_MODULES = {"pathcast.curves", "pathcast.reference", "json", "csv", "importlib.resources"}

@@ -182,6 +182,19 @@ class TestDirectTable:
         with pytest.raises(CurveParseError, match=f"^{re.escape(message)}$"):
             _direct_table(**changes)
 
+    def test_generator_area_gain_rows_are_kept(self):
+        # Before, the checks used the generators up, and every lookup raised
+        # "no area-gain rows for environment 'suburban'"
+        bundled = load_default_curves()
+        table = dataclasses.replace(bundled, garea={
+            env: (row for row in rows) for env, rows in bundled.garea.items()})
+        for env in Environment:
+            for frequency in (150.0, 1000.0, 1900.0):
+                assert garea_lookup(table, frequency, env) == garea_lookup(bundled, frequency, env)
+        assert table.garea == bundled.garea
+        assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
+                   for rows in table.garea.values())
+
 
 class TestAmuLookup:
     def test_exact_at_every_node(self):

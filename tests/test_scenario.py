@@ -276,9 +276,13 @@ class TestEvaluate:
          "unknown environment 'urban'"),
         (lambda link, t: compare_against_reference((), 0.5, t, "as_printed"),
          "unknown mode 'as_printed'"),
+        # before, an AttributeError: 'str' object has no attribute 'value'
+        (lambda link, t: load_reference_rows()[0].printed("urban"),
+         "unknown environment 'urban'"),
     ], ids=["sui", "okumura", "cost231_hata-environment", "cost231_hata-mode", "wi_nlos",
             "ericsson", "garea_lookup", "default_scenario-mode",
-            "default_scenario-unhashable-environment", "bind", "compare_against_reference"])
+            "default_scenario-unhashable-environment", "bind", "compare_against_reference",
+            "ReferenceRow.printed"])
     def test_enum_argument_refuses_a_non_member(self, call, message, bundled_curves):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
