@@ -117,6 +117,8 @@ class CurveTable:
                 raise CurveParseError("urban area gain must be 0 dB (reference environment)")
             axes[env] = freqs, _check_log_axis(freqs, f"{env.value} area-gain frequencies"), gains
         object.__setattr__(self, "_gain_axes", axes)
+        # the distance nodes in metres, the Okumura binder's at.branch_points
+        object.__setattr__(self, "_dist_nodes_m", tuple(d_km * 1000.0 for d_km in self.dist_km))
         # every A_mu and area gain, and every A_mu slope in dB per decade of
         # distance, for the Okumura binder's at.affine_from_m
         dist_logs = self._dist_logs
@@ -408,6 +410,6 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     # cell, and constant in d where the distance is clamped to the grid.  The
     # antenna gains stay within 6,500 dB for any link and free space rises
     # 20 dB per decade, so only the table's terms can be too large.
-    at.branch_points = tuple(d_km * 1000.0 for d_km in curves.dist_km)
-    at.affine_from_m, at.loss = 1.0 if curves._moderate_terms else math.inf, loss
+    at.branch_points, at.loss = curves._dist_nodes_m, loss
+    at.affine_from_m = 1.0 if curves._moderate_terms else math.inf
     return at

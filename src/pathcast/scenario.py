@@ -28,7 +28,6 @@ from .propagation import (
     RadioLink,
     WiGeometry,
     _AFFINE_LIMIT_DB,
-    _check_environment,
     _check_mode,
     _finite_total,
     _moderate,
@@ -116,7 +115,8 @@ def default_scenario(environment: Environment,
     Unset per-environment fields take the environment's row of
     ``_ENVIRONMENT_DEFAULTS``.
     """
-    _check_environment(environment)
+    if type(environment) is not Environment:  # see propagation._check_environment
+        raise DomainError(f"unknown environment {environment!r}")
     _check_mode(mode)
     orientation, metro_k, margin, los = _ENVIRONMENT_DEFAULTS[environment]
     link = RadioLink(frequency_mhz, distance_m, bs_height_m, rx_height_m,

@@ -6,6 +6,7 @@ import inspect
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -227,6 +228,126 @@ class TestValueTypes:
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("member", [*Environment, *FidelityMode], ids=str)
+def test_members_keep_their_identity(member):
+    """Members hash by identity, so a copy that were a new object would
+    miss every table keyed by member."""
+    members = list(type(member))
+    copies = [pickle.loads(pickle.dumps(member, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(member), copy.deepcopy(member), type(member)(member.value),
+               type(member)[member.name]]
+    table = {m: i for i, m in enumerate(members)}
+    for duplicate in copies:
+        assert duplicate is member and hash(duplicate) == hash(member)
+        assert table[duplicate] == members.index(member)
+        assert duplicate in set(members) and {member, duplicate} == {member}
+    assert member.value not in table and member.name not in set(members)
+    restored = pickle.loads(pickle.dumps({member: [member]}))
+    assert list(restored) == [member] and restored[member][0] is member
+    assert copy.deepcopy(table) == table and list(copy.deepcopy(table)) == members
+
+
+#: (name, a valid value) of each number field, in order, and the bool field's
+#: valid value (None for RadioLink, which has none)
+_NUMBER_FIELDS = {
+    RadioLink: ((("frequency_mhz", 1900.0), ("distance_m", 5000.0), ("bs_height_m", 30.0),
+                 ("rx_height_m", 3.0), ("sui_reference_distance_m", 100.0)), None),
+    WiGeometry: ((("street_width_m", 25.0), ("building_separation_m", 50.0),
+                  ("roof_height_m", 15.0), ("orientation_deg", 30.0),
+                  ("metro_factor_k", 1.5)), False),
+}
+
+
+def _valid(cls, **changes):
+    numbers, los = _NUMBER_FIELDS[cls]
+    fields = dict(numbers, **({} if los is None else {"los": los}))
+    return {**fields, **changes}
+
+
+class TestConstructorFastPath:
+    """RadioLink and WiGeometry skip the per-field finiteness check for
+    plain finite floats; every other input takes it, and both paths store
+    the same fields and report the same first failure."""
+
+    @pytest.mark.parametrize("cls, changes, stored", [
+        (RadioLink, {}, ((1900.0, float), (5000.0, float), (30.0, float), (3.0, float),
+                         (100.0, float))),
+        (RadioLink, dict(frequency_mhz=Fraction(3801, 2)),
+         ((1900.5, float), (5000.0, float), (30.0, float), (3.0, float), (100.0, float))),
+        (RadioLink, dict(distance_m=5000), ((1900.0, float), (5000, int), (30.0, float),
+                                           (3.0, float), (100.0, float))),
+        (RadioLink, dict(rx_height_m=True), ((1900.0, float), (5000.0, float), (30.0, float),
+                                             (True, bool), (100.0, float))),
+        # finite floats whose sum overflows to inf
+        (RadioLink, dict(distance_m=1e308, bs_height_m=1e308, sui_reference_distance_m=1e308),
+         ((1900.0, float), (1e308, float), (1e308, float), (3.0, float), (1e308, float))),
+        (WiGeometry, {}, ((25.0, float), (50.0, float), (15.0, float), (30.0, float),
+                          (1.5, float), (False, bool))),
+        (WiGeometry, dict(roof_height_m=Fraction(1, 4)),
+         ((25.0, float), (50.0, float), (0.25, float), (30.0, float), (1.5, float),
+          (False, bool))),
+        (WiGeometry, dict(orientation_deg=90), ((25.0, float), (50.0, float), (15.0, float),
+                                                (90, int), (1.5, float), (False, bool))),
+        (WiGeometry, dict(metro_factor_k=True), ((25.0, float), (50.0, float), (15.0, float),
+                                                 (30.0, float), (True, bool), (False, bool))),
+        (WiGeometry, dict(los=1), ((25.0, float), (50.0, float), (15.0, float), (30.0, float),
+                                   (1.5, float), (1, int))),
+        (WiGeometry, dict(street_width_m=1e308, building_separation_m=1e308,
+                          roof_height_m=1e308, metro_factor_k=1e308),
+         ((1e308, float), (1e308, float), (1e308, float), (30.0, float), (1e308, float),
+          (False, bool))),
+    ], ids=["RadioLink-floats", "RadioLink-Fraction", "RadioLink-int", "RadioLink-True",
+            "RadioLink-sum-overflows", "WiGeometry-floats", "WiGeometry-Fraction",
+            "WiGeometry-int", "WiGeometry-True", "WiGeometry-int-los",
+            "WiGeometry-sum-overflows"])
+    def test_stores_the_fields(self, cls, changes, stored):
+        instance = cls(**_valid(cls, **changes))
+        assert [(value, type(value)) for value in vars(instance).values()] == list(stored)
+
+    @pytest.mark.parametrize("cls, changes, message", [
+        *[(cls, {name: bad}, f"{name} must be finite")
+          for cls, (numbers, _) in _NUMBER_FIELDS.items()
+          for name, _ in numbers for bad in (math.nan, math.inf, -math.inf)],
+        (RadioLink, dict(frequency_mhz=math.inf, distance_m=-math.inf),
+         "frequency_mhz must be finite"),
+        (RadioLink, dict(bs_height_m=10**400), "bs_height_m must be finite"),
+        (WiGeometry, dict(orientation_deg=-(10**400)), "orientation_deg must be finite"),
+        (RadioLink, {name: 1e308 for name, _ in _NUMBER_FIELDS[RadioLink][0]},
+         "frequency 1e+308 MHz has no finite, nonzero wavelength"),
+        (WiGeometry, {name: 1e308 for name, _ in _NUMBER_FIELDS[WiGeometry][0]},
+         "street orientation must lie in [0, 90] degrees"),
+        (RadioLink, dict(frequency_mhz=Fraction(-1, 2)), "frequency must be positive"),
+        (WiGeometry, dict(roof_height_m=0), "roof height must be positive"),
+        (WiGeometry, dict(orientation_deg=True, street_width_m=-1.0),
+         "street width and building separation must be positive"),
+    ])
+    def test_first_failure(self, cls, changes, message):
+        with pytest.raises(DomainError) as caught:
+            cls(**_valid(cls, **changes))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("cls, changes", [
+        (RadioLink, dict(frequency_mhz="1900")), (WiGeometry, dict(los=None)),
+        (WiGeometry, dict(los="yes"))])
+    def test_a_value_that_is_no_number_is_a_type_error(self, cls, changes):
+        with pytest.raises(TypeError, match="must be real number"):
+            cls(**_valid(cls, **changes))
+
+
+class _Impostor:
+    """Equal to every member, and hashed like ``Environment.URBAN``."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash(Environment.URBAN)
+
+    def __repr__(self):
+        return "<impostor>"
+
+
 class TestEvaluate:
     def test_wi_rural_is_los(self):
         s = default_scenario(Environment.RURAL)
@@ -279,10 +400,16 @@ class TestEvaluate:
         # before, an AttributeError: 'str' object has no attribute 'value'
         (lambda link, t: load_reference_rows()[0].printed("urban"),
          "unknown environment 'urban'"),
+        # a table lookup alone raises TypeError for the list, and takes the
+        # impostor for Environment.URBAN
+        (lambda link, t: sui(link, ["urban"]), "unknown environment ['urban']"),
+        (lambda link, t: sui(link, _Impostor()), "unknown environment <impostor>"),
+        (lambda link, t: default_scenario(_Impostor()), "unknown environment <impostor>"),
     ], ids=["sui", "okumura", "cost231_hata-environment", "cost231_hata-mode", "wi_nlos",
             "ericsson", "garea_lookup", "default_scenario-mode",
             "default_scenario-unhashable-environment", "bind", "compare_against_reference",
-            "ReferenceRow.printed"])
+            "ReferenceRow.printed", "sui-unhashable-environment", "sui-impostor",
+            "default_scenario-impostor"])
     def test_enum_argument_refuses_a_non_member(self, call, message, bundled_curves):
         link = RadioLink(1900.0, 5000.0, 30.0, 3.0)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
