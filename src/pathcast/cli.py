@@ -274,7 +274,7 @@ def _series(config, points, buffer):
     """Sweep output, also ``pathloss --output csv`` as a one-point series; each
     chunk of points is formatted as ``points`` yields it, so no result is
     held.  CSV and table chunks are ``(distances, totals)`` lists, formatted
-    with one ``%`` template per row; JSON points are ``(distance, result)``."""
+    with one ``%`` per chunk; JSON points are ``(distance, result)``."""
     write = buffer.write
     if config.output == "json":
         import json
@@ -296,12 +296,14 @@ def _series(config, points, buffer):
                            f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
                            config.mode.value, ""])
         write(_SERIES_HEADER)
-        row = ("%.2f" + middle + "%.2f\n").__mod__  # middle holds no "%"
+        row = "%.2f" + middle + "%.2f\n"  # middle holds no "%"
     else:
         write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
-        row = "%12.2f  %12.2f\n".__mod__
+        row = "%12.2f  %12.2f\n"
     for distances, totals in points:
-        write("".join(map(row, zip(distances, totals))))
+        values = distances + totals  # the right length, then interleaved
+        values[::2], values[1::2] = distances, totals
+        write(row * len(distances) % tuple(values))
 
 
 def _pathloss(config, buffer):

@@ -43,8 +43,14 @@ the distance and returns the values of the distance-dependent components.
 ``at`` labels them; ``loss`` adds them to 0.0 and the constant terms one ``+``
 at a time in component order, never with sum(), which compensates floats
 from Python 3.12 on, and leaves out what ``at`` leaves out: Walfisch-Ikegami
-NLOS adds its floor only where it fires.  Cell-range inversion and the CLI's
-CSV and table sweep rows read the number there.
+NLOS adds its floor only where it fires.  Cell-range inversion reads it.
+
+``at.losses(distances) -> list[float]`` is ``[at.loss(d) for d in distances]``,
+bit for bit, or the first failing point's error: one pass adds up each total
+as ``loss`` does, and a pass that raises, gives a non-finite sum() (as any
+non-finite total makes it) or meets a point ``loss`` refuses but the pass
+would not (SUI's d <= d0, a distance whose km underflows) sends the whole
+list through ``at.loss`` in turn (:func:`_losses`).  CSV and table sweeps read it.
 
 ``at.branch_points`` is a sorted tuple of the distances (m) where the model's
 formula switches pieces, empty for a formula with one piece.  Between branch
@@ -285,6 +291,21 @@ def _finite_total(total):
     return total
 
 
+def _losses(loss, distances, totals):
+    """Every ``at.losses(distances)``: ``totals()``, the totals in one pass by
+    the expression ``loss`` adds up, where that raises nothing, gives a list
+    and the list's sum() is finite, as it is only if every total is; else
+    ``loss`` at each distance in turn.  ``totals`` gives None where a point
+    that ``loss`` refuses could still give a finite total."""
+    try:
+        checked = totals()
+        if checked is not None and math.isfinite(sum(checked)):
+            return checked
+    except Exception:  # whatever it is, the run point by point raises loss's error
+        pass
+    return list(map(loss, distances))
+
+
 # The size of term up to which a log-affine loss rounds within 1e-10 dB of
 # its chord; see ``at.affine_from_m`` above.
 _AFFINE_LIMIT_DB = 1e4
@@ -405,6 +426,10 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         total = head_db + point(distance_m) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
     at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
+    at.losses = lambda distances: _losses(loss, distances, lambda: [  # min() checks as point does
+        total if shadowing is None else total + shadowing for d in distances
+        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)]
+        if (low := min(distances)) > d0 and low / 1000.0 > 0.0 else None)
     return at
 
 
@@ -459,6 +484,8 @@ def cost231_hata(link: RadioLink, environment: Environment,
     def loss(distance_m: float) -> float:
         return _finite_total(head_db + point(distance_m) + area_db)
     at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
+        head_db + slope * _log10(d / 1000.0) + area_db for d in distances])
     return at
 
 
@@ -481,6 +508,8 @@ def wi_los(link: RadioLink):
     def loss(distance_m: float) -> float:
         return _finite_total(0.0 + 42.64 + point(distance_m) + frequency_db)
     at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
+        0.0 + 42.64 + 26.0 * _log10(d / 1000.0) + frequency_db for d in distances])
     return at
 
 
@@ -627,6 +656,11 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         total = 0.0 + free_space + rts + msd
         return _finite_total(total if floor is None else total + floor)
     at.branch_points, at.affine_from_m, at.loss = branch_points, affine_from_m, loss
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
+        total + -diffraction if diffraction < 0.0 else total
+        for d in distances for d_km in (d / 1000.0,) for log_d in (_log10(d_km),)
+        for msd in (multiscreen(d_km, log_d)[0],) for diffraction in (rts + msd,)
+        for total in (0.0 + (32.45 + 20.0 * log_d + frequency_term) + rts + msd,)])
     return at
 
 
@@ -671,4 +705,7 @@ def ericsson(link: RadioLink,
         distance, bs_cross = point(distance_m)
         return _finite_total(head_db + distance + bs_db + bs_cross + rx_db + gain_db)
     at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
+        head_db + a1 * ld + bs_db + cross * ld + rx_db + gain_db
+        for d in distances for ld in (_log10(d / 1000.0),)])
     return at

@@ -30,6 +30,7 @@ from .propagation import (
     _AFFINE_LIMIT_DB,
     _check_mode,
     _finite_total,
+    _losses,
     _moderate,
     cost231_hata,
     ericsson,
@@ -138,10 +139,10 @@ def bind(model: ModelId, scenario: Scenario,
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
     geometry's LOS flag.  The scenario's shadow margin is appended as a
     ``shadow_margin`` component, a label no binder emits, only when
-    apply_shadow_margin is set; its ``loss`` adds the margin to the model's.
-    The evaluator carries the model's ``loss``, ``branch_points`` and
-    ``affine_from_m`` (see :mod:`pathcast.propagation`); a margin over 1e4 dB
-    makes the last ``math.inf``.
+    apply_shadow_margin is set; its ``loss`` and ``losses`` add the margin to
+    the model's.  The evaluator carries the model's ``loss``, ``losses``,
+    ``branch_points`` and ``affine_from_m`` (see :mod:`pathcast.propagation`);
+    a margin over 1e4 dB makes the last ``math.inf``.
     """
     link = scenario.link
     if model is _SUI:
@@ -177,6 +178,8 @@ def bind(model: ModelId, scenario: Scenario,
             total = math.inf
         return _finite_total(total)
     at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
+    at_with_margin.losses = lambda distances: _losses(loss, distances, lambda: [
+        total + margin_db for total in at.losses(distances)])
     at_with_margin.affine_from_m = at.affine_from_m if _moderate(margin_db) else math.inf
     return at_with_margin
 
@@ -246,19 +249,19 @@ _SWEEP_CHUNK = 4096
 
 def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
     """:func:`iter_sweep`'s points as totals, for CSV and table output:
-    ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, each total
-    ``at.loss`` at its distance, so no result and no per-point tuple is built.
+    ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, the totals
+    ``at.losses`` of the chunk, so no result and no per-point tuple is built.
     A failure names the same distance as :func:`iter_sweep`."""
     distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
     distance = d_min_m
     try:
-        loss = bind(model, scenario, curves).loss
+        at = bind(model, scenario, curves)
         while chunk := list(islice(distances, _SWEEP_CHUNK)):
             try:
-                totals = list(map(loss, chunk))
+                totals = at.losses(chunk)
             except PathcastError:  # loss is deterministic: rerun to find the point
                 for distance in chunk:
-                    loss(distance)
+                    at.loss(distance)
                 raise
             yield chunk, totals
     except PathcastError as exc:
@@ -370,6 +373,11 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
                 hi = mid
         if near and hi - lo <= _INVERT_TOL_M:  # secondary safety stop for degenerate brackets
             break
+    else:  # only a bracket too wide for 200 halvings leaves a float between lo and hi
+        if lo < 0.5 * (lo + hi) < hi:
+            raise DomainError(
+                f"bracket [{float(d_min_m):g}, {float(d_max_m):g}] m too wide: 200 bisection "
+                f"steps left [{float(lo):g}, {float(hi):g}] m unresolved")
     return lo
 
 

@@ -75,7 +75,8 @@ def plain_bisection(loss, branch_points, max_loss_db, d_min_m, d_max_m):
     midpoint: ``invert_cell_range``'s checks, messages and stops, as they
     were before it decided log-affine pieces by comparison.  Returns the
     distance and the midpoints in the order they were taken, or raises what
-    ``invert_cell_range`` raises."""
+    ``invert_cell_range`` raises, the refusal of a bracket that 200 halvings
+    cannot resolve included."""
     from pathcast import BoundsError, DomainError
     if not d_min_m < d_max_m:
         raise DomainError("bracket requires d_min < d_max")
@@ -110,4 +111,8 @@ def plain_bisection(loss, branch_points, max_loss_db, d_min_m, d_max_m):
             hi = mid
         if hi - lo <= 1e-3 and max_loss_db - lo_loss <= 1e-6:
             break
+    else:
+        if lo < 0.5 * (lo + hi) < hi:
+            raise DomainError(f"bracket [{d_min_m:g}, {d_max_m:g}] m too wide: 200 bisection "
+                              f"steps left [{lo:g}, {hi:g}] m unresolved")
     return lo, midpoints

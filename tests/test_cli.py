@@ -393,6 +393,13 @@ class TestRun:
         assert code == 0
         assert out == "5000.00 m\n"
 
+    def test_cell_range_bracket_too_wide_to_resolve_exits_1(self):
+        code, out, err = invoke_cli(["cell-range", "--model", "sui", "--max-loss-db", "150",
+                                     "--d-min-m", "200", "--d-max-m", "1e308"])
+        assert (code, out) == (1, "")
+        assert err == "error: bracket [200, 1e+308] m too wide: 200 bisection steps left " \
+                      "[200, 6.22302e+247] m unresolved\n"
+
     def test_json_breakdown_sums_to_total(self):
         code, out, _ = invoke_cli(["pathloss", "--model", "ericsson9999",
                                    "--output", "json"])

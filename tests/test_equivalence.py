@@ -186,6 +186,25 @@ def test_digest_unchanged(name, computed):
         f"--diff <parent revision>` prints the first case that differs")
 
 
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda model: model.value)
+def test_losses_give_the_hashed_losses(model):
+    """Every grid case through ``at.losses``: one distance at a time, the
+    ``at.loss`` outcome the digest hashes, and in one list, every total
+    that ``at.loss`` gives."""
+    curves = load_default_curves()
+    for key, kwargs, env in _scenarios(model):
+        try:
+            at = bind(model, default_scenario(env, **kwargs), curves)
+        except Exception:  # the digest hashes the failed binding
+            continue
+        hashed = [_outcome(at.loss, d) for d in DISTANCES_M]
+        assert [_outcome(lambda d: at.losses([d])[0], d) for d in DISTANCES_M] == hashed, key
+        totals = [(d, outcome) for d, outcome in zip(DISTANCES_M, hashed)
+                  if outcome.startswith(("0x", "-0x"))]  # a float's hex, not an error
+        assert [total.hex() for total in at.losses([d for d, _ in totals])] == \
+            [outcome for _, outcome in totals], key
+
+
 def test_digests_cover_every_model():
     assert set(json.loads(GOLDEN.read_text("utf-8"))) == {*(m.value for m in ModelId), INVERSION}
 

@@ -43,6 +43,8 @@ from pathcast import (
     wi_los,
     wi_nlos,
 )
+from pathcast import curves as curves_module
+from pathcast import propagation
 from pathcast import scenario as scenario_module
 from pathcast.cli import _COMMANDS, _FIELDS, _REQUIRED, _command_fields
 
@@ -708,6 +710,95 @@ class TestFiniteOrPathcastError:
                     shadow_margin_db=0.0 if margin is None else margin,
                     apply_shadow_margin=margin is not None,
                     include_sui_shadowing=sui_shadowing), curves))
+
+
+def _losses_or_error(at, distances):
+    """The hex of each float ``at.losses(distances)`` returns, or the type
+    and message of what it raises."""
+    try:
+        return [total.hex() for total in at.losses(distances)]
+    except Exception as exc:  # whatever it is, the first failing at.loss must raise it
+        return type(exc), str(exc)
+
+
+def _loss_list_or_error(at, distances):
+    """``[at.loss(d) for d in distances]`` as :func:`_losses_or_error` gives it."""
+    totals = []
+    for d in distances:
+        outcome = _loss_or_error(at.loss, d)
+        if isinstance(outcome, tuple):
+            return outcome
+        totals.append(outcome)
+    return totals
+
+
+def _batch_binders(curves):
+    """:func:`_loss_binders`, then margins it leaves out (-2e4 dB, 3e14 dB and
+    an int past the float range) and a SUI d0 so small that a distance past
+    it can underflow to 0 km."""
+    yield from _loss_binders(curves)
+    for (shown, margin), model in itertools.product(
+            (("-2e4", -2e4), ("3e14", 3e14), ("10**400", 10**400)), ModelId):
+        scenario = default_scenario(Environment.SUBURBAN, shadow_margin_db=margin,
+                                    apply_shadow_margin=True)
+        yield f"bind {model.value} margin={shown}", partial(bind, model, scenario, curves)
+    yield "sui d0=5e-324", partial(sui, RadioLink(1900.0, 5000.0, 30.0, 3.0, 5e-324),
+                                   Environment.URBAN)
+
+
+class TestLossesIsTheLossList:
+    """``at.losses(ds)`` is ``[at.loss(d) for d in ds]`` bit for bit, or raises
+    what the first failing ``at.loss`` raises.  It guards each list, not each
+    point: a point its one-pass expression would pass must still send the
+    list point by point, and on Python 3.12 and later sum(), which the guard
+    reads, compensates, so it must still see a non-finite total."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(distances=st.lists(
+        st.sampled_from((*_LOSS_DISTANCES, *_EDGE_FRACTIONS, 10**400, 1e-322, 7))
+        | st.floats(1.0, 200_000.0), max_size=8))
+    @example(distances=[math.nan, -math.inf, math.inf])
+    @example(distances=[3210.5, math.inf, 2500.0, -math.inf, math.nan])
+    @example(distances=[])
+    # Points only the guards catch: at SUI's d0, and a km that underflows
+    # where Okumura clamps it to the grid or d0 is smaller still (where d0
+    # is 5e-324, d / d0 overflows from 1e-16 m on)
+    @example(distances=[3210.5, 100.0])
+    @example(distances=[3210.5, 5e-324])
+    @example(distances=[1e-322, 1e-300])
+    def test_every_binder(self, bundled_curves, distances):
+        for name, make in _batch_binders(bundled_curves):
+            # a fresh binding, Okumura's lookups still unbound; then the same
+            # binding again, bound wherever the first list bound them
+            at, reference = make(), make()
+            for batch in (distances, distances[::-1]):
+                assert _losses_or_error(at, batch) == \
+                    _loss_list_or_error(reference, batch), (name, batch)
+
+    def test_ordinary_list_takes_one_pass(self, bundled_curves, monkeypatch):
+        """Totals that are all finite and far from overflow in a sum come from
+        the one-pass expression, not from the point-by-point fallback."""
+        passes, losses = [], propagation._losses
+
+        def recorded(loss, distances, totals):
+            def kept():  # the margin's list, built on the model's, ends last
+                passes.append(totals())
+                return passes[-1]
+            return losses(loss, distances, kept)
+        for module in (propagation, curves_module, scenario_module):
+            monkeypatch.setattr(module, "_losses", recorded)
+        distances = [1000.0 * 1.01 ** i for i in range(300)]  # 1-19.6 km
+        one_pass = 0
+        for name, make in _batch_binders(bundled_curves):
+            expected = _loss_list_or_error(make(), distances)
+            if isinstance(expected, tuple) or not all(
+                    abs(float.fromhex(total)) < 1e300 for total in expected):
+                continue
+            passes.clear()
+            assert _losses_or_error(make(), distances) == expected, name
+            assert [total.hex() for total in passes[-1]] == expected, name
+            one_pass += 1
+        assert one_pass == 488
 
 
 def _curve_table(dist_km, amu_db):

@@ -686,6 +686,41 @@ class TestInvertCellRange:
         assert last - 1000.0 <= 1e-3 < before_last - 1000.0
         assert invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, 1000.0, 10000.0) == plain
 
+    def test_widest_bracket_that_resolves(self):
+        assert invert_cell_range(ModelId.SUI, default_scenario(Environment.URBAN), 150.0,
+                                 200.0, 1e20) == 471.36131487751226
+
+    @pytest.mark.parametrize("d_max_m, unresolved", [
+        (1e60, "[471.323, 471.946]"), (1e62, "[448.921, 511.151]"),
+        (1e100, "[200, 6.22302e+39]"), (1e308, "[200, 6.22302e+247]")])
+    def test_bracket_too_wide_to_resolve_is_refused(self, d_max_m, unresolved):
+        # 200 halvings leave a float between lo and hi; lo was returned: 471.3235 m
+        # (1.7e-3 dB under the target), 448.92 m (1.0 dB) and twice 200 m (17.85 dB)
+        s = default_scenario(Environment.URBAN)
+        message = (f"bracket [200, {d_max_m:g}] m too wide: 200 bisection steps left "
+                   f"{unresolved} m unresolved")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            invert_cell_range(ModelId.SUI, s, 150.0, 200.0, d_max_m)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            plain_bisection(scenario_module.bind(ModelId.SUI, s).loss, (), 150.0, 200.0,
+                            d_max_m)
+
+    def test_step_between_adjacent_floats_still_returns_lo(self):
+        # A_mu rises 50 dB between adjacent floats in km, so no distance lies
+        # within 1e-6 dB of a target inside the step: 200 halvings end with lo
+        # and hi adjacent, and lo is returned as before
+        past_step_km = math.nextafter(1.0, 2.0)
+        table = load_curves(
+            f"AMU,0.5,1,{past_step_km!r},100\n100,0,0,50,50\n3000,0,0,50,50\n\n"
+            "GAREA,freq_mhz,environment,gain_db\n100,urban,0\n3000,urban,0\n# source: step\n")
+        s = default_scenario(Environment.URBAN)
+        at = scenario_module.bind(ModelId.OKUMURA, s, table)
+        target = at.loss(1000.0) + 25.0
+        plain, midpoints = plain_bisection(at.loss, at.branch_points, target, 600.0, 50_000.0)
+        assert len(midpoints) == 200
+        assert at.loss(plain) < target < at.loss(math.nextafter(plain, math.inf))
+        assert invert_cell_range(ModelId.OKUMURA, s, target, 600.0, 50_000.0, table) == plain
+
     def test_non_monotone_detected(self):
         # a very tall SUI mast drives the distance exponent negative
         s = default_scenario(Environment.URBAN, bs_height_m=800.0)
