@@ -408,18 +408,15 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         free_space, amu, _ = point(distance_m)
         return _finite_total(0.0 + free_space + amu + bs_db + rx_db + area[1])
 
-    def losses(distances):
-        if area is None and distances:  # bind the lookups at the first point
-            loss(distances[0])
-        return _losses(loss, distances, lambda: [  # clamped, only min() sees km underflow
-            0.0 + 20.0 * _log10(four_pi * d / wavelength)
-            + amu_at(clamp_to_grid(curves, freq, d)[1] if clamp else d)
-            + bs_db + rx_db + area[1] for d in distances]
-            if not clamp or min(distances) / 1000.0 > 0.0 else None)
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid
     # cell, and constant in d where the distance is clamped to the grid.  The
     # antenna gains stay within 6,500 dB for any link and free space rises
     # 20 dB per decade, so only the table's terms can be too large.
-    at.branch_points, at.loss, at.losses = curves._dist_nodes_m, loss, losses
+    at.branch_points, at.loss = curves._dist_nodes_m, loss
     at.affine_from_m = 1.0 if curves._moderate_terms else math.inf
+    # _losses' loss at the smallest distance binds amu_at and area before the pass
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
+        0.0 + 20.0 * _log10(four_pi * d / wavelength)
+        + amu_at(clamp_to_grid(curves, freq, d)[1] if clamp else d)
+        + bs_db + rx_db + area[1] for d in distances])
     return at

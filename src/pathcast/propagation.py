@@ -47,10 +47,9 @@ NLOS adds its floor only where it fires.  Cell-range inversion reads it.
 
 ``at.losses(distances) -> list[float]`` is ``[at.loss(d) for d in distances]``,
 bit for bit, or the first failing point's error: one pass adds up each total
-as ``loss`` does, and a pass that raises, gives a non-finite sum() (as any
-non-finite total makes it) or meets a point ``loss`` refuses but the pass
-would not (SUI's d <= d0, a distance whose km underflows) sends the whole
-list through ``at.loss`` in turn (:func:`_losses`).  CSV and table sweeps read it.
+as ``loss`` does, and :func:`_losses` keeps it only if ``loss`` takes the
+smallest distance, the pass raises nothing and its sum() is finite; else the
+whole list goes through ``at.loss`` in turn.  CSV and table sweeps read it.
 
 ``at.branch_points`` is a sorted tuple of the distances (m) where the model's
 formula switches pieces, empty for a formula with one piece.  Between branch
@@ -293,13 +292,14 @@ def _finite_total(total):
 
 def _losses(loss, distances, totals):
     """Every ``at.losses(distances)``: ``totals()``, the totals in one pass by
-    the expression ``loss`` adds up, where that raises nothing, gives a list
-    and the list's sum() is finite, as it is only if every total is; else
-    ``loss`` at each distance in turn.  ``totals`` gives None where a point
-    that ``loss`` refuses could still give a finite total."""
+    the expression ``loss`` adds up, where ``loss`` takes the smallest distance,
+    the pass raises nothing and its sum() is finite, as it is only if every
+    total is; else ``loss`` at each distance in turn.  A point ``loss`` refuses
+    but the pass would not lies below a bound on distance, as the smallest does."""
     try:
+        loss(min(distances))
         checked = totals()
-        if checked is not None and math.isfinite(sum(checked)):
+        if math.isfinite(sum(checked)):
             return checked
     except Exception:  # whatever it is, the run point by point raises loss's error
         pass
@@ -426,10 +426,9 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         total = head_db + point(distance_m) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
     at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [  # min() checks as point does
+    at.losses = lambda distances: _losses(loss, distances, lambda: [
         total if shadowing is None else total + shadowing for d in distances
-        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)]
-        if (low := min(distances)) > d0 and low / 1000.0 > 0.0 else None)
+        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)])
     return at
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 
@@ -453,6 +454,14 @@ def _per_point_rows(model, spacing, steps, curves):
         "  distance_m  path_loss_db\n" + "".join(f"{d:>12.2f}  {t:>12.2f}\n" for d, t in points))
 
 
+def _first_difference(out, expected):
+    """The first line, numbered from 1, where two unequal outputs differ."""
+    pairs = zip_longest(out.splitlines(keepends=True), expected.splitlines(keepends=True))
+    for number, (got, want) in enumerate(pairs, 1):
+        if got != want:
+            return f"line {number} is {got!r}, expected {want!r}"
+
+
 class TestSweepChunks:
     """CSV and table sweeps evaluate and format their points a chunk at a
     time: the bytes on either side of a chunk edge, and the distance an abort
@@ -465,7 +474,8 @@ class TestSweepChunks:
             for output, rows in zip(["csv", "table"], expected):
                 code, out, err = invoke_cli(argv + ["--output", output])
                 assert code == 0, err
-                assert out == rows, (steps, output)
+                if out != rows:  # not assert ==: pytest diffs 0.5 MB strings for minutes
+                    pytest.fail(f"{steps} steps, {output}: {_first_difference(out, rows)}")
 
     def test_rows_equal_per_point_formatting_at_the_chunk_size(self, bundled_curves):
         self._check_edges("cost231_hata", "log", bundled_curves)

@@ -760,12 +760,17 @@ class TestLossesIsTheLossList:
     @example(distances=[math.nan, -math.inf, math.inf])
     @example(distances=[3210.5, math.inf, 2500.0, -math.inf, math.nan])
     @example(distances=[])
-    # Points only the guards catch: at SUI's d0, and a km that underflows
-    # where Okumura clamps it to the grid or d0 is smaller still (where d0
-    # is 5e-324, d / d0 overflows from 1e-16 m on)
+    # Points only the guard's loss(min(distances)) catches: at SUI's d0, and
+    # a km that underflows where Okumura clamps it to the grid or d0 is
+    # smaller still (where d0 is 5e-324, d / d0 overflows from 1e-16 m on)
     @example(distances=[3210.5, 100.0])
     @example(distances=[3210.5, 5e-324])
     @example(distances=[1e-322, 1e-300])
+    # The smallest distance mid-list; a first point off Okumura's 1-100 km
+    # grid whose smallest is on it, so a fresh binding's guard binds the
+    # lookups and its pass must still raise what at.loss raises
+    @example(distances=[5000.0, 100.0, 150_000.0])
+    @example(distances=[150_000.0, 5000.0])
     def test_every_binder(self, bundled_curves, distances):
         for name, make in _batch_binders(bundled_curves):
             # a fresh binding, Okumura's lookups still unbound; then the same
