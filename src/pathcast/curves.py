@@ -39,7 +39,7 @@ from typing import IO, Union
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance,
                           _check_environment, _finite_total, _log10, _log10_positive,
-                          _losses, _moderate)
+                          _evaluator, _moderate)
 
 
 class _ReadOnlyDict(dict):
@@ -412,11 +412,9 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     # cell, and constant in d where the distance is clamped to the grid.  The
     # antenna gains stay within 6,500 dB for any link and free space rises
     # 20 dB per decade, so only the table's terms can be too large.
-    at.branch_points, at.loss = curves._dist_nodes_m, loss
-    at.affine_from_m = 1.0 if curves._moderate_terms else math.inf
-    # _losses' loss at the smallest distance binds amu_at and area before the pass
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
+    # _evaluator's loss at the smallest distance binds amu_at and area before the pass
+    return _evaluator(at, loss, lambda distances: [
         0.0 + 20.0 * _log10(four_pi * d / wavelength)
         + amu_at(clamp_to_grid(curves, freq, d)[1] if clamp else d)
-        + bs_db + rx_db + area[1] for d in distances])
-    return at
+        + bs_db + rx_db + area[1] for d in distances],
+        curves._dist_nodes_m, 1.0 if curves._moderate_terms else math.inf)

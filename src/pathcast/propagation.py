@@ -36,45 +36,10 @@ precompute a whole left-associated sub-expression (``10.0 * gamma`` out of
 ``10.0 * gamma * log10(r)``, ``20.0 * log10(f)`` as the last addend of a sum)
 but never regroup or reorder terms.
 
-``at.loss(distance_m) -> float`` is ``at(distance_m).total_db`` without the
-result: the same float bit for bit, or the same error where ``at`` raises.
-Each binder has one distance step, a local ``point(distance_m)`` that checks
-the distance and returns the values of the distance-dependent components.
-``at`` labels them; ``loss`` adds them to 0.0 and the constant terms one ``+``
-at a time in component order, never with sum(), which compensates floats
-from Python 3.12 on, and leaves out what ``at`` leaves out: Walfisch-Ikegami
-NLOS adds its floor only where it fires.  Cell-range inversion reads it.
-
-``at.losses(distances) -> list[float]`` is ``[at.loss(d) for d in distances]``,
-bit for bit, or the first failing point's error: one pass adds up each total
-as ``loss`` does, and :func:`_losses` keeps it only if ``loss`` takes the
-smallest distance, the pass raises nothing and its sum() is finite; else the
-whole list goes through ``at.loss`` in turn.  CSV and table sweeps read it.
-
-``at.branch_points`` is a sorted tuple of the distances (m) where the model's
-formula switches pieces, empty for a formula with one piece.  Between branch
-points every model is affine in log d or a sum of terms that never decrease
-with d, so losses ordered at the ends of a bracket and at each branch point
-inside it prove the loss monotone over the bracket.
-
-``at.affine_from_m`` is the distance (m) from which the first of those
-holds on every piece, the stretch between two neighbouring branch points or
-beyond the outermost one, closely enough for cell-range inversion to decide
-points on a piece that lies wholly at or beyond it from its chord.  On such
-a piece, where the loss stays within +-1e4 dB, ``at.loss`` lies within
-1e-10 dB of the chord, in log d, through its values at any two other
-distances of the piece.  That holds from 1 m on, while every constant term,
-and every slope in dB per decade of distance, is at most 1e4 dB in size
-(:func:`_moderate`).  SUI, COST-231 Hata, Walfisch-Ikegami LOS, Ericsson
-and Okumura (at its one bound frequency, clamped or not) declare 1.0.
-Walfisch-Ikegami NLOS declares where its multi-screen term is
-``c + k_d*log d`` (everywhere above the roofs; below them k_A is linear in
-d under 500 m, so from 500 m, or as printed from the first distance past
-the branches there) and its free-space floor has stopped firing: the
-diffraction sum rises through 0 at one distance, the floor's kink, which
-is not a branch point.  A binder whose terms break the size limit declares
-``math.inf``, as does the shadow-margin wrapper for a margin over 1e4 dB,
-and no piece of it is decided by its chord.
+Every binder returns ``at`` through :func:`_evaluator`, which attaches the
+members the rest of the package reads, ``at.loss``, ``at.losses``,
+``at.branch_points`` and ``at.affine_from_m``; its docstring states what each
+one promises.
 """
 
 from __future__ import annotations
@@ -110,8 +75,7 @@ class Environment(Enum):
 # The members as plain module names for the binders' tests: on CPython 3.11
 # reading a member off its class runs a Python-level descriptor, about ten
 # times the cost of reading a global
-_URBAN, _SUBURBAN, _RURAL = Environment
-_CORRECTED, _AS_PRINTED = FidelityMode
+_URBAN, _AS_PRINTED = Environment.URBAN, FidelityMode.AS_PRINTED
 
 # SUI terrain per environment: urban is terrain A (densest), suburban B and
 # rural C (flattest).  Each row is (a, b per m, c in m) of the exponent
@@ -290,24 +254,71 @@ def _finite_total(total):
     return total
 
 
-def _losses(loss, distances, totals):
-    """Every ``at.losses(distances)``: ``totals()``, the totals in one pass by
-    the expression ``loss`` adds up, where ``loss`` takes the smallest distance,
-    the pass raises nothing and its sum() is finite, as it is only if every
-    total is; else ``loss`` at each distance in turn.  A point ``loss`` refuses
-    but the pass would not lies below a bound on distance, as the smallest does."""
-    try:
-        loss(min(distances))
-        checked = totals()
-        if math.isfinite(sum(checked)):
-            return checked
-    except Exception:  # whatever it is, the run point by point raises loss's error
-        pass
-    return list(map(loss, distances))
+def _evaluator(at, loss, totals, branch_points=(), affine_from_m=1.0):
+    """Attach the evaluator contract to a binder's ``at`` and return it.
+
+    ``at.loss(distance_m) -> float`` is ``loss``, ``at(distance_m).total_db``
+    without the result: the same float bit for bit, or the same error where
+    ``at`` raises.  Each binder has one distance step, a local
+    ``point(distance_m)`` that checks the distance and returns the values of
+    the distance-dependent components.  ``at`` labels them; ``loss`` adds them
+    to 0.0 and the constant terms one ``+`` at a time in component order,
+    never with sum(), which compensates floats from Python 3.12 on, and leaves
+    out what ``at`` leaves out: Walfisch-Ikegami NLOS adds its floor only where
+    it fires.  Cell-range inversion reads it.
+
+    ``at.losses(distances) -> list[float]`` is ``[at.loss(d) for d in
+    distances]``, bit for bit, or the first failing point's error; it reads
+    any iterable once.  ``totals(distances)`` adds up each total in one pass
+    by the expression ``loss`` adds up, and is kept only if ``loss`` takes the
+    smallest distance, the pass raises nothing and its sum() is finite, as it
+    is only if every total is; else the whole list goes through ``loss`` in
+    turn.  A point ``loss`` refuses but the pass would not lies below a bound
+    on distance, as the smallest does.  CSV and table sweeps read it.
+
+    ``at.branch_points`` is a sorted tuple of the distances (m) where the
+    model's formula switches pieces, empty for a formula with one piece.
+    Between branch points every model is affine in log d or a sum of terms
+    that never decrease with d, so losses ordered at the ends of a bracket and
+    at each branch point inside it prove the loss monotone over the bracket.
+
+    ``at.affine_from_m`` is the distance (m) from which the first of those
+    holds on every piece, the stretch between two neighbouring branch points
+    or beyond the outermost one, closely enough for cell-range inversion to
+    decide points on a piece that lies wholly at or beyond it from its chord.
+    On such a piece, where the loss stays within +-1e4 dB, ``at.loss`` lies
+    within 1e-10 dB of the chord, in log d, through its values at any two
+    other distances of the piece.  That holds from 1 m on, while every
+    constant term, and every slope in dB per decade of distance, is at most
+    1e4 dB in size (:func:`_moderate`).  SUI, COST-231 Hata, Walfisch-Ikegami
+    LOS, Ericsson and Okumura (at its one bound frequency, clamped or not)
+    declare 1.0.  Walfisch-Ikegami NLOS declares where its multi-screen term
+    is ``c + k_d*log d`` (everywhere above the roofs; below them k_A is linear
+    in d under 500 m, so from 500 m, or as printed from the first distance
+    past the branches there) and its free-space floor has stopped firing: the
+    diffraction sum rises through 0 at one distance, the floor's kink, which
+    is not a branch point.  A binder whose terms break the size limit declares
+    ``math.inf``, as does the shadow-margin wrapper of
+    :func:`pathcast.scenario.bind` for a margin over 1e4 dB, and no piece of
+    it is decided by its chord.
+    """
+    def losses(distances):
+        distances = list(distances)  # an iterator would be used up by min()
+        try:
+            loss(min(distances))
+            checked = totals(distances)
+            if math.isfinite(sum(checked)):
+                return checked
+        except Exception:  # whatever it is, the run point by point raises loss's error
+            pass
+        return list(map(loss, distances))
+    at.loss, at.losses = loss, losses
+    at.branch_points, at.affine_from_m = branch_points, affine_from_m
+    return at
 
 
 # The size of term up to which a log-affine loss rounds within 1e-10 dB of
-# its chord; see ``at.affine_from_m`` above.
+# its chord; see ``at.affine_from_m`` in :func:`_evaluator`.
 _AFFINE_LIMIT_DB = 1e4
 
 
@@ -354,17 +365,16 @@ def _check_distance(distance_m):
 
 def _check_environment(environment, error=DomainError):
     """Refuse anything but an :class:`Environment` member, such as the string
-    ``'urban'``.  Identity tests, not a set or dict lookup, which would also
-    take an object that compares equal to a member and hashes like it.  Where
-    a table keyed by member follows, a type test stands in front of the
-    lookup instead (:func:`sui`, :func:`pathcast.scenario.default_scenario`)."""
-    if environment is not _URBAN and environment is not _SUBURBAN and environment is not _RURAL:
+    ``'urban'``.  A type test, not a set or dict lookup, which would also take
+    an object that compares equal to a member and hashes like it; an enum with
+    members has no subclasses, so only a member passes."""
+    if type(environment) is not Environment:
         raise error(f"unknown environment {environment!r}")
 
 
 def _check_mode(mode):
     """Refuse anything but a :class:`FidelityMode` member, such as ``'as_printed'``."""
-    if mode is not _CORRECTED and mode is not _AS_PRINTED:
+    if type(mode) is not FidelityMode:
         raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -417,7 +427,6 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
             raise DomainError(
                 f"distance {float(distance_m):g} m is below reference distance {d0:g} m")
         return slope * _log10(distance_m / d0)
-    affine_from_m = 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         return PathLossResult((free_space_ref, ("distance", point(distance_m))) + tail)
@@ -425,11 +434,10 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     def loss(distance_m: float) -> float:
         total = head_db + point(distance_m) + x_f + x_h
         return _finite_total(total if shadowing is None else total + shadowing)
-    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
+    return _evaluator(at, loss, lambda distances: [
         total if shadowing is None else total + shadowing for d in distances
-        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)])
-    return at
+        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)],
+        (), 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -475,17 +483,15 @@ def cost231_hata(link: RadioLink, environment: Environment,
 
     def point(distance_m):
         return slope * _log10(_check_distance(distance_m))
-    affine_from_m = 1.0 if _moderate(46.3, frequency_db, bs_db, rx_db, slope) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         return PathLossResult(head + (("distance", point(distance_m)), area), warnings)
 
     def loss(distance_m: float) -> float:
         return _finite_total(head_db + point(distance_m) + area_db)
-    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
-        head_db + slope * _log10(d / 1000.0) + area_db for d in distances])
-    return at
+    return _evaluator(at, loss, lambda distances: [
+        head_db + slope * _log10(d / 1000.0) + area_db for d in distances],
+        (), 1.0 if _moderate(46.3, frequency_db, bs_db, rx_db, slope) else math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -499,17 +505,15 @@ def wi_los(link: RadioLink):
 
     def point(distance_m):
         return 26.0 * _log10(_check_distance(distance_m))
-    affine_from_m = 1.0  # 20*log10(f) stays within 6,200 dB for any link: always moderate
 
     def at(distance_m: float) -> PathLossResult:
         return PathLossResult((("constant", 42.64), ("distance", point(distance_m)), frequency))
 
     def loss(distance_m: float) -> float:
         return _finite_total(0.0 + 42.64 + point(distance_m) + frequency_db)
-    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
+    # affine_from_m is 1.0: 20*log10(f) stays within 6,200 dB for any link, always moderate
+    return _evaluator(at, loss, lambda distances: [
         0.0 + 42.64 + 26.0 * _log10(d / 1000.0) + frequency_db for d in distances])
-    return at
 
 
 def _height_warning(geometry: WiGeometry, link: RadioLink):
@@ -654,13 +658,12 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         free_space, msd, _, floor = point(distance_m)
         total = 0.0 + free_space + rts + msd
         return _finite_total(total if floor is None else total + floor)
-    at.branch_points, at.affine_from_m, at.loss = branch_points, affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
+    return _evaluator(at, loss, lambda distances: [
         total + -diffraction if diffraction < 0.0 else total
         for d in distances for d_km in (d / 1000.0,) for log_d in (_log10(d_km),)
         for msd in (multiscreen(d_km, log_d)[0],) for diffraction in (rts + msd,)
-        for total in (0.0 + (32.45 + 20.0 * log_d + frequency_term) + rts + msd,)])
-    return at
+        for total in (0.0 + (32.45 + 20.0 * log_d + frequency_term) + rts + msd,)],
+        branch_points, affine_from_m)
 
 
 # --------------------------------------------------------------------------
@@ -693,7 +696,6 @@ def ericsson(link: RadioLink,
     def point(distance_m):
         ld = _log10(_check_distance(distance_m))
         return a1 * ld, cross * ld
-    affine_from_m = 1.0 if _moderate(head_db, a1, bs_db, cross, rx_db, gain_db) else math.inf
 
     def at(distance_m: float) -> PathLossResult:
         distance, bs_cross = point(distance_m)
@@ -703,8 +705,7 @@ def ericsson(link: RadioLink,
     def loss(distance_m: float) -> float:
         distance, bs_cross = point(distance_m)
         return _finite_total(head_db + distance + bs_db + bs_cross + rx_db + gain_db)
-    at.branch_points, at.affine_from_m, at.loss = (), affine_from_m, loss
-    at.losses = lambda distances: _losses(loss, distances, lambda: [
+    return _evaluator(at, loss, lambda distances: [
         head_db + a1 * ld + bs_db + cross * ld + rx_db + gain_db
-        for d in distances for ld in (_log10(d / 1000.0),)])
-    return at
+        for d in distances for ld in (_log10(d / 1000.0),)],
+        (), 1.0 if _moderate(head_db, a1, bs_db, cross, rx_db, gain_db) else math.inf)

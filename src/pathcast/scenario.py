@@ -29,8 +29,8 @@ from .propagation import (
     WiGeometry,
     _AFFINE_LIMIT_DB,
     _check_mode,
+    _evaluator,
     _finite_total,
-    _losses,
     _moderate,
     cost231_hata,
     ericsson,
@@ -140,9 +140,10 @@ def bind(model: ModelId, scenario: Scenario,
     geometry's LOS flag.  The scenario's shadow margin is appended as a
     ``shadow_margin`` component, a label no binder emits, only when
     apply_shadow_margin is set; its ``loss`` and ``losses`` add the margin to
-    the model's.  The evaluator carries the model's ``loss``, ``losses``,
-    ``branch_points`` and ``affine_from_m`` (see :mod:`pathcast.propagation`);
-    a margin over 1e4 dB makes the last ``math.inf``.
+    the model's.  The evaluator carries the contract of
+    :func:`pathcast.propagation._evaluator`, with the model's
+    ``branch_points`` and ``affine_from_m``; a margin over 1e4 dB makes the
+    last ``math.inf``.
     """
     link = scenario.link
     if model is _SUI:
@@ -177,11 +178,9 @@ def bind(model: ModelId, scenario: Scenario,
         except OverflowError:  # an int margin too large for a float
             total = math.inf
         return _finite_total(total)
-    at_with_margin.branch_points, at_with_margin.loss = at.branch_points, loss
-    at_with_margin.losses = lambda distances: _losses(loss, distances, lambda: [
-        total + margin_db for total in at.losses(distances)])
-    at_with_margin.affine_from_m = at.affine_from_m if _moderate(margin_db) else math.inf
-    return at_with_margin
+    return _evaluator(at_with_margin, loss, lambda distances: [
+        total + margin_db for total in at.losses(distances)],
+        at.branch_points, at.affine_from_m if _moderate(margin_db) else math.inf)
 
 
 def evaluate(model: ModelId, scenario: Scenario,

@@ -782,28 +782,42 @@ class TestLossesIsTheLossList:
 
     def test_ordinary_list_takes_one_pass(self, bundled_curves, monkeypatch):
         """Totals that are all finite and far from overflow in a sum come from
-        the one-pass expression, not from the point-by-point fallback."""
-        passes, losses = [], propagation._losses
+        the one-pass expression, not from the point-by-point fallback; every
+        other list still gives what ``at.loss`` gives point by point."""
+        passes, evaluator = [], propagation._evaluator
 
-        def recorded(loss, distances, totals):
-            def kept():  # the margin's list, built on the model's, ends last
-                passes.append(totals())
+        def recorded(at, loss, totals, *args, **kwargs):
+            def kept(distances):  # the margin's list, built on the model's, ends last
+                passes.append(totals(distances))
                 return passes[-1]
-            return losses(loss, distances, kept)
+            return evaluator(at, loss, kept, *args, **kwargs)
         for module in (propagation, curves_module, scenario_module):
-            monkeypatch.setattr(module, "_losses", recorded)
+            monkeypatch.setattr(module, "_evaluator", recorded)
         distances = [1000.0 * 1.01 ** i for i in range(300)]  # 1-19.6 km
         one_pass = 0
         for name, make in _batch_binders(bundled_curves):
+            # an inf total past the smallest distance, which only the pass's sum() refuses
+            ending = [*distances, math.inf]
+            assert _losses_or_error(make(), ending) == \
+                _loss_list_or_error(make(), ending), name
             expected = _loss_list_or_error(make(), distances)
+            passes.clear()
+            assert _losses_or_error(make(), distances) == expected, name
             if isinstance(expected, tuple) or not all(
                     abs(float.fromhex(total)) < 1e300 for total in expected):
                 continue
-            passes.clear()
-            assert _losses_or_error(make(), distances) == expected, name
-            assert [total.hex() for total in passes[-1]] == expected, name
+            assert passes and [total.hex() for total in passes[-1]] == expected, name
             one_pass += 1
         assert one_pass == 488
+
+    @pytest.mark.parametrize("once", [iter, lambda ds: (d for d in ds)],
+                             ids=["iterator", "generator"])
+    def test_any_iterable_is_read_once(self, bundled_curves, once):
+        """An iterator or a generator gives what the list of its distances gives."""
+        distances = [5000.0, 6000.0, 2500.0]
+        for name, make in _batch_binders(bundled_curves):
+            assert _losses_or_error(make(), once(distances)) == \
+                _loss_list_or_error(make(), distances), name
 
 
 def _curve_table(dist_km, amu_db):
