@@ -412,7 +412,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     # cell, and constant in d where the distance is clamped to the grid.  The
     # antenna gains stay within 6,500 dB for any link and free space rises
     # 20 dB per decade, so only the table's terms can be too large.
-    # _evaluator's loss at the smallest distance binds amu_at and area before the pass
+    # the loss that _evaluator runs before the pass binds amu_at and area; see its docstring
     return _evaluator(at, loss, lambda distances: [
         0.0 + 20.0 * _log10(four_pi * d / wavelength)
         + amu_at(clamp_to_grid(curves, freq, d)[1] if clamp else d)

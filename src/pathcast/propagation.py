@@ -269,12 +269,14 @@ def _evaluator(at, loss, totals, branch_points=(), affine_from_m=1.0):
 
     ``at.losses(distances) -> list[float]`` is ``[at.loss(d) for d in
     distances]``, bit for bit, or the first failing point's error; it reads
-    any iterable once.  ``totals(distances)`` adds up each total in one pass
-    by the expression ``loss`` adds up, and is kept only if ``loss`` takes the
-    smallest distance, the pass raises nothing and its sum() is finite, as it
-    is only if every total is; else the whole list goes through ``loss`` in
-    turn.  A point ``loss`` refuses but the pass would not lies below a bound
-    on distance, as the smallest does.  CSV and table sweeps read it.
+    any iterable once.  ``totals(distances)``, also ``at._totals``, adds up
+    each total in one pass by the expression ``loss`` adds up, after ``loss``
+    takes the smallest distance, so it may rely on what ``loss`` binds.  It is
+    kept if neither raises and its sum() is finite, as it is only if every
+    total is; else the list goes through ``loss`` in turn.  A point ``loss``
+    refuses but the pass would not lies below a bound on distance, as the
+    smallest does.  CSV and table sweeps read it; only a composing evaluator
+    reads ``at._totals``, under its own guard.
 
     ``at.branch_points`` is a sorted tuple of the distances (m) where the
     model's formula switches pieces, empty for a formula with one piece.
@@ -312,7 +314,7 @@ def _evaluator(at, loss, totals, branch_points=(), affine_from_m=1.0):
         except Exception:  # whatever it is, the run point by point raises loss's error
             pass
         return list(map(loss, distances))
-    at.loss, at.losses = loss, losses
+    at.loss, at.losses, at._totals = loss, losses, totals
     at.branch_points, at.affine_from_m = branch_points, affine_from_m
     return at
 
@@ -414,7 +416,7 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
     x_f = 6.0 * _log10(freq / 2000.0)
     x_h = height_slope * _log10_positive(link.rx_height_m / 2000.0, "h_r/2000")
     tail = (("frequency_correction", x_f), ("height_correction", x_h))
-    shadowing = None
+    shadowing = 0.0  # exact: head_db is never -0.0, so no partial sum is, and x + 0.0 is x
     if include_shadowing:
         lf = _log10(freq)
         shadowing = 0.65 * lf * lf - 1.3 * lf + alpha
@@ -432,12 +434,10 @@ def sui(link: RadioLink, environment: Environment, include_shadowing: bool = Tru
         return PathLossResult((free_space_ref, ("distance", point(distance_m))) + tail)
 
     def loss(distance_m: float) -> float:
-        total = head_db + point(distance_m) + x_f + x_h
-        return _finite_total(total if shadowing is None else total + shadowing)
+        return _finite_total(head_db + point(distance_m) + x_f + x_h + shadowing)
     return _evaluator(at, loss, lambda distances: [
-        total if shadowing is None else total + shadowing for d in distances
-        for total in (head_db + slope * _log10(d / d0) + x_f + x_h,)],
-        (), 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing or 0.0) else math.inf)
+        head_db + slope * _log10(d / d0) + x_f + x_h + shadowing for d in distances],
+        (), 1.0 if _moderate(head_db, slope, x_f, x_h, shadowing) else math.inf)
 
 
 # --------------------------------------------------------------------------

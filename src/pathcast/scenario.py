@@ -139,11 +139,11 @@ def bind(model: ModelId, scenario: Scenario,
     only the distance-dependent terms per call.  Walfisch-Ikegami follows the
     geometry's LOS flag.  The scenario's shadow margin is appended as a
     ``shadow_margin`` component, a label no binder emits, only when
-    apply_shadow_margin is set; its ``loss`` and ``losses`` add the margin to
-    the model's.  The evaluator carries the contract of
-    :func:`pathcast.propagation._evaluator`, with the model's
-    ``branch_points`` and ``affine_from_m``; a margin over 1e4 dB makes the
-    last ``math.inf``.
+    apply_shadow_margin is set; its ``loss`` and its pass, over the model's
+    unguarded ``at._totals``, add the margin to the model's.  The evaluator
+    carries the contract of :func:`pathcast.propagation._evaluator`, with the
+    model's ``branch_points`` and ``affine_from_m``; a margin over 1e4 dB
+    makes the last ``math.inf``.
     """
     link = scenario.link
     if model is _SUI:
@@ -179,7 +179,7 @@ def bind(model: ModelId, scenario: Scenario,
             total = math.inf
         return _finite_total(total)
     return _evaluator(at_with_margin, loss, lambda distances: [
-        total + margin_db for total in at.losses(distances)],
+        total + margin_db for total in at._totals(distances)],
         at.branch_points, at.affine_from_m if _moderate(margin_db) else math.inf)
 
 

@@ -810,6 +810,30 @@ class TestLossesIsTheLossList:
             one_pass += 1
         assert one_pass == 488
 
+    def test_margin_guards_each_list_once(self, bundled_curves, monkeypatch):
+        """A margined evaluator's ``at.losses`` over an ordinary ascending list
+        calls the model's ``loss`` once, at the smallest distance: the margin's
+        guard is the only guard of the list."""
+        calls, evaluator = [], propagation._evaluator
+
+        def counted(at, loss, *args, **kwargs):
+            def recorded(distance_m):
+                calls.append(distance_m)
+                return loss(distance_m)
+            return evaluator(at, recorded, *args, **kwargs)
+        for module in (propagation, curves_module):
+            monkeypatch.setattr(module, "_evaluator", counted)
+        distances = [1000.0 * 1.01 ** i for i in range(300)]  # 1-19.6 km
+        for model, los in itertools.product(ModelId, (False, True)):
+            scenario = default_scenario(Environment.SUBURBAN, wi_los=los,
+                                        apply_shadow_margin=True)
+            at = bind(model, scenario, bundled_curves)
+            expected = _loss_list_or_error(at, distances)
+            assert isinstance(expected, list), (model, los)
+            calls.clear()
+            assert _losses_or_error(at, distances) == expected, (model, los)
+            assert calls == [distances[0]], (model, los)
+
     @pytest.mark.parametrize("once", [iter, lambda ds: (d for d in ds)],
                              ids=["iterator", "generator"])
     def test_any_iterable_is_read_once(self, bundled_curves, once):
