@@ -12,10 +12,11 @@ margin is carried but only applied on explicit request.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import pathcast  # bind reads pathcast.curves, which the package imports on first access
@@ -194,28 +195,12 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     """Inclusive distance samples, log-spaced by default: ``d_min_m`` and
     ``d_max_m`` exactly, then ``steps - 2`` computed between them.
 
-    The arguments are checked on the call; the distances are computed one at
-    a time as they are consumed.
+    The arguments are checked on the call: ``steps`` must be an integer of
+    at least 2, and a log sweep with points between its ends is refused where
+    its ratio ``d_max_m / d_min_m`` overflows.  The distances are computed a
+    chunk at a time as they are consumed.
     """
-    if steps < 2:
-        raise DomainError("a sweep needs at least 2 steps")
-    if not d_min_m < d_max_m:
-        raise DomainError("sweep requires d_min < d_max")
-    try:
-        float(d_min_m), float(d_max_m)
-    except OverflowError:  # an int too large for a float
-        raise DomainError("distance must be finite") from None
-    if spacing == "log":
-        if float(d_min_m) <= 0:  # as a float: a Fraction may round to 0.0
-            raise DomainError("log spacing requires d_min > 0")
-        ratio = d_max_m / d_min_m
-        inner = (d_min_m * ratio ** (i / (steps - 1)) for i in range(1, steps - 1))
-    elif spacing == "linear":
-        span = d_max_m - d_min_m
-        inner = (d_min_m + span * i / (steps - 1) for i in range(1, steps - 1))
-    else:
-        raise DomainError(f"unknown spacing {spacing!r} (expected log or linear)")
-    return chain((d_min_m,), inner, (d_max_m,))
+    return chain.from_iterable(_distance_chunks(d_min_m, d_max_m, steps, spacing))
 
 
 def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
@@ -240,10 +225,58 @@ def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
         raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
 
 
-# Points per chunk of _sweep_totals: large enough that the per-chunk cost
+# Points per chunk of _distance_chunks: large enough that the per-chunk cost
 # vanishes, small enough that a chunk's formatted rows stay far below the
 # output they join
 _SWEEP_CHUNK = 4096
+
+
+def _distance_chunks(d_min_m, d_max_m, steps, spacing):
+    """:func:`sweep_distances`' checks, on the call, and its distances as
+    lists of up to ``_SWEEP_CHUNK``, each computed by one comprehension."""
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise DomainError(f"sweep steps must be an integer, got {steps!r}") from None
+    if steps < 2:
+        raise DomainError("a sweep needs at least 2 steps")
+    if not d_min_m < d_max_m:
+        raise DomainError("sweep requires d_min < d_max")
+    try:
+        float(d_min_m), float(d_max_m)
+    except OverflowError:  # an int too large for a float
+        raise DomainError("distance must be finite") from None
+    log = spacing == "log"
+    if log:
+        if float(d_min_m) <= 0:  # as a float: a Fraction may round to 0.0
+            raise DomainError("log spacing requires d_min > 0")
+        ratio = d_max_m / d_min_m
+        try:
+            finite = math.isfinite(ratio)
+        except OverflowError:  # a Fraction too large for a float
+            finite = False
+        if not finite and steps > 2:  # two steps are the ends alone
+            raise DomainError("log spacing ratio d_max / d_min overflows")
+    elif spacing == "linear":
+        span = d_max_m - d_min_m
+    else:
+        raise DomainError(f"unknown spacing {spacing!r} (expected log or linear)")
+
+    def chunks():
+        last = steps - 1
+        for start in range(0, steps, _SWEEP_CHUNK):
+            stop = min(start + _SWEEP_CHUNK, steps)
+            inner = range(max(start, 1), min(stop, last))
+            if log:
+                chunk = [d_min_m * ratio ** (i / last) for i in inner]
+            else:
+                chunk = [d_min_m + span * i / last for i in inner]
+            if start == 0:
+                chunk.insert(0, d_min_m)
+            if stop == steps:
+                chunk.append(d_max_m)
+            yield chunk
+    return chunks()
 
 
 def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
@@ -251,11 +284,11 @@ def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
     ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, the totals
     ``at.losses`` of the chunk, so no result and no per-point tuple is built.
     A failure names the same distance as :func:`iter_sweep`."""
-    distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
+    chunks = _distance_chunks(d_min_m, d_max_m, steps, spacing)
     distance = d_min_m
     try:
         at = bind(model, scenario, curves)
-        while chunk := list(islice(distances, _SWEEP_CHUNK)):
+        for chunk in chunks:
             try:
                 totals = at.losses(chunk)
             except PathcastError:  # loss is deterministic: rerun to find the point

@@ -844,9 +844,10 @@ class TestLossesIsTheLossList:
                 _loss_list_or_error(make(), distances), name
 
 
-def _curve_table(dist_km, amu_db):
+def _curve_table(dist_km, amu_db, upper_db=None):
+    """A 100-3000 MHz grid: ``amu_db`` at 100 MHz, ``upper_db`` (or it again) at 3000 MHz."""
     return CurveTable(freq_mhz=(100.0, 3000.0), dist_km=tuple(dist_km),
-                      amu_db=(tuple(amu_db), tuple(amu_db)),
+                      amu_db=(tuple(amu_db), tuple(amu_db if upper_db is None else upper_db)),
                       garea={Environment.URBAN: ((100.0, 0.0), (3000.0, 0.0))},
                       source_tag="hypothesis grid")
 
@@ -894,6 +895,111 @@ class TestCellRangeOnAnyCurveGrid:
         # the bisection stops up to 1e-6 dB below the target
         assert all(at(d).total_db > target - 2e-6 for d in beyond)
 
+
+def _crossing(dist_km, per_cell):
+    """An ascending list in metres across a whole grid: ``per_cell`` points
+    log-spaced inside each cell and the floats within 4 ulps of each node's
+    ``d_km * 1000.0``, whose km, as Okumura computes it, reach the node and
+    the floats on either side of it.  Every km lies on the grid."""
+    points = set()
+    for node in dist_km:
+        for toward in (-math.inf, math.inf):
+            d = node * 1000.0
+            for _ in range(5):
+                points.add(d)
+                d = math.nextafter(d, toward)
+    for lo, hi in zip(dist_km, dist_km[1:]):
+        points.update(lo * 1000.0 * (hi / lo) ** (k / (per_cell + 1))
+                      for k in range(1, per_cell + 1))
+    return sorted(d for d in points if dist_km[0] <= d / 1000.0 <= dist_km[-1])
+
+
+def _check_cell_walk(curves, freq_mhz, ascending):
+    """``at.losses`` is ``at.loss`` point by point on ``ascending``, on it
+    reversed and on it shuffled, clamped or not (clamped, with a point off
+    each end of the grid); unclamped and ascending, the list is walked by
+    cell, so the per-point A_mu lookup runs once, at the guard's smallest
+    distance."""
+    link = RadioLink(freq_mhz, 5000.0, 30.0, 3.0)
+    lookups, amu_at_frequency = [], curves_module.amu_at_frequency
+
+    def counted(table, frequency_mhz):
+        at = amu_at_frequency(table, frequency_mhz)
+
+        def recorded(distance_m):
+            lookups.append(distance_m)
+            return at(distance_m)
+        return recorded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curves_module, "amu_at_frequency", counted)
+        for clamp in (False, True):
+            ordered = [ascending[0] / 2, *ascending, ascending[-1] * 2] if clamp else ascending
+            shuffled = random.Random(len(ordered)).sample(ordered, len(ordered))
+            for batch in (ordered, ordered[::-1], shuffled):
+                at = okumura(link, Environment.URBAN, curves, clamp)
+                lookups.clear()
+                totals = _losses_or_error(at, batch)
+                walked = len(lookups)
+                reference = okumura(link, Environment.URBAN, curves, clamp)
+                assert totals == _loss_list_or_error(reference, batch), (clamp, batch)
+                assert isinstance(totals, list)
+                if batch is ascending:
+                    assert walked == 1
+
+
+def _past_node_inside(ascending, dist_km):
+    """For each inner node, the points of the cell below it with the first
+    point past the node put second: a bisect on the list never probes it, so
+    only the check of the run's largest point keeps it out of that cell."""
+    for below, node in zip(dist_km, dist_km[1:-1]):
+        run = [d for d in ascending if below <= d / 1000.0 < node]
+        past = next(d for d in ascending if d / 1000.0 > node)
+        yield [run[0], past, *run[1:]]
+
+
+class TestCellWalkIsTheLossList:
+    """Okumura's pass evaluates an ascending list one grid cell's run of
+    points at a time; on lists that cross every node, start and end on
+    nodes and hold each node's float neighbours, in any order and clamped
+    or not, ``at.losses`` is still ``at.loss`` point by point, hex for hex."""
+
+    def test_bundled_grid(self, bundled_curves):
+        nodes = bundled_curves.dist_km
+        ascending = _crossing(nodes, 20)
+        kms = {d / 1000.0 for d in ascending}
+        for node in nodes:
+            assert node in kms
+            assert math.nextafter(node, -math.inf) in kms or node == nodes[0]
+            assert math.nextafter(node, math.inf) in kms or node == nodes[-1]
+        # on the grid's first and last rows and between them
+        for freq_mhz in (100.0, 1900.0, 3000.0):
+            _check_cell_walk(bundled_curves, freq_mhz, ascending)
+        for lo, hi in itertools.combinations(nodes, 2):
+            _check_cell_walk(bundled_curves, 1900.0,
+                             [d for d in ascending if lo <= d / 1000.0 <= hi])
+        at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves)
+        for batch in _past_node_inside(ascending, nodes):
+            assert _losses_or_error(at, batch) == _loss_list_or_error(at, batch)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(first=st.floats(-1.0, 1.0),
+           gaps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+           rows_db=st.lists(st.tuples(st.floats(-40.0, 90.0), st.floats(-40.0, 90.0)),
+                            min_size=7, max_size=7),
+           freq_mhz=st.floats(100.0, 3000.0))
+    def test_drawn_grids(self, first, gaps, rows_db, freq_mhz):
+        dist_km = [10.0 ** first]
+        for gap in gaps:
+            dist_km.append(10.0 ** (math.log10(dist_km[-1]) + gap))
+        lower, upper = zip(*rows_db[:len(dist_km)])
+        curves = _curve_table(dist_km, lower, upper)
+        ascending = _crossing(dist_km, 8)
+        _check_cell_walk(curves, freq_mhz, ascending)
+        for lo, hi in itertools.combinations(dist_km, 2):
+            _check_cell_walk(curves, freq_mhz, [d for d in ascending if lo <= d / 1000.0 <= hi])
+        at = okumura(RadioLink(freq_mhz, 5000.0, 30.0, 3.0), Environment.URBAN, curves)
+        for batch in _past_node_inside(ascending, dist_km):
+            assert _losses_or_error(at, batch) == _loss_list_or_error(at, batch)
 
 
 # SUI urban's exponent gamma is about 0 for this mast: its loss rises by about

@@ -39,7 +39,7 @@ from pathcast import (
 from pathcast import scenario as scenario_module
 from pathcast.propagation import _moderate
 
-from conftest import plain_bisection
+from conftest import invoke_cli, plain_bisection
 
 
 class TestDefaults:
@@ -511,6 +511,78 @@ class TestSweep:
         # the default bracket reaches past the default sweep end, to 10 km
         far = invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, points[-1][1].total_db + 5.0)
         assert 5000.0 < far < 10000.0
+
+    @pytest.mark.parametrize("steps", [10.0, "10", math.nan])
+    def test_steps_must_be_an_integer(self, steps, monkeypatch):
+        def no_binding(*args):
+            raise AssertionError("a point was computed")
+        monkeypatch.setattr(scenario_module, "bind", no_binding)
+        s = default_scenario(Environment.URBAN)
+        calls = [lambda: sweep(ModelId.SUI, s, 1000.0, 5000.0, steps),
+                 lambda: next(scenario_module.iter_sweep(ModelId.SUI, s, 1000.0, 5000.0, steps)),
+                 lambda: next(scenario_module._sweep_totals(ModelId.SUI, s, 1000.0, 5000.0,
+                                                            steps, None, "log")),
+                 lambda: scenario_module.sweep_distances(1000.0, 5000.0, steps)]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^sweep steps must be an integer, "
+                                                  f"got {re.escape(repr(steps))}$"):
+                call()
+
+    @pytest.mark.parametrize("d_min, d_max", [(0.01, 1e307), (Fraction(1, 10**10), 10**308)],
+                             ids=["floats", "fraction over int"])
+    def test_log_ratio_must_not_overflow(self, d_min, d_max):
+        with pytest.raises(DomainError, match=r"^log spacing ratio d_max / d_min overflows$"):
+            scenario_module.sweep_distances(d_min, d_max, 3)
+        # two steps are the ends alone, and need no ratio
+        assert list(scenario_module.sweep_distances(d_min, d_max, 2)) == [d_min, d_max]
+        assert list(scenario_module.sweep_distances(0.01, 1e306, 3)) == [0.01, 1e152, 1e306]
+        assert list(scenario_module.sweep_distances(d_min, d_max, 3, "linear"))[1] > 0
+
+    def test_cli_log_ratio_overflow(self):
+        argv = ["sweep", "--model", "cost231_hata", "--d-min-m", "0.01", "--steps", "3"]
+        code, out, err = invoke_cli(argv + ["--d-max-m", "1e307"])
+        assert (code, out, err) == (1, "", "error: log spacing ratio d_max / d_min overflows\n")
+        code, out, _ = invoke_cli(argv + ["--d-max-m", "1e306"])
+        assert code == 0 and len(out.splitlines()) == 4
+
+
+def _spelled_distances(d_min, d_max, steps, spacing):
+    """A sweep's distances index by index: the ends as given, and between
+    them d_min * (d_max / d_min) ** (i / (steps - 1)) for log spacing or
+    d_min + (d_max - d_min) * i / (steps - 1) for linear."""
+    def distance(i):
+        if i == 0:
+            return d_min
+        if i == steps - 1:
+            return d_max
+        if spacing == "log":
+            return d_min * (d_max / d_min) ** (i / (steps - 1))
+        return d_min + (d_max - d_min) * i / (steps - 1)
+    return [distance(i) for i in range(steps)]
+
+
+class TestSweepDistances:
+    """``sweep_distances``, the points of ``iter_sweep`` (JSON sweeps) and
+    the chunks of ``_sweep_totals`` (CSV and table sweeps) are the spelled
+    distances hex for hex, on either side of the chunk size."""
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_every_path_gives_the_spelled_floats(self, spacing):
+        chunk = scenario_module._SWEEP_CHUNK
+        s = default_scenario(Environment.URBAN)
+        for d_min, d_max in ((1000.0, 90_000.0), (123.4, 98_765.4)):
+            for steps in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+                expected = [d.hex() for d in _spelled_distances(d_min, d_max, steps, spacing)]
+                distances = scenario_module.sweep_distances(d_min, d_max, steps, spacing)
+                assert [d.hex() for d in distances] == expected, steps
+                chunks = [distances for distances, _ in scenario_module._sweep_totals(
+                    ModelId.SUI, s, d_min, d_max, steps, None, spacing)]
+                assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+                assert 0 < len(chunks[-1]) <= chunk
+                assert [d.hex() for c in chunks for d in c] == expected, steps
+                points = scenario_module.iter_sweep(ModelId.SUI, s, d_min, d_max, steps,
+                                                    spacing=spacing)
+                assert [d.hex() for d, _ in points] == expected, steps
 
 
 # Walfisch-Ikegami geometries: LOS, NLOS with the BS above and below the
