@@ -8,7 +8,7 @@ them, so each point raises what a fresh binding would: a bad distance, then
 an off-grid frequency, an off-grid distance, then a missing area gain.  Its
 ``at.losses`` pass is evaluated per grid cell on an ascending list, one run
 of points per cell with the cell's values bound once; a list out of order,
-or a clamped binding, is evaluated point by point, to the same floats.
+or a clamped binding, goes through ``at.loss`` one distance at a time.
 
 The published curves exist only as drawings, so the surface ships as a
 replaceable CSV asset with a mandatory provenance tag.  Interpolation runs in
@@ -413,39 +413,36 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
 
     def totals(distances):
         """The pass, which runs after _evaluator's loss has bound amu_at and
-        area (see its docstring).  Unclamped, it walks the list a grid cell's
-        run of points at a time: each run is located as amu_at locates a
-        point, its end found by one bisect on the list.  A clamped binding, or
-        a run with a point off its cell, as in a list out of order, takes the
-        per-point expression; both give the same floats."""
-        if not clamp:
-            fi, tf = _locate(curves.freq_mhz, curves._freq_logs, freq, "frequency", "MHz")
-            row0, row1 = curves.amu_db[fi], curves.amu_db[fi + 1]
-            dists, logs, last = curves.dist_km, curves._dist_logs, len(curves.dist_km) - 2
-            area_db, walked, i, n = area[1], [], 0, len(distances)
-            while i < n:
-                di = min(bisect_right(dists, distances[i] / 1000.0) - 1, last)
-                lo_km, hi_km = dists[di], dists[di + 1]
-                j = n if di == last else bisect_left(distances, hi_km, i, n,
-                                                     key=lambda d: d / 1000.0)
-                run = distances[i:j]
-                top = max(run) / 1000.0  # the last cell holds the last node
-                if not (lo_km <= min(run) / 1000.0
-                        and (top < hi_km or di == last and top == hi_km)):
-                    break
-                log0, gap = logs[di], logs[di + 1] - logs[di]
-                a0, a1, b0, b1 = row0[di], row0[di + 1], row1[di], row1[di + 1]
-                walked += [0.0 + 20.0 * _log10(four_pi * d / wavelength)
-                           + ((a0 * (1.0 - td) + a1 * td) * (1.0 - tf)
-                              + (b0 * (1.0 - td) + b1 * td) * tf)
-                           + bs_db + rx_db + area_db
-                           for d in run for td in ((_log10(d / 1000.0) - log0) / gap,)]
-                i = j
-            else:
-                return walked
-        return [0.0 + 20.0 * _log10(four_pi * d / wavelength)
-                + amu_at(clamp_to_grid(curves, freq, d)[1] if clamp else d)
-                + bs_db + rx_db + area[1] for d in distances]
+        area (see its docstring).  It walks the list a grid cell's run of
+        points at a time: each run is located as amu_at locates a point, its
+        end found by one bisect on the list.  A clamped binding goes through
+        loss one distance at a time; a run with a point off its cell, as in a
+        list out of order, raises, so _evaluator sends the list through loss."""
+        if clamp:
+            return list(map(loss, distances))
+        fi, tf = _locate(curves.freq_mhz, curves._freq_logs, freq, "frequency", "MHz")
+        row0, row1 = curves.amu_db[fi], curves.amu_db[fi + 1]
+        dists, logs, last = curves.dist_km, curves._dist_logs, len(curves.dist_km) - 2
+        area_db, walked, i, n = area[1], [], 0, len(distances)
+        while i < n:
+            di = min(bisect_right(dists, distances[i] / 1000.0) - 1, last)
+            lo_km, hi_km = dists[di], dists[di + 1]
+            j = n if di == last else bisect_left(distances, hi_km, i, n,
+                                                 key=lambda d: d / 1000.0)
+            run = distances[i:j]
+            top = max(run) / 1000.0  # the last cell holds the last node
+            if not (lo_km <= min(run) / 1000.0
+                    and (top < hi_km or di == last and top == hi_km)):
+                raise ValueError("a run of points leaves its grid cell")
+            log0, gap = logs[di], logs[di + 1] - logs[di]
+            a0, a1, b0, b1 = row0[di], row0[di + 1], row1[di], row1[di + 1]
+            walked += [0.0 + 20.0 * _log10(four_pi * d / wavelength)
+                       + ((a0 * (1.0 - td) + a1 * td) * (1.0 - tf)
+                          + (b0 * (1.0 - td) + b1 * td) * tf)
+                       + bs_db + rx_db + area_db
+                       for d in run for td in ((_log10(d / 1000.0) - log0) / gap,)]
+            i = j
+        return walked
 
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid
     # cell, and constant in d where the distance is clamped to the grid.  The

@@ -529,6 +529,16 @@ def _height_warning(geometry: WiGeometry, link: RadioLink):
             f"rooftop term by {shift:+.2f} dB",)
 
 
+# The printed multi-screen term's garbled branches below the roofs, filled in
+# with the corrected forms: the base term from 0.5 km on, k_A and k_D up to it.
+_GARBLED_BASE = ("garbled branch: corrected definition substituted for the "
+                 "multiscreen base term below rooftop at d >= 0.5 km")
+_GARBLED_SLOPES = ("garbled branch: corrected definition substituted for the "
+                   "multiscreen range offset below rooftop at d <= 0.5 km",
+                   "garbled branch: corrected definition substituted for the "
+                   "multiscreen distance slope below rooftop at d <= 0.5 km")
+
+
 def wi_nlos(geometry: WiGeometry, link: RadioLink,
             mode: FidelityMode = FidelityMode.CORRECTED):
     """Bind the NLOS total: free space + rooftop-to-street + multi-screen diffraction.
@@ -566,15 +576,15 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         k_f = -4.0 + geometry.metro_factor_k * (link.frequency_mhz / 925.0 - 1.0)
     k_f_term = k_f * _log10(link.frequency_mhz)
     separation_term = 9.0 * _log10(geometry.building_separation_m)
-    # Each branch binds multiscreen(d_km, log10(d_km)) -> (L_MSD, garbled-branch warnings)
-    # and its branch points in metres.  From far_m on, L_MSD is the sum of
+    # Each branch binds multiscreen(d_km, log10(d_km)) -> L_MSD and its
+    # branch points in metres.  From far_m on, L_MSD is the sum of
     # the constant far_terms and far_k_d*log d, with far_k_d >= 18.
     if delta > 0:
         base = -18.0 * _log10(1.0 + delta) + 54.0  # L_BSH + k_A
         far_k_d = 18.0 + 15.0 * delta / roof if printed else 18.0
 
         def multiscreen(d_km, log_d):
-            return base + far_k_d * log_d + k_f_term - separation_term, ()
+            return base + far_k_d * log_d + k_f_term - separation_term
         branch_points = ()  # far_k_d > 0: affine and increasing in log d
         far_m, far_terms = 0.0, (base, k_f_term, -separation_term)
     else:
@@ -584,27 +594,12 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             # The printed branch sets only cover (d < 0.5 km) for L_BSH and
             # (d > 0.5 km) for k_A and k_D; the gaps use the corrected forms.
             def multiscreen(d_km, log_d):
-                warnings = ()
-                if d_km < 0.5:
-                    l_bsh = 54.0 + scaled_delta * 2.0 * d_km
-                else:
-                    l_bsh = 0.0
-                    warnings += (
-                        "garbled branch: corrected definition substituted for the "
-                        "multiscreen base term below rooftop at d >= 0.5 km",)
+                l_bsh = 54.0 + scaled_delta * 2.0 * d_km if d_km < 0.5 else 0.0
                 if d_km > 0.5:
-                    k_a = 54.0 + scaled_delta
-                    k_d = 18.0
+                    k_a, k_d = 54.0 + scaled_delta, 18.0
                 else:
-                    k_a = 54.0 - scaled_delta * (d_km / 0.5)
-                    k_d = k_d_below
-                    warnings += (
-                        "garbled branch: corrected definition substituted for the "
-                        "multiscreen range offset below rooftop at d <= 0.5 km",
-                        "garbled branch: corrected definition substituted for the "
-                        "multiscreen distance slope below rooftop at d <= 0.5 km")
-                return (l_bsh + k_a + k_d * log_d + k_f_term - separation_term,
-                        warnings)
+                    k_a, k_d = 54.0 - scaled_delta * (d_km / 0.5), k_d_below
+                return l_bsh + k_a + k_d * log_d + k_f_term - separation_term
             # Three pieces, d_km < 0.5 (L_BSH + k_A is a flat 108 dB), == 0.5
             # (about 54 dB lower) and > 0.5 (k_A and k_D constant), each
             # non-decreasing in d.  The neighbours of 500 m are the last and
@@ -618,17 +613,17 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
             def multiscreen(d_km, log_d):
                 # L_BSH is 0 below the rooftops, and adding 0.0 to k_A >= 54 is exact
                 k_a = k_a_far if d_km >= 0.5 else 54.0 - scaled_delta * (d_km / 0.5)
-                return k_a + k_d_below * log_d + k_f_term - separation_term, ()
+                return k_a + k_d_below * log_d + k_f_term - separation_term
             branch_points = ()  # k_A rises to exactly k_a_far at 0.5 km; k_d_below >= 18
             far_m, far_k_d, far_terms = 500.0, k_d_below, (k_a_far, k_f_term, -separation_term)
 
     def point(distance_m):
-        """Free space, L_MSD with its warnings, and the floor (None unless it fires)."""
+        """Free space, L_MSD and the floor (None unless it fires)."""
         d_km = _check_distance(distance_m)
         log_d = _log10(d_km)
-        msd, warnings = multiscreen(d_km, log_d)
+        msd = multiscreen(d_km, log_d)
         diffraction = rts + msd
-        return (32.45 + 20.0 * log_d + frequency_term, msd, warnings,
+        return (32.45 + 20.0 * log_d + frequency_term, msd,
                 -diffraction if diffraction < 0.0 else None)
     # free space + max(L_RTS + L_MSD, 0): non-decreasing wherever L_MSD is.  On
     # L_MSD's far piece (k_A is linear in d below 500 m under the roofs),
@@ -644,10 +639,14 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
 
     def at(distance_m: float) -> PathLossResult:
         nonlocal height_warning
-        free_space, msd, warnings, floor = point(distance_m)
+        free_space, msd, floor = point(distance_m)
         if height_warning is None:
             height_warning = _height_warning(geometry, link)
-        warnings += height_warning
+        warnings = height_warning
+        if printed and delta <= 0:  # the garbled branches multiscreen fills in
+            d_km = distance_m / 1000.0
+            warnings = ((_GARBLED_BASE,) if d_km >= 0.5 else ()) + (
+                _GARBLED_SLOPES if d_km <= 0.5 else ()) + warnings
         components = (("free_space", free_space), rooftop, ("multiscreen", msd))
         if floor is not None:
             components += (("diffraction_floor", floor),)
@@ -655,13 +654,13 @@ def wi_nlos(geometry: WiGeometry, link: RadioLink,
         return PathLossResult(components, warnings)
 
     def loss(distance_m: float) -> float:
-        free_space, msd, _, floor = point(distance_m)
+        free_space, msd, floor = point(distance_m)
         total = 0.0 + free_space + rts + msd
         return _finite_total(total if floor is None else total + floor)
     return _evaluator(at, loss, lambda distances: [
         total + -diffraction if diffraction < 0.0 else total
         for d in distances for d_km in (d / 1000.0,) for log_d in (_log10(d_km),)
-        for msd in (multiscreen(d_km, log_d)[0],) for diffraction in (rts + msd,)
+        for msd in (multiscreen(d_km, log_d),) for diffraction in (rts + msd,)
         for total in (0.0 + (32.45 + 20.0 * log_d + frequency_term) + rts + msd,)],
         branch_points, affine_from_m)
 
