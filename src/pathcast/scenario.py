@@ -196,9 +196,10 @@ def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
     ``d_max_m`` exactly, then ``steps - 2`` computed between them.
 
     The arguments are checked on the call: ``steps`` must be an integer of
-    at least 2, and a log sweep with points between its ends is refused where
-    its ratio ``d_max_m / d_min_m`` overflows.  The distances are computed a
-    chunk at a time as they are consumed.
+    at least 2, and a sweep with points between its ends is refused where a
+    log sweep's ratio ``d_max_m / d_min_m`` overflows, or a linear sweep's
+    span times ``steps - 2``.  The distances are computed a chunk at a time
+    as they are consumed.
     """
     return chain.from_iterable(_distance_chunks(d_min_m, d_max_m, steps, spacing))
 
@@ -250,17 +251,18 @@ def _distance_chunks(d_min_m, d_max_m, steps, spacing):
     if log:
         if float(d_min_m) <= 0:  # as a float: a Fraction may round to 0.0
             raise DomainError("log spacing requires d_min > 0")
-        ratio = d_max_m / d_min_m
-        try:
-            finite = math.isfinite(ratio)
-        except OverflowError:  # a Fraction too large for a float
-            finite = False
-        if not finite and steps > 2:  # two steps are the ends alone
-            raise DomainError("log spacing ratio d_max / d_min overflows")
+        ratio, what = d_max_m / d_min_m, "ratio d_max / d_min"
     elif spacing == "linear":
-        span = d_max_m - d_min_m
+        span, what = d_max_m - d_min_m, "span (d_max - d_min) * (steps - 2)"
     else:
         raise DomainError(f"unknown spacing {spacing!r} (expected log or linear)")
+    try:  # two steps are the ends alone; the last point between them is the largest
+        finite = steps == 2 or math.isfinite(
+            ratio if log else d_min_m + span * (steps - 2) / (steps - 1))
+    except OverflowError:  # a Fraction, or a steps, too large for a float
+        finite = False
+    if not finite:
+        raise DomainError(f"{spacing} spacing {what} overflows")
 
     def chunks():
         last = steps - 1

@@ -3,7 +3,8 @@ plus an Okumura sweep off a frequency node that crosses every grid cell, a
 CSV sweep with the shadow margin applied, and
 two JSON outputs that pin every bit of their floats: the whole ledger, 12 of
 its cells Okumura on the bundled table, and an Okumura breakdown with its
-component labels in order."""
+component labels in order; and every ``--help`` text, rendered 80 columns
+wide."""
 
 from pathlib import Path
 
@@ -65,6 +66,19 @@ def test_golden(golden_name, argv):
     assert err == ""
     expected = (GOLDEN_DIR / golden_name).read_text()
     assert out == expected
+
+
+HELP_CASES = [("help.txt", []), *((f"help_{command}.txt", [command])
+                                  for command in ("pathloss", "sweep", "compare", "cell-range"))]
+
+
+@pytest.mark.parametrize("golden_name,argv", HELP_CASES, ids=[name for name, _ in HELP_CASES])
+def test_help_golden(golden_name, argv, monkeypatch):
+    """argparse wraps help to the terminal width, which it reads from COLUMNS."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke_cli([*argv, "--help"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden_name).read_text()
 
 
 def test_compare_golden_has_full_ledger():

@@ -545,6 +545,30 @@ class TestSweep:
         code, out, _ = invoke_cli(argv + ["--d-max-m", "1e306"])
         assert code == 0 and len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("d_min, d_max, steps", [(1e307, 1.7e308, 4), (-1.7e308, 1.7e308, 3)],
+                             ids=["span times index", "span"])
+    def test_linear_span_must_not_overflow(self, d_min, d_max, steps):
+        with pytest.raises(DomainError, match=r"^linear spacing span \(d_max - d_min\) "
+                                              r"\* \(steps - 2\) overflows$"):
+            scenario_module.sweep_distances(d_min, d_max, steps, "linear")
+        # two steps are the ends alone, and need no span
+        assert list(scenario_module.sweep_distances(d_min, d_max, 2, "linear")) == [d_min, d_max]
+        assert list(scenario_module.sweep_distances(1e307, 1.7e308, 3, "linear")) == \
+            [1e307, 9e307, 1.7e308]
+        # exact Fractions never overflow, however large span * (steps - 2) is
+        lo, hi = Fraction(10**307), Fraction(17 * 10**307)
+        assert list(scenario_module.sweep_distances(lo, hi, 20, "linear")) == \
+            [lo + (hi - lo) * i / 19 for i in range(20)]
+
+    def test_cli_linear_span_overflow(self):
+        argv = ["sweep", "--model", "cost231_hata", "--d-min-m", "1e307", "--d-max-m", "1.7e308",
+                "--spacing", "linear", "--steps"]
+        code, out, err = invoke_cli(argv + ["4"])
+        assert (code, out, err) == (
+            1, "", "error: linear spacing span (d_max - d_min) * (steps - 2) overflows\n")
+        code, out, _ = invoke_cli(argv + ["3"])
+        assert code == 0 and len(out.splitlines()) == 4
+
 
 def _spelled_distances(d_min, d_max, steps, spacing):
     """A sweep's distances index by index: the ends as given, and between

@@ -1,5 +1,7 @@
 """Walfisch-Ikegami operations: LOS, orientation, rooftop, multiscreen, NLOS."""
 
+import math
+
 import pytest
 
 from pathcast import (
@@ -205,6 +207,21 @@ class TestNlos:
 
         corrected = wi_nlos(geometry, short, FidelityMode.CORRECTED)(short.distance_m)
         assert not any(w.startswith("garbled branch") for w in corrected.warnings)
+
+        # at 0.5 km both sets of garbled branches fire; either side, only one
+        base = ("garbled branch: corrected definition substituted for the multiscreen base "
+                "term below rooftop at d >= 0.5 km",)
+        slopes = ("garbled branch: corrected definition substituted for the multiscreen range "
+                  "offset below rooftop at d <= 0.5 km",
+                  "garbled branch: corrected definition substituted for the multiscreen "
+                  "distance slope below rooftop at d <= 0.5 km")
+        height = ("height symbols bound to roof height 15 m; the base-station reading (10 m) "
+                  "would shift the rooftop term by -4.68 dB",)
+        at = wi_nlos(geometry, short, FidelityMode.AS_PRINTED)
+        for distance_m, warnings in ((math.nextafter(500.0, 0.0), slopes + height),
+                                     (500.0, base + slopes + height),
+                                     (math.nextafter(500.0, math.inf), base + height)):
+            assert at(distance_m).warnings == warnings, distance_m
 
     def test_all_four_warnings_in_order(self):
         # below the rooftops at 100 m as printed: both garbled multiscreen
