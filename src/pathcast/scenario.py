@@ -259,7 +259,7 @@ def _distance_chunks(d_min_m, d_max_m, steps, spacing):
     try:  # two steps are the ends alone; the last point between them is the largest
         finite = steps == 2 or math.isfinite(
             ratio if log else d_min_m + span * (steps - 2) / (steps - 1))
-    except OverflowError:  # a Fraction, or a steps, too large for a float
+    except OverflowError:  # a Fraction, or steps, too large for a float
         finite = False
     if not finite:
         raise DomainError(f"{spacing} spacing {what} overflows")
