@@ -8,7 +8,7 @@ them, so each point raises what a fresh binding would: a bad distance, then
 an off-grid frequency, an off-grid distance, then a missing area gain.  Its
 ``at.losses`` pass is evaluated per grid cell on an ascending list, one run
 of points per cell with the cell's values bound once; a list out of order,
-or a clamped binding, goes through ``at.loss`` one distance at a time.
+or with a point off the grid, goes through ``at.loss`` one distance at a time.
 
 The published curves exist only as drawings, so the surface ships as a
 replaceable CSV asset with a mandatory provenance tag.  Interpolation runs in
@@ -274,29 +274,16 @@ def _check_bounds(value, lo, hi, axis, unit):
     in full where ``:g`` would print it as the edge it crossed."""
     if lo <= value <= hi:
         return
-    if math.isnan(value):
-        raise BoundsError(f"{axis} nan {unit} is not a number")
+    try:
+        if math.isnan(value):
+            raise BoundsError(f"{axis} nan {unit} is not a number")
+    except OverflowError:  # an int or Fraction too large for a float
+        value = math.inf if value > 0 else -math.inf
     side, edge = ("below grid minimum", lo) if value < lo else ("above grid maximum", hi)
     shown = f"{value:g}"
     if shown == f"{edge:g}":
         shown = repr(value)
     raise BoundsError(f"{axis} {shown} {unit} {side} {edge:g} {unit}")
-
-
-def clamp_to_grid(table: CurveTable, frequency_mhz: float, distance_m: float):
-    """Clip (f, d) to the A_mu grid; returns the clipped pair plus notes for
-    each axis that moved."""
-    notes = ()
-    f = min(max(frequency_mhz, table.freq_mhz[0]), table.freq_mhz[-1])
-    # once clamped, only NaN is off the grid
-    _check_bounds(f, table.freq_mhz[0], table.freq_mhz[-1], "frequency", "MHz")
-    if f != frequency_mhz:
-        notes += (f"frequency {frequency_mhz:g} MHz clamped to grid edge {f:g} MHz",)
-    d_km = min(max(distance_m / 1000.0, table.dist_km[0]), table.dist_km[-1])
-    _check_bounds(d_km, table.dist_km[0], table.dist_km[-1], "distance", "km")
-    if d_km != distance_m / 1000.0:
-        notes += (f"distance {float(distance_m):g} m clamped to grid edge {d_km * 1000.0:g} m",)
-    return f, d_km * 1000.0, notes
 
 
 def _locate(axis, logs, value, name, unit):
@@ -308,21 +295,20 @@ def _locate(axis, logs, value, name, unit):
 
 
 def amu_at_frequency(table: CurveTable, frequency_mhz: float):
-    """Bind the A_mu surface to one frequency; returns ``at(distance_m)``.
+    """Bind the A_mu surface to one frequency; returns ``at(distance_km)``.
 
-    The frequency is located here, once, and ``at`` locates only the distance;
-    both read the node log10s the table holds.  ``at`` returns exactly what
-    :func:`amu_lookup` returns for the same pair.  An off-grid frequency raises
-    here, an off-grid distance in ``at``.
+    The frequency is located here, once, and ``at`` locates only the distance,
+    in km; both read the node log10s the table holds.  ``at(d / 1000.0)``
+    returns exactly what :func:`amu_lookup` returns for a distance of ``d``
+    metres.  An off-grid frequency raises here, an off-grid distance in ``at``.
     """
     fi, tf = _locate(table.freq_mhz, table._freq_logs, frequency_mhz, "frequency", "MHz")
     row0, row1 = table.amu_db[fi], table.amu_db[fi + 1]
     dists, dist_logs = table.dist_km, table._dist_logs
     first, last, last_segment = dists[0], dists[-1], len(dists) - 2
 
-    def at(distance_m: float) -> float:
-        d_km = distance_m / 1000.0  # located as _locate does, with the axis bound here
-        if not first <= d_km <= last:
+    def at(d_km: float) -> float:
+        if not first <= d_km <= last:  # located as _locate does, with the axis bound here
             _check_bounds(d_km, first, last, "distance", "km")
         di = bisect_right(dists, d_km) - 1
         if di > last_segment:  # d_km is the last node
@@ -337,11 +323,16 @@ def amu_at_frequency(table: CurveTable, frequency_mhz: float):
 def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> float:
     """Median attenuation, bilinear in (log f, log d); exact at grid nodes.
 
-    Out-of-grid points raise (frequency checked first); :func:`clamp_to_grid`
-    pins them to the edge.  For many distances at one frequency, bind once
-    with :func:`amu_at_frequency`.
+    Out-of-grid points raise, the frequency checked first; ``okumura(...,
+    clamp=True)`` pins them to the edge.  For many distances at one
+    frequency, bind once with :func:`amu_at_frequency`.
     """
-    return amu_at_frequency(table, frequency_mhz)(distance_m)
+    at = amu_at_frequency(table, frequency_mhz)
+    try:
+        d_km = distance_m / 1000.0
+    except OverflowError:  # an int or Fraction too large for a float
+        d_km = math.inf if distance_m > 0 else -math.inf
+    return at(d_km)
 
 
 def garea_lookup(table: CurveTable, frequency_mhz: float,
@@ -366,11 +357,13 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
 
     ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
     uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
-    ``clamp`` is set, in which case the clamped axes are reported as warnings.
-    The A_mu lookup is bound to the (clamped) frequency at the first point
-    with a valid distance, and kept only once the frequency is on the grid;
-    the area gain is looked up at the first point whose A_mu lookup
-    succeeds.  So a point reports the same error as a fresh evaluation.
+    ``clamp`` is set, which pins the A_mu axes to the grid, the frequency once
+    and each distance in km, and reports each clamped axis as a warning; the
+    area-gain rows must still cover the frequency.  The A_mu lookup is bound
+    to that frequency at the first point with a valid distance, and kept only
+    once the frequency is on the grid; the area gain is looked up at the
+    first point whose A_mu lookup succeeds.  So a point reports the same
+    error as a fresh evaluation.
     """
     _check_environment(environment)
     if curves is None:
@@ -379,7 +372,13 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
     bs_db, rx_db = -g_bs, -g_rx
     bs_gain, rx_gain = ("bs_height_gain", bs_db), ("rx_height_gain", rx_db)
-    freq = link.frequency_mhz
+    freq, notes = link.frequency_mhz, ()
+    if clamp:  # the frequency is pinned here, each distance in point
+        first_km, last_km = curves.dist_km[0], curves.dist_km[-1]
+        pinned = min(max(freq, curves.freq_mhz[0]), curves.freq_mhz[-1])
+        if pinned != freq:
+            notes = (f"frequency {freq:g} MHz clamped to grid edge {pinned:g} MHz",)
+        freq = pinned
     wavelength, four_pi = link.wavelength_m, 4.0 * math.pi
     amu_at = area = None
 
@@ -387,16 +386,16 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         """The free-space term, A_mu and the clamp warnings at one distance,
         checked and bound in the order a fresh evaluation would."""
         nonlocal amu_at, area
-        _check_distance(distance_m)
-        warnings = ()
-        f, dist = freq, distance_m
-        if clamp:
-            f, dist, warnings = clamp_to_grid(curves, f, dist)
+        d_km, warnings = _check_distance(distance_m), notes
+        if clamp and not first_km <= d_km <= last_km:
+            d_km = first_km if d_km < first_km else last_km
+            warnings += (f"distance {float(distance_m):g} m clamped to grid edge "
+                         f"{d_km * 1000.0:g} m",)
         if amu_at is None:
-            amu_at = amu_at_frequency(curves, f)
-        amu = amu_at(dist)
+            amu_at = amu_at_frequency(curves, freq)
+        amu = amu_at(d_km)
         if area is None:
-            area = ("area_gain", -garea_lookup(curves, f, environment))
+            area = ("area_gain", -garea_lookup(curves, freq, environment))
         free_space = 20.0 * _log10_positive(four_pi * distance_m / wavelength,
                                             "4*pi*d/lambda")
         return free_space, amu, warnings
@@ -415,11 +414,9 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         """The pass, which runs after _evaluator's loss has bound amu_at and
         area (see its docstring).  It walks the list a grid cell's run of
         points at a time: each run is located as amu_at locates a point, its
-        end found by one bisect on the list.  A clamped binding goes through
-        loss one distance at a time; a run with a point off its cell, as in a
-        list out of order, raises, so _evaluator sends the list through loss."""
-        if clamp:
-            return list(map(loss, distances))
+        end found by one bisect on the list, at amu_at's frequency.  A run with
+        a point off its cell, as in a list out of order or with a point off
+        the grid, raises, so _evaluator sends the list through loss."""
         fi, tf = _locate(curves.freq_mhz, curves._freq_logs, freq, "frequency", "MHz")
         row0, row1 = curves.amu_db[fi], curves.amu_db[fi + 1]
         dists, logs, last = curves.dist_km, curves._dist_logs, len(curves.dist_km) - 2

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from pathcast import (
     load_default_curves,
     okumura,
 )
-from pathcast.curves import amu_at_frequency, clamp_to_grid
+from pathcast.curves import amu_at_frequency
 
 import oracle
 from conftest import LOG_AXIS_DEFECTS, VALID_CURVES as VALID, defective_curves
@@ -221,12 +222,25 @@ class TestAmuLookup:
         (lambda t: amu_lookup(t, math.nan, 5000.0), "frequency nan MHz"),
         (lambda t: amu_lookup(t, 1000.0, math.nan), "distance nan km"),
         (lambda t: garea_lookup(t, math.nan, Environment.RURAL), "frequency nan MHz"),
-        (lambda t: amu_at_frequency(t, math.nan)(5000.0), "frequency nan MHz"),
-        (lambda t: clamp_to_grid(t, math.nan, math.nan), "frequency nan MHz"),
-        (lambda t: clamp_to_grid(t, 1000.0, math.nan), "distance nan km"),
-    ], ids=["amu-frequency", "amu-distance", "garea", "bound-amu", "clamp", "clamp-distance"])
+        (lambda t: amu_at_frequency(t, math.nan)(5.0), "frequency nan MHz"),
+    ], ids=["amu-frequency", "amu-distance", "garea", "bound-amu"])
     def test_nan_is_refused(self, lookup, message):
         with pytest.raises(BoundsError, match=f"^{message} is not a number$"):
+            lookup(load_curves(VALID))
+
+    @pytest.mark.parametrize("lookup,message", [
+        (lambda t: amu_lookup(t, 1000.0, 10**400), "distance inf km above grid maximum 100 km"),
+        (lambda t: amu_lookup(t, 1000.0, -10**400), "distance -inf km below grid minimum 1 km"),
+        (lambda t: amu_lookup(t, 10**400, 5000.0),
+         "frequency inf MHz above grid maximum 3000 MHz"),
+        (lambda t: amu_lookup(t, Fraction(10**400, 3), 5000.0),
+         "frequency inf MHz above grid maximum 3000 MHz"),
+        (lambda t: garea_lookup(t, 10**400, Environment.SUBURBAN),
+         "frequency inf MHz above grid maximum 3000 MHz"),
+    ], ids=["amu-distance", "amu-distance-negative", "amu-frequency", "amu-fraction", "garea"])
+    def test_number_past_float_range_is_refused(self, lookup, message):
+        # before, each raised OverflowError
+        with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
             lookup(load_curves(VALID))
 
     @pytest.mark.parametrize("freq,dist_m,message", [
@@ -241,9 +255,36 @@ class TestAmuLookup:
 
     def test_clamp_returns_edge_value(self):
         table = load_curves(VALID)
-        freq, dist, notes = clamp_to_grid(table, 5000.0, 150_000.0)
-        assert amu_lookup(table, freq, dist) == amu_lookup(table, 3000.0, 100_000.0)
-        assert len(notes) == 2
+        result = okumura(RadioLink(5000.0, 150_000.0, 30.0, 3.0), Environment.URBAN, table,
+                         clamp=True)(150_000.0)
+        assert result.component("median_attenuation") == amu_lookup(table, 3000.0, 100_000.0)
+        assert result.warnings == ("frequency 5000 MHz clamped to grid edge 3000 MHz",
+                                   "distance 150000 m clamped to grid edge 100000 m")
+
+    @pytest.mark.parametrize("distance_m,edge_km", [(200_000.0, 127.7539), (5000.0, 17.0151)])
+    def test_clamp_pins_each_edge_in_km(self, distance_m, edge_km):
+        # before, the edge went to metres and back, one ulp off the grid:
+        # "distance 127.75390000000002 km above grid maximum 127.754 km"
+        table = CurveTable(freq_mhz=(100.0, 3000.0), dist_km=(17.0151, 127.7539),
+                           amu_db=((1.0, 2.0), (3.0, 4.0)),
+                           garea={Environment.URBAN: ((100.0, 0.0), (3000.0, 0.0))},
+                           source_tag="odd edges")
+        link = RadioLink(1900.0, 50_000.0, 30.0, 3.0)
+        at = okumura(link, Environment.URBAN, table, clamp=True)
+        result = at(distance_m)
+        assert result.component("median_attenuation") == \
+            amu_at_frequency(table, 1900.0)(edge_km)
+        assert result.warnings == (f"distance {distance_m:g} m clamped to grid edge "
+                                   f"{edge_km * 1000.0:g} m",)
+        assert at.loss(distance_m) == result.total_db
+        assert at.losses([distance_m, 50_000.0]) == [result.total_db, at.loss(50_000.0)]
+
+    def test_clamp_pins_the_amu_axes_only(self):
+        # the area-gain rows must still cover the clamped frequency
+        table = _direct_table()  # urban area gain at 100 MHz only
+        at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, table, clamp=True)
+        with pytest.raises(BoundsError, match="^frequency 1900 MHz above grid maximum 100 MHz$"):
+            at(5000.0)
 
     def test_monotone_in_distance_on_bundled_grid(self, bundled_curves):
         for row in bundled_curves.amu_db:
@@ -275,7 +316,7 @@ class TestAmuAtFrequency:
         for freq in freqs:
             at = amu_at_frequency(t, freq)
             for d_km in dists_km:
-                assert at(d_km * 1000.0) == pytest.approx(
+                assert at(d_km) == pytest.approx(
                     oracle.bilinear_log(t.freq_mhz, t.dist_km, t.amu_db, freq, d_km), abs=1e-9)
 
     def test_frequency_checked_when_bound_distance_when_called(self):
@@ -284,8 +325,22 @@ class TestAmuAtFrequency:
             amu_at_frequency(table, 3500.0)
         at = amu_at_frequency(table, 1000.0)
         with pytest.raises(BoundsError, match="^distance 150 km above grid maximum 100 km$"):
-            at(150_000.0)
-        assert at(10_000.0) == 25.0
+            at(150.0)
+        assert at(10.0) == 25.0
+
+    def test_km_lookup_is_amu_lookup_bit_for_bit(self, bundled_curves):
+        t = bundled_curves
+        freqs = [f for node in t.freq_mhz
+                 for f in (math.nextafter(node, 0.0), node, math.nextafter(node, math.inf))
+                 if t.freq_mhz[0] <= f <= t.freq_mhz[-1]]
+        dists_m = [d for node in t.dist_km
+                   for d in (math.nextafter(node * 1000.0, 0.0), node * 1000.0,
+                             math.nextafter(node * 1000.0, math.inf))
+                   if t.dist_km[0] <= d / 1000.0 <= t.dist_km[-1]]
+        for freq in freqs:
+            at = amu_at_frequency(t, freq)
+            for d in dists_m:
+                assert at(d / 1000.0).hex() == amu_lookup(t, freq, d).hex(), (freq, d)
 
 
 class TestGareaLookup:

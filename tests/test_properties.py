@@ -916,26 +916,28 @@ def _crossing(dist_km, per_cell):
 
 def _check_cell_walk(curves, freq_mhz, ascending):
     """``at.losses`` is ``at.loss`` point by point on ``ascending``, on it
-    reversed and on it shuffled, clamped or not (clamped, with a point off
-    each end of the grid); unclamped and ascending, the list is walked by
-    cell, so the per-point A_mu lookup runs once, at the guard's smallest
-    distance."""
+    reversed and on it shuffled, clamped or not (clamped, also with a point
+    off each end of the grid); ascending, clamped or not, the list is walked
+    by cell, so the per-point A_mu lookup runs once, at the guard's smallest
+    distance, and a clamped binding gives the unclamped totals hex for hex."""
     link = RadioLink(freq_mhz, 5000.0, 30.0, 3.0)
     lookups, amu_at_frequency = [], curves_module.amu_at_frequency
 
     def counted(table, frequency_mhz):
         at = amu_at_frequency(table, frequency_mhz)
 
-        def recorded(distance_m):
-            lookups.append(distance_m)
-            return at(distance_m)
+        def recorded(d_km):
+            lookups.append(d_km)
+            return at(d_km)
         return recorded
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(curves_module, "amu_at_frequency", counted)
+        walks = []
         for clamp in (False, True):
             ordered = [ascending[0] / 2, *ascending, ascending[-1] * 2] if clamp else ascending
             shuffled = random.Random(len(ordered)).sample(ordered, len(ordered))
-            for batch in (ordered, ordered[::-1], shuffled):
+            for batch in ((ascending, ordered) if clamp else (ascending,)) + (
+                    ordered[::-1], shuffled):
                 at = okumura(link, Environment.URBAN, curves, clamp)
                 lookups.clear()
                 totals = _losses_or_error(at, batch)
@@ -944,7 +946,9 @@ def _check_cell_walk(curves, freq_mhz, ascending):
                 assert totals == _loss_list_or_error(reference, batch), (clamp, batch)
                 assert isinstance(totals, list)
                 if batch is ascending:
-                    assert walked == 1
+                    assert walked == 1, clamp
+                    walks.append(totals)
+        assert walks[0] == walks[1]
 
 
 def _past_node_inside(ascending, dist_km):
