@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import errno
 import inspect
-import io
 import os
 import sys
 from enum import Enum
@@ -273,8 +272,9 @@ def _model_json(config):
 def _series(config, points, buffer):
     """Sweep output, also ``pathloss --output csv`` as a one-point series; each
     chunk of points is formatted as ``points`` yields it, so no result is
-    held.  CSV and table chunks are ``(distances, totals)`` lists, formatted
-    with one ``%`` per chunk; JSON points are ``(distance, result)``."""
+    held, and written as one piece, which ``run`` hands to stdout as is.
+    CSV and table chunks are ``(distances, totals)`` lists, formatted with
+    one ``%`` per chunk; JSON points are ``(distance, result)``."""
     write = buffer.write
     if config.output == "json":
         import json
@@ -400,16 +400,19 @@ _RUN = {"pathloss": _pathloss, "sweep": _sweep, "compare": _compare, "cell-range
 
 def run(config, out=None, err=None) -> int:
     """Execute one parsed command; returns the process exit code.  The command
-    writes into one buffer that goes to ``out`` only if it succeeds."""
+    writes its output into a list of strings, which go to ``out`` one
+    ``write`` each, and only if it succeeds; they are never joined."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    buffer = io.StringIO()
+    parts = []
+    buffer = SimpleNamespace(write=parts.append)
     try:
         code = _RUN[config.command](config, buffer) or 0  # only compare sets a code
     except (OSError, PathcastError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    out.write(buffer.getvalue())
+    for part in parts:
+        out.write(part)
     return code
 
 

@@ -19,7 +19,7 @@ table takes once.  Tables are immutable after load; lookups are pure.
 per-distance lookup, so a model evaluated at many distances locates the
 frequency once; :func:`amu_lookup` is that lookup for a single (f, d) pair.
 
-CSV format (UTF-8, '#' comments ignored):
+CSV format (UTF-8, one leading byte-order mark and '#' comments ignored):
 
     AMU,<d1_km>,<d2_km>,...          strictly increasing distances
     <f_mhz>,<amu_db>,...             one row per frequency, one value per column
@@ -169,12 +169,17 @@ def load_curves(source: Union[bytes, str, IO]) -> CurveTable:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
+        # One leading byte-order mark, as spreadsheets write, is dropped here
+        # and not by "utf-8-sig", whose error offsets would not index ``source``.
+        source = source.removeprefix(b"\xef\xbb\xbf")
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             # the valid prefix plus one character ends on the undecodable line
             lineno = len((source[:exc.start].decode("utf-8") + "x").splitlines())
             raise CurveParseError(f"line {lineno}: not UTF-8 ({exc.reason})") from None
+    else:
+        source = source.removeprefix("\ufeff")
 
     dist_km: list[float] = []
     freq_mhz: list[float] = []

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import pytest
 
@@ -340,6 +343,10 @@ class TestRun:
             assert code == 1
             assert out == ""
             assert err == f"error: sweep aborted at {message}\n"
+            pieces = []
+            assert run(parse_args(["sweep", *argv, "--output", output]),
+                       SimpleNamespace(write=pieces.append), io.StringIO()) == 1
+            assert pieces == []
 
     @pytest.mark.parametrize("output,argv", [
         ("csv", ["--model", "walfisch_ikegami", "--d-min-m", "500", "--d-max-m", "8000"]),
@@ -415,8 +422,6 @@ class TestRun:
         assert first == second
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "pathcast", "pathloss", "--model", "sui"],
             capture_output=True, text=True)
@@ -511,6 +516,37 @@ class TestSweepChunks:
                       f"distance {d / 1000:g} km above grid maximum 100 km\n"
 
 
+class TestOutputPieces:
+    """``run`` writes the strings a command formatted, one ``write`` each,
+    to an ``out`` that needs nothing but ``write``; a sweep is never joined
+    into one string."""
+
+    @pytest.mark.parametrize("output", ["csv", "table"])
+    def test_sweep_is_written_a_chunk_at_a_time(self, output):
+        chunk = scenario_module._SWEEP_CHUNK
+        argv = ["sweep", "--model", "walfisch_ikegami", "--d-min-m", "500", "--d-max-m",
+                "8000", "--steps", str(2 * chunk + 1), "--output", output]
+        pieces = []
+        assert run(parse_args(argv), SimpleNamespace(write=pieces.append), io.StringIO()) == 0
+        code, out, _ = invoke_cli(argv)
+        assert code == 0
+        assert "".join(pieces) == out
+        # the header, then one piece per chunk of rows
+        assert [piece.count("\n") for piece in pieces] == [1, chunk, chunk, 1]
+
+    def test_pipe_gets_the_bytes_of_the_in_process_run(self):
+        # the goldens and invoke_cli read a StringIO; here stdout is a real pipe
+        for argv in [
+                ["sweep", "--model", "cost231_hata", "--steps",
+                 str(2 * scenario_module._SWEEP_CHUNK + 1)],
+                ["sweep", "--model", "sui", "--steps", "50", "--output", "json"]]:
+            proc = subprocess.run([sys.executable, "-m", "pathcast", *argv],
+                                  capture_output=True)
+            code, out, _ = invoke_cli(argv)
+            assert (code, proc.returncode, proc.stderr) == (0, 0, b"")
+            assert proc.stdout == out.encode("utf-8")
+
+
 _LAZY_MODULES = {"pathcast.curves", "pathcast.reference", "json", "csv", "importlib.resources"}
 
 
@@ -552,8 +588,6 @@ class TestImportFootprint:
 
 def _fresh_python(code, *argv):
     """Run ``code`` in a new interpreter that imports the pathcast under test."""
-    import subprocess
-    import sys
     from pathlib import Path
 
     import pathcast

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,8 @@ from pathcast import (
 from pathcast.curves import amu_at_frequency
 
 import oracle
-from conftest import LOG_AXIS_DEFECTS, VALID_CURVES as VALID, defective_curves
+from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES as VALID, bundled_curves_path,
+                      defective_curves)
 
 
 class TestLoad:
@@ -110,6 +112,19 @@ class TestLoad:
         path.write_bytes(VALID.encode("utf-8").replace(b"1000,15.0", b"1000,\xe9"))
         with open(path, "rb") as fh, pytest.raises(CurveParseError, match="line 4: not UTF-8"):
             load_curves(fh)
+
+    def test_leading_byte_order_mark_is_ignored(self, bundled_curves, tmp_path):
+        # "CSV UTF-8" from a spreadsheet starts with a BOM; before, it hid
+        # line 1's "#" and the table was refused as data before the AMU header
+        path = tmp_path / "curves.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(bundled_curves_path()).read_bytes())
+        with open(path, "rb") as fh:
+            assert load_curves(fh) == bundled_curves
+        with open(path, encoding="utf-8") as fh:
+            assert load_curves(fh) == bundled_curves
+        # an undecodable byte is still named by its line in the file
+        with pytest.raises(CurveParseError, match="^line 2: not UTF-8"):
+            load_curves(b"\xef\xbb\xbfAMU,1,2\n\xff\n")
 
     def test_unknown_environment(self):
         bad = VALID.replace("100,rural,20.0", "100,open,20.0")
