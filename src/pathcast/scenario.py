@@ -16,7 +16,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import pathcast  # bind reads pathcast.curves, which the package imports on first access
@@ -174,10 +173,13 @@ def bind(model: ModelId, scenario: Scenario,
         return PathLossResult(result.components + margin_component, result.warnings)
 
     def loss(distance_m: float) -> float:
+        total = inner_loss(distance_m)
         try:
-            total = inner_loss(distance_m) + margin_db
+            total += margin_db
         except OverflowError:  # an int margin too large for a float
             total = math.inf
+        except TypeError:  # a margin float arithmetic refuses, as at refuses it
+            raise DomainError("every component value must be a real number") from None
         return _finite_total(total)
     return _evaluator(at_with_margin, loss, lambda distances: [
         total + margin_db for total in at._totals(distances)],
@@ -190,20 +192,6 @@ def evaluate(model: ModelId, scenario: Scenario,
     return bind(model, scenario, curves)(scenario.link.distance_m)
 
 
-def sweep_distances(d_min_m: float, d_max_m: float, steps: int,
-                    spacing: str = "log") -> Iterator[float]:
-    """Inclusive distance samples, log-spaced by default: ``d_min_m`` and
-    ``d_max_m`` exactly, then ``steps - 2`` computed between them.
-
-    The arguments are checked on the call: ``steps`` must be an integer of
-    at least 2, and a sweep with points between its ends is refused where a
-    log sweep's ratio ``d_max_m / d_min_m`` overflows, or a linear sweep's
-    span times ``steps - 2``.  The distances are computed a chunk at a time
-    as they are consumed.
-    """
-    return chain.from_iterable(_distance_chunks(d_min_m, d_max_m, steps, spacing))
-
-
 def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
                d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
                spacing: str = "log") -> Iterator[tuple[float, PathLossResult]]:
@@ -213,15 +201,38 @@ def iter_sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
     The scenario is bound once and each point evaluates only the
     distance-dependent terms; every point equals :func:`evaluate` at that
     distance.  A failure names the distance it occurred at (the first one if
-    the scenario itself cannot be bound).  As in any generator, the argument
-    checks run when the first point is asked for.
+    the scenario itself cannot be bound), after the points before it.  As in
+    any generator, the argument checks run when the first point is asked for.
     """
-    distances = sweep_distances(d_min_m, d_max_m, steps, spacing)
+    return _bound_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing,
+                        lambda at, chunk: ((d, at(d)) for d in chunk))
+
+
+def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
+    """:func:`iter_sweep`'s points as totals, for CSV and table output:
+    ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, the totals
+    ``at.losses`` of the chunk, so no result and no per-point tuple is built.
+    A failure names the same distance as :func:`iter_sweep`."""
+    return _bound_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing,
+                        lambda at, chunk: ((chunk, at.losses(chunk)),))
+
+
+def _bound_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing, points):
+    """The one sweep loop: :func:`_distance_chunks`, checked first, then the
+    scenario bound once, then the items of ``points(at, chunk)`` per chunk.
+    A failure names the first distance of its chunk where ``at.loss``, which
+    raises wherever ``at`` does, raises, or ``d_min_m`` if binding fails."""
+    chunks = _distance_chunks(d_min_m, d_max_m, steps, spacing)
     distance = d_min_m
     try:
         at = bind(model, scenario, curves)
-        for distance in distances:
-            yield distance, at(distance)
+        for chunk in chunks:
+            try:
+                yield from points(at, chunk)
+            except PathcastError:  # loss is deterministic: rerun to find the point
+                for distance in chunk:
+                    at.loss(distance)
+                raise
     except PathcastError as exc:
         raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
 
@@ -233,8 +244,16 @@ _SWEEP_CHUNK = 4096
 
 
 def _distance_chunks(d_min_m, d_max_m, steps, spacing):
-    """:func:`sweep_distances`' checks, on the call, and its distances as
-    lists of up to ``_SWEEP_CHUNK``, each computed by one comprehension."""
+    """A sweep's inclusive distance samples, log-spaced or linear: ``d_min_m``
+    and ``d_max_m`` exactly, then ``steps - 2`` computed between them, as
+    lists of up to ``_SWEEP_CHUNK``, each computed by one comprehension as
+    it is consumed.
+
+    The arguments are checked on the call: ``steps`` must be an integer of
+    at least 2, and a sweep with points between its ends is refused where a
+    log sweep's ratio ``d_max_m / d_min_m`` overflows, or a linear sweep's
+    span times ``steps - 2``.
+    """
     try:
         steps = operator.index(steps)
     except TypeError:
@@ -279,27 +298,6 @@ def _distance_chunks(d_min_m, d_max_m, steps, spacing):
                 chunk.append(d_max_m)
             yield chunk
     return chunks()
-
-
-def _sweep_totals(model, scenario, d_min_m, d_max_m, steps, curves, spacing):
-    """:func:`iter_sweep`'s points as totals, for CSV and table output:
-    ``(distances, totals)`` lists of up to ``_SWEEP_CHUNK`` points, the totals
-    ``at.losses`` of the chunk, so no result and no per-point tuple is built.
-    A failure names the same distance as :func:`iter_sweep`."""
-    chunks = _distance_chunks(d_min_m, d_max_m, steps, spacing)
-    distance = d_min_m
-    try:
-        at = bind(model, scenario, curves)
-        for chunk in chunks:
-            try:
-                totals = at.losses(chunk)
-            except PathcastError:  # loss is deterministic: rerun to find the point
-                for distance in chunk:
-                    at.loss(distance)
-                raise
-            yield chunk, totals
-    except PathcastError as exc:
-        raise DomainError(f"sweep aborted at {float(distance):.2f} m: {exc}") from exc
 
 
 def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,

@@ -6,6 +6,7 @@ import pytest
 
 from pathcast import load_default_curves
 from pathcast.cli import main as cli_main
+from pathcast.scenario import _distance_chunks
 
 VALID_CURVES = """\
 # comment line
@@ -60,6 +61,12 @@ def bundled_curves():
 
 def bundled_curves_path():
     return str(resources.files("pathcast.data").joinpath("okumura_curves.csv"))
+
+
+def flat_distances(d_min_m, d_max_m, steps, spacing="log"):
+    """A sweep's distances in one list: the chunks of ``_distance_chunks``,
+    whose argument checks run on the call, flattened."""
+    return [d for chunk in _distance_chunks(d_min_m, d_max_m, steps, spacing) for d in chunk]
 
 
 def invoke_cli(argv):

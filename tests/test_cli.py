@@ -15,10 +15,10 @@ import pytest
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
 from pathcast import scenario as scenario_module
 from pathcast.cli import _scenario_from, parse_args, run
-from pathcast.scenario import iter_sweep, sweep_distances
+from pathcast.scenario import iter_sweep
 
 from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
-                      invoke_cli)
+                      flat_distances, invoke_cli)
 
 
 class TestParseArgs:
@@ -504,7 +504,7 @@ class TestSweepChunks:
     @pytest.mark.parametrize("output", ["csv", "table", "json"])
     def test_abort_past_the_first_chunk_names_its_point(self, output):
         # 1-150 km in 4,600 log steps leaves the 100 km curve grid in the second chunk
-        distances = list(sweep_distances(1000.0, 150_000.0, 4600))
+        distances = flat_distances(1000.0, 150_000.0, 4600)
         index = next(i for i, d in enumerate(distances) if d > 100_000.0)
         assert scenario_module._SWEEP_CHUNK < index < 2 * scenario_module._SWEEP_CHUNK - 1
         d = distances[index]

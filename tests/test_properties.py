@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -658,6 +659,29 @@ class TestFiniteOrPathcastError:
         for evaluate_at in (at, at.loss):
             with pytest.raises(DomainError, match=f"^{message}$"):
                 evaluate_at(distance)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_margin_float_arithmetic_refuses(self, model, bundled_curves):
+        """A Decimal margin raises the DomainError of its component from
+        ``at``, ``at.loss``, ``at.losses``, inversion and both sweep paths,
+        which name d_min; a str distance stays Python's TypeError."""
+        scenario = default_scenario(Environment.URBAN, shadow_margin_db=Decimal("8.2"),
+                                    apply_shadow_margin=True)
+        at = bind(model, scenario, bundled_curves)
+        message = "every component value must be a real number"
+        for call in (lambda: at(5000.0), lambda: at.loss(5000.0), lambda: at.losses([5000.0]),
+                     lambda: invert_cell_range(model, scenario, 150.0, curves=bundled_curves)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+        totals = scenario_module._sweep_totals(model, scenario, 1000.0, 5000.0, 50,
+                                               bundled_curves, "log")
+        for call in (lambda: sweep(model, scenario, curves=bundled_curves), lambda: list(totals)):
+            with pytest.raises(DomainError, match=f"^sweep aborted at 1000.00 m: {message}$"):
+                call()
+        for evaluate_at in (at, at.loss, lambda d: at.losses([d])):
+            with pytest.raises(TypeError, match="must be real number, not str") as raised:
+                evaluate_at("5000")
+            assert not isinstance(raised.value, PathcastError)
 
     # No shrink phase: shrinking a failure among Fractions with 400-digit
     # denominators took over five minutes; the first failing example reports.

@@ -6,6 +6,7 @@ import inspect
 import math
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,8 @@ from pathcast import (
 from pathcast import scenario as scenario_module
 from pathcast.propagation import _moderate
 
-from conftest import invoke_cli, plain_bisection
+import oracle
+from conftest import flat_distances, invoke_cli, plain_bisection
 
 
 class TestDefaults:
@@ -479,7 +481,7 @@ class TestSweep:
             sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1)
         with pytest.raises(DomainError,
                            match=r"^unknown spacing 'cubic' \(expected log or linear\)$"):
-            scenario_module.sweep_distances(1, 2, 3, "cubic")
+            flat_distances(1, 2, 3, "cubic")
 
     @pytest.mark.parametrize("d_min", [0.0, -1000.0, float("-inf")])
     def test_log_spacing_needs_positive_start(self, d_min):
@@ -522,7 +524,7 @@ class TestSweep:
                  lambda: next(scenario_module.iter_sweep(ModelId.SUI, s, 1000.0, 5000.0, steps)),
                  lambda: next(scenario_module._sweep_totals(ModelId.SUI, s, 1000.0, 5000.0,
                                                             steps, None, "log")),
-                 lambda: scenario_module.sweep_distances(1000.0, 5000.0, steps)]
+                 lambda: flat_distances(1000.0, 5000.0, steps)]
         for call in calls:
             with pytest.raises(DomainError, match=f"^sweep steps must be an integer, "
                                                   f"got {re.escape(repr(steps))}$"):
@@ -532,11 +534,11 @@ class TestSweep:
                              ids=["floats", "fraction over int"])
     def test_log_ratio_must_not_overflow(self, d_min, d_max):
         with pytest.raises(DomainError, match=r"^log spacing ratio d_max / d_min overflows$"):
-            scenario_module.sweep_distances(d_min, d_max, 3)
+            flat_distances(d_min, d_max, 3)
         # two steps are the ends alone, and need no ratio
-        assert list(scenario_module.sweep_distances(d_min, d_max, 2)) == [d_min, d_max]
-        assert list(scenario_module.sweep_distances(0.01, 1e306, 3)) == [0.01, 1e152, 1e306]
-        assert list(scenario_module.sweep_distances(d_min, d_max, 3, "linear"))[1] > 0
+        assert flat_distances(d_min, d_max, 2) == [d_min, d_max]
+        assert flat_distances(0.01, 1e306, 3) == [0.01, 1e152, 1e306]
+        assert flat_distances(d_min, d_max, 3, "linear")[1] > 0
 
     def test_cli_log_ratio_overflow(self):
         argv = ["sweep", "--model", "cost231_hata", "--d-min-m", "0.01", "--steps", "3"]
@@ -550,15 +552,13 @@ class TestSweep:
     def test_linear_span_must_not_overflow(self, d_min, d_max, steps):
         with pytest.raises(DomainError, match=r"^linear spacing span \(d_max - d_min\) "
                                               r"\* \(steps - 2\) overflows$"):
-            scenario_module.sweep_distances(d_min, d_max, steps, "linear")
+            flat_distances(d_min, d_max, steps, "linear")
         # two steps are the ends alone, and need no span
-        assert list(scenario_module.sweep_distances(d_min, d_max, 2, "linear")) == [d_min, d_max]
-        assert list(scenario_module.sweep_distances(1e307, 1.7e308, 3, "linear")) == \
-            [1e307, 9e307, 1.7e308]
+        assert flat_distances(d_min, d_max, 2, "linear") == [d_min, d_max]
+        assert flat_distances(1e307, 1.7e308, 3, "linear") == [1e307, 9e307, 1.7e308]
         # exact Fractions never overflow, however large span * (steps - 2) is
         lo, hi = Fraction(10**307), Fraction(17 * 10**307)
-        assert list(scenario_module.sweep_distances(lo, hi, 20, "linear")) == \
-            [lo + (hi - lo) * i / 19 for i in range(20)]
+        assert flat_distances(lo, hi, 20, "linear") == [lo + (hi - lo) * i / 19 for i in range(20)]
 
     def test_cli_linear_span_overflow(self):
         argv = ["sweep", "--model", "cost231_hata", "--d-min-m", "1e307", "--d-max-m", "1.7e308",
@@ -586,9 +586,9 @@ def _spelled_distances(d_min, d_max, steps, spacing):
 
 
 class TestSweepDistances:
-    """``sweep_distances``, the points of ``iter_sweep`` (JSON sweeps) and
-    the chunks of ``_sweep_totals`` (CSV and table sweeps) are the spelled
-    distances hex for hex, on either side of the chunk size."""
+    """``_distance_chunks`` flattened, the points of ``iter_sweep`` (JSON
+    sweeps) and the chunks of ``_sweep_totals`` (CSV and table sweeps) are
+    the spelled distances hex for hex, on either side of the chunk size."""
 
     @pytest.mark.parametrize("spacing", ["log", "linear"])
     def test_every_path_gives_the_spelled_floats(self, spacing):
@@ -597,7 +597,7 @@ class TestSweepDistances:
         for d_min, d_max in ((1000.0, 90_000.0), (123.4, 98_765.4)):
             for steps in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
                 expected = [d.hex() for d in _spelled_distances(d_min, d_max, steps, spacing)]
-                distances = scenario_module.sweep_distances(d_min, d_max, steps, spacing)
+                distances = flat_distances(d_min, d_max, steps, spacing)
                 assert [d.hex() for d in distances] == expected, steps
                 chunks = [distances for distances, _ in scenario_module._sweep_totals(
                     ModelId.SUI, s, d_min, d_max, steps, None, spacing)]
@@ -696,6 +696,75 @@ class TestCompare:
     def test_tolerance_must_be_positive(self, bundled_curves):
         with pytest.raises(DomainError):
             compare_against_reference(load_reference_rows(), 0.0, bundled_curves)
+
+
+def _ledger_groups(curves):
+    """The default ledger's entries by (model, BS height), each group in
+    ledger order: frequency, then environment."""
+    groups = {}
+    for entry in compare_against_reference(load_reference_rows(), 0.5, curves).entries:
+        groups.setdefault((entry.row.model, entry.row.bs_m), []).append(entry)
+    return groups
+
+
+def _rounded_range(values, digits=2):
+    return round(min(values), digits), round(max(values), digits)
+
+
+class TestLedgerStructure:
+    """What the 53 mismatched cells have in common, by model and BS height.
+    Every printed cell is at 5 km with the receiver at 3 m."""
+
+    def test_printed_cells_below_free_space(self, bundled_curves):
+        entries = [e for group in _ledger_groups(bundled_curves).values() for e in group]
+        assert {(e.row.dist_km, e.row.rx_m) for e in entries} == {(5.0, 3.0)}
+        free_space = {f: oracle.okumura_free_space(f, 5000.0) for f in (1900.0, 2100.0)}
+        assert {f: round(loss, 2) for f, loss in free_space.items()} == \
+            {1900.0: 112.00, 2100.0: 112.87}
+        below = Counter(e.row.model for e in entries if e.printed_db < free_space[e.row.freq_mhz])
+        assert len(entries) == 57 and sum(below.values()) == 20
+        assert dict(below) == {ModelId.SUI: 12, ModelId.OKUMURA: 8}
+        per_model = Counter(e.row.model for e in entries)
+        assert (per_model[ModelId.SUI], per_model[ModelId.OKUMURA]) == (12, 12)
+
+    def test_sui_printed_values_ignore_bs_height(self, bundled_curves):
+        groups = _ledger_groups(bundled_curves)
+        pairs = list(zip(groups[ModelId.SUI, 30.0], groups[ModelId.SUI, 80.0], strict=True))
+        assert len(pairs) == 6
+        assert all((low.row.freq_mhz, low.environment) == (high.row.freq_mhz, high.environment)
+                   for low, high in pairs)
+        assert max(round(abs(low.printed_db - high.printed_db), 2) for low, high in pairs) == 0.04
+        moves = [low.computed_db - high.computed_db for low, high in pairs]
+        assert _rounded_range(moves, 1) == (10.8, 11.6)
+
+    @pytest.mark.parametrize("model, bs_m, deltas", [
+        (ModelId.COST231_HATA, 30.0, (-32.07, -32.06)),
+        (ModelId.COST231_HATA, 80.0, (-29.53, -29.53)),
+        (ModelId.OKUMURA, 30.0, (34.73, 35.83)),
+        (ModelId.OKUMURA, 80.0, (45.83, 47.83)),
+    ])
+    def test_delta_nearly_flat_per_bs_height(self, model, bs_m, deltas, bundled_curves):
+        group = _ledger_groups(bundled_curves)[model, bs_m]
+        assert {e.environment for e in group} == set(Environment)
+        assert _rounded_range([e.delta_db for e in group]) == deltas
+
+    def test_ericsson_computed_loss_ignores_environment(self, bundled_curves):
+        computed = {}
+        for e in _ledger_groups(bundled_curves)[ModelId.ERICSSON9999, 30.0]:
+            loss = round(e.computed_db, 2)
+            computed.setdefault(e.row.freq_mhz, set()).add((e.environment, loss))
+        assert computed == {f: {(env, loss) for env in Environment}
+                            for f, loss in ((1900.0, 161.96), (2100.0, 162.53))}
+
+    def test_matches_are_the_wi_los_cells(self, bundled_curves):
+        matches = [e for group in _ledger_groups(bundled_curves).values() for e in group
+                   if e.verdict == "match"]
+        assert len(matches) == 4
+        for entry in matches:
+            assert (entry.row.model, entry.environment) == \
+                (ModelId.WALFISCH_IKEGAMI, Environment.RURAL)
+            assert default_scenario(entry.environment).wi_geometry.los
+            assert abs(entry.delta_db) <= 0.05
 
 
 def _dip_table(bundled):
