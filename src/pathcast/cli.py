@@ -271,10 +271,10 @@ def _model_json(config):
 
 def _series(config, points, buffer):
     """Sweep output, also ``pathloss --output csv`` as a one-point series; each
-    chunk of points is formatted as ``points`` yields it, so no result is
-    held, and written as one piece, which ``run`` hands to stdout as is.
-    CSV and table chunks are ``(distances, totals)`` lists, formatted with
-    one ``%`` per chunk; JSON points are ``(distance, result)``."""
+    chunk of points is formatted as ``points`` yields it, so no result is held.
+    CSV and table chunks are ``(distances, totals)`` lists, formatted with one
+    ``%`` per chunk as two numbers around a tab and handed to ``writelines``,
+    which expands each as ``run`` writes it; JSON points are ``(distance, result)``."""
     write = buffer.write
     if config.output == "json":
         import json
@@ -296,14 +296,18 @@ def _series(config, points, buffer):
                            f"{config.freq_mhz:.2f}", f"{config.bs_m:.2f}", f"{config.rx_m:.2f}",
                            config.mode.value, ""])
         write(_SERIES_HEADER)
-        row = "%.2f" + middle + "%.2f\n"  # middle holds no "%"
+        row = "%.2f\t%.2f\n"
     else:
         write(f"{'distance_m':>12}  {'path_loss_db':>12}\n")
-        row = "%12.2f  %12.2f\n"
+        row, middle = "%12.2f\t%12.2f\n", "  "
+    chunks = []
     for distances, totals in points:
         values = distances + totals  # the right length, then interleaved
         values[::2], values[1::2] = distances, totals
-        write(row * len(distances) % tuple(values))
+        chunks.append(row * len(distances) % tuple(values))
+    # a formatted number holds no tab; middle's columns are copied by replace,
+    # not by %, which parses a literal in the template on every row
+    buffer.writelines(chunk.replace("\t", middle) for chunk in chunks)
 
 
 def _pathloss(config, buffer):
@@ -400,19 +404,25 @@ _RUN = {"pathloss": _pathloss, "sweep": _sweep, "compare": _compare, "cell-range
 
 def run(config, out=None, err=None) -> int:
     """Execute one parsed command; returns the process exit code.  The command
-    writes its output into a list of strings, which go to ``out`` one
-    ``write`` each, and only if it succeeds; they are never joined."""
+    writes its output into a list of parts, which go to ``out`` only if it
+    succeeds and are never joined: a ``write`` string in one ``write``, and a
+    ``writelines`` iterable, which only expands formatted text, one ``write``
+    per string it yields."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parts = []
-    buffer = SimpleNamespace(write=parts.append)
+    buffer = SimpleNamespace(write=parts.append, writelines=parts.append)
     try:
         code = _RUN[config.command](config, buffer) or 0  # only compare sets a code
     except (OSError, PathcastError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     for part in parts:
-        out.write(part)
+        if isinstance(part, str):
+            out.write(part)
+        else:
+            for piece in part:
+                out.write(piece)
     return code
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -238,9 +239,9 @@ def _bound_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing, poin
 
 
 # Points per chunk of _distance_chunks: large enough that the per-chunk cost
-# vanishes, small enough that a chunk's formatted rows stay far below the
-# output they join
-_SWEEP_CHUNK = 4096
+# vanishes, small enough that a chunk's CSV rows, with their constant columns
+# put back as the CLI writes them, and their encoded copy stay near 65 KB each
+_SWEEP_CHUNK = 1024
 
 
 def _distance_chunks(d_min_m, d_max_m, steps, spacing):
@@ -249,15 +250,18 @@ def _distance_chunks(d_min_m, d_max_m, steps, spacing):
     lists of up to ``_SWEEP_CHUNK``, each computed by one comprehension as
     it is consumed.
 
-    The arguments are checked on the call: ``steps`` must be an integer of
-    at least 2, and a sweep with points between its ends is refused where a
-    log sweep's ratio ``d_max_m / d_min_m`` overflows, or a linear sweep's
-    span times ``steps - 2``.
+    The arguments are checked on the call: ``steps`` must be an integer from
+    2 to ``sys.maxsize``, the most items a list can hold, and a sweep with
+    points between its ends is refused where a log sweep's ratio
+    ``d_max_m / d_min_m`` overflows, or a linear sweep's span times
+    ``steps - 2``.
     """
     try:
         steps = operator.index(steps)
     except TypeError:
         raise DomainError(f"sweep steps must be an integer, got {steps!r}") from None
+    if steps > sys.maxsize:
+        raise DomainError(f"sweep steps must be at most {sys.maxsize}")
     if steps < 2:
         raise DomainError("a sweep needs at least 2 steps")
     if not d_min_m < d_max_m:

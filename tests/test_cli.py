@@ -367,6 +367,29 @@ class TestRun:
         assert code == 0, err.getvalue()
         assert peak < 6 * len(out.getvalue())
 
+    # A CSV row is held as its two numbers, about 15 bytes, until run writes
+    # its chunk; the six constant columns, about 49 more, are put back then.
+    # The table's rows are already mostly its output: about 27 bytes a point.
+    @pytest.mark.parametrize("output, bytes_per_point", [("csv", 24), ("table", 32)])
+    def test_sweep_memory_per_point(self, output, bytes_per_point):
+        def peak(steps):
+            config = parse_args(["sweep", "--model", "walfisch_ikegami", "--env", "urban",
+                                 "--d-min-m", "500", "--d-max-m", "8000", "--steps", str(steps),
+                                 "--output", output])
+            written = [0]
+
+            def count(text):  # holds nothing it is given
+                written[0] += len(text)
+            tracemalloc.start()
+            try:
+                code = run(config, SimpleNamespace(write=count), io.StringIO())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and written[0] > 27 * steps
+            return peak
+        assert (peak(40_000) - peak(10_000)) / 30_000 < bytes_per_point
+
     def test_compare_mismatches_exit_0_by_default(self):
         code, out, _ = invoke_cli(["compare", "--tolerance-db", "0.5"])
         assert code == 0
@@ -503,14 +526,16 @@ class TestSweepChunks:
 
     @pytest.mark.parametrize("output", ["csv", "table", "json"])
     def test_abort_past_the_first_chunk_names_its_point(self, output):
-        # 1-150 km in 4,600 log steps leaves the 100 km curve grid in the second chunk
-        distances = flat_distances(1000.0, 150_000.0, 4600)
+        # 1-150 km in two chunks of log steps leaves the 100 km curve grid
+        # 92 % of the way along, in the second chunk
+        steps = 2 * scenario_module._SWEEP_CHUNK
+        distances = flat_distances(1000.0, 150_000.0, steps)
         index = next(i for i, d in enumerate(distances) if d > 100_000.0)
-        assert scenario_module._SWEEP_CHUNK < index < 2 * scenario_module._SWEEP_CHUNK - 1
+        assert scenario_module._SWEEP_CHUNK < index < steps - 1
         d = distances[index]
         code, out, err = invoke_cli(["sweep", "--model", "okumura", "--curves",
                                      bundled_curves_path(), "--d-min-m", "1000", "--d-max-m",
-                                     "150000", "--steps", "4600", "--output", output])
+                                     "150000", "--steps", str(steps), "--output", output])
         assert (code, out) == (1, "")
         assert err == f"error: sweep aborted at {d:.2f} m: " \
                       f"distance {d / 1000:g} km above grid maximum 100 km\n"
@@ -536,9 +561,12 @@ class TestOutputPieces:
 
     def test_pipe_gets_the_bytes_of_the_in_process_run(self):
         # the goldens and invoke_cli read a StringIO; here stdout is a real pipe
+        steps = ["--steps", str(2 * scenario_module._SWEEP_CHUNK + 1)]
         for argv in [
-                ["sweep", "--model", "cost231_hata", "--steps",
-                 str(2 * scenario_module._SWEEP_CHUNK + 1)],
+                ["sweep", "--model", "cost231_hata", *steps],
+                ["sweep", "--model", "sui", *steps, "--output", "table"],
+                ["sweep", "--model", "walfisch_ikegami", *steps, "--spacing", "linear"],
+                ["sweep", "--model", "okumura", "--curves", bundled_curves_path(), *steps],
                 ["sweep", "--model", "sui", "--steps", "50", "--output", "json"]]:
             proc = subprocess.run([sys.executable, "-m", "pathcast", *argv],
                                   capture_output=True)

@@ -6,6 +6,7 @@ import inspect
 import math
 import pickle
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -529,6 +530,28 @@ class TestSweep:
             with pytest.raises(DomainError, match=f"^sweep steps must be an integer, "
                                                   f"got {re.escape(repr(steps))}$"):
                 call()
+
+    def test_steps_have_a_maximum(self, monkeypatch):
+        # no list can hold more than sys.maxsize points; a larger sweep ran until killed
+        def no_binding(*args):
+            raise AssertionError("a point was computed")
+        monkeypatch.setattr(scenario_module, "bind", no_binding)
+        s = default_scenario(Environment.URBAN)
+        message = f"^sweep steps must be at most {sys.maxsize}$"
+        for spacing in ("log", "linear"):
+            with pytest.raises(DomainError, match=message):
+                scenario_module._distance_chunks(200.0, 300.0, 10**20, spacing)
+            with pytest.raises(DomainError, match=message):
+                scenario_module._distance_chunks(200.0, 300.0, sys.maxsize + 1, spacing)
+        with pytest.raises(DomainError, match=message):
+            sweep(ModelId.SUI, s, 200.0, 300.0, 10**20)
+        # with no binding, a CLI sweep that is not refused fails fast here
+        code, out, err = invoke_cli(["sweep", "--model", "sui", "--d-min-m", "200", "--d-max-m",
+                                     "300", "--steps", "99999999999999999999"])
+        assert (code, out, err) == (1, "", f"error: sweep steps must be at most {sys.maxsize}\n")
+        # the maximum itself is a sweep, computed a chunk at a time
+        chunk = next(scenario_module._distance_chunks(200.0, 300.0, sys.maxsize, "log"))
+        assert (chunk[0], len(chunk)) == (200.0, scenario_module._SWEEP_CHUNK)
 
     @pytest.mark.parametrize("d_min, d_max", [(0.01, 1e307), (Fraction(1, 10**10), 10**308)],
                              ids=["floats", "fraction over int"])
