@@ -407,7 +407,9 @@ def run(config, out=None, err=None) -> int:
     writes its output into a list of parts, which go to ``out`` only if it
     succeeds and are never joined: a ``write`` string in one ``write``, and a
     ``writelines`` iterable, which only expands formatted text, one ``write``
-    per string it yields."""
+    per string it yields.  A command that runs out of memory, such as a
+    sweep with more points than its output can hold, writes nothing to
+    ``out`` and ``error: out of memory`` to ``err``."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parts = []
@@ -416,6 +418,12 @@ def run(config, out=None, err=None) -> int:
         code = _RUN[config.command](config, buffer) or 0  # only compare sets a code
     except (OSError, PathcastError) as exc:
         print(f"error: {exc}", file=err)
+        return 1
+    except MemoryError:  # its traceback holds the command's frames until this block ends
+        code = None
+    if code is None:
+        parts.clear()
+        print("error: out of memory", file=err)
         return 1
     for part in parts:
         if isinstance(part, str):

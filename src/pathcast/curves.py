@@ -42,7 +42,7 @@ from typing import IO, Union
 from .errors import BoundsError, CurveLookupError, CurveParseError, DomainError
 from .propagation import (Environment, PathLossResult, RadioLink, _check_distance,
                           _check_environment, _finite_total, _log10, _log10_positive,
-                          _evaluator, _moderate)
+                          _evaluator, _moderate, _wavelength_m)
 
 
 class _ReadOnlyDict(dict):
@@ -384,7 +384,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         if pinned != freq:
             notes = (f"frequency {freq:g} MHz clamped to grid edge {pinned:g} MHz",)
         freq = pinned
-    wavelength, four_pi = link.wavelength_m, 4.0 * math.pi
+    wavelength, four_pi = _wavelength_m(link.frequency_mhz), 4.0 * math.pi
     amu_at = area = None
 
     def point(distance_m):

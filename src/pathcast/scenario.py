@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -361,24 +361,31 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
 
     at = bind(model, scenario, curves)
     loss = at.loss
-    checked = [d_min_m, *[d for d in at.branch_points if d_min_m < d < d_max_m], d_max_m]
-    values = [loss(d) for d in checked]
-    for i in range(1, len(values)):
-        if values[i] < values[i - 1]:
-            raise DomainError(
-                f"loss is not monotone increasing over the bracket: "
-                f"PL({float(checked[i - 1]):.2f} m) = {values[i - 1]:.4f} dB > "
-                f"PL({float(checked[i]):.2f} m) = {values[i]:.4f} dB")
-
+    nodes = at.branch_points
+    if nodes:  # sorted, so the nodes strictly inside the bracket are one slice
+        checked = [d_min_m, *nodes[bisect_right(nodes, d_min_m):bisect_left(nodes, d_max_m)],
+                   d_max_m]
+        values = list(map(loss, checked))
+    else:
+        checked, values = [d_min_m, d_max_m], [loss(d_min_m), loss(d_max_m)]
     pl_min, pl_max = values[0], values[-1]
-    if not pl_min <= max_loss_db <= pl_max:
-        try:
-            target = float(max_loss_db)
-        except OverflowError:  # an int too large for a float shows as inf
-            target = math.inf if max_loss_db > 0 else -math.inf
-        raise BoundsError(
-            f"target {target:.4f} dB outside bracket: PL({float(d_min_m):g} m) = "
-            f"{pl_min:.4f} dB, PL({float(d_max_m):g} m) = {pl_max:.4f} dB")
+    # Two losses that hold the target between them are in order, so only a
+    # bracket with nodes inside, or one that misses the target, has pairs to check
+    if len(values) > 2 or not pl_min <= max_loss_db <= pl_max:
+        for i in range(1, len(values)):
+            if values[i] < values[i - 1]:
+                raise DomainError(
+                    f"loss is not monotone increasing over the bracket: "
+                    f"PL({float(checked[i - 1]):.2f} m) = {values[i - 1]:.4f} dB > "
+                    f"PL({float(checked[i]):.2f} m) = {values[i]:.4f} dB")
+        if not pl_min <= max_loss_db <= pl_max:
+            try:
+                target = float(max_loss_db)
+            except OverflowError:  # an int too large for a float shows as inf
+                target = math.inf if max_loss_db > 0 else -math.inf
+            raise BoundsError(
+                f"target {target:.4f} dB outside bracket: PL({float(d_min_m):g} m) = "
+                f"{pl_min:.4f} dB, PL({float(d_max_m):g} m) = {pl_max:.4f} dB")
     if max_loss_db == pl_max:
         return d_max_m
     if max_loss_db == pl_min:
@@ -389,15 +396,19 @@ def invert_cell_range(model: ModelId, scenario: Scenario, max_loss_db: float,
     lo, hi = d_min_m, d_max_m
     # only d_min's loss can meet the safety stop: a midpoint's within 1e-6 dB stops the loop
     near = max_loss_db - pl_min <= _INVERT_TOL_DB
+    # The one-sided tests come first, as they decide most steps in one
+    # comparison.  _chord_regions returns below <= stop_from and stop_to <=
+    # above, so no midpoint either of them decides lies in the stop region,
+    # and the order changes no step.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid < below:  # loss more than 1e-6 dB under the target
             lo = mid
+        elif mid > above:  # loss over the target
+            hi = mid
         elif stop_from < mid < stop_to:  # loss within 1e-6 dB under the target
             lo = mid
             break
-        elif mid > above:  # loss over the target
-            hi = mid
         else:
             value = loss(mid)
             if value <= max_loss_db:

@@ -77,6 +77,12 @@ def invoke_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def checked_points(branch_points, d_min_m, d_max_m):
+    """The distances whose losses prove a bracket monotone, in order: its ends
+    and the branch points strictly inside it, found by testing every one."""
+    return [d_min_m, *(d for d in branch_points if d_min_m < d < d_max_m), d_max_m]
+
+
 def plain_bisection(loss, branch_points, max_loss_db, d_min_m, d_max_m):
     """Cell-range inversion by plain bisection over ``loss``, evaluating every
     midpoint: ``invert_cell_range``'s checks, messages and stops, as they
@@ -89,7 +95,7 @@ def plain_bisection(loss, branch_points, max_loss_db, d_min_m, d_max_m):
         raise DomainError("bracket requires d_min < d_max")
     if d_min_m <= 0:
         raise DomainError("bracket requires d_min > 0")
-    checked = [d_min_m, *(d for d in branch_points if d_min_m < d < d_max_m), d_max_m]
+    checked = checked_points(branch_points, d_min_m, d_max_m)
     values = [loss(d) for d in checked]
     for (d_a, v_a), (d_b, v_b) in zip(zip(checked, values), zip(checked[1:], values[1:])):
         if v_b < v_a:

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from pathcast import Environment, FidelityMode, ModelId, default_scenario
+from pathcast import cli as cli_module
 from pathcast import scenario as scenario_module
 from pathcast.cli import _scenario_from, parse_args, run
 from pathcast.scenario import iter_sweep
@@ -347,6 +348,21 @@ class TestRun:
             assert run(parse_args(["sweep", *argv, "--output", output]),
                        SimpleNamespace(write=pieces.append), io.StringIO()) == 1
             assert pieces == []
+
+    @pytest.mark.parametrize("output, source", [("csv", "_sweep_totals"), ("json", "iter_sweep")])
+    def test_sweep_out_of_memory_exits_1(self, output, source, monkeypatch):
+        # A sweep's output is held until it ends, so one too long for memory
+        # fails part-way; here its point source fails after its first item, a
+        # chunk of CSV totals or one JSON point
+        points = getattr(cli_module, source)
+
+        def one_chunk_then_out_of_memory(*args):
+            yield next(iter(points(*args)))
+            raise MemoryError
+        monkeypatch.setattr(cli_module, source, one_chunk_then_out_of_memory)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(parse_args(["sweep", "--model", "sui", "--output", output]), out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("output,argv", [
         ("csv", ["--model", "walfisch_ikegami", "--d-min-m", "500", "--d-max-m", "8000"]),

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import random
 import re
 import sys
 from collections import Counter
@@ -42,7 +43,7 @@ from pathcast import scenario as scenario_module
 from pathcast.propagation import _moderate
 
 import oracle
-from conftest import flat_distances, invoke_cli, plain_bisection
+from conftest import checked_points, flat_distances, invoke_cli, plain_bisection
 
 
 class TestDefaults:
@@ -1069,12 +1070,104 @@ class TestInvertCellRange:
         # d_min, the branch points inside the bracket and d_max come first;
         # every later evaluation is one of plain bisection's midpoints, in
         # order, and the others are decided without one
-        checked = [1000.0, *(d for d in at.branch_points if 1000.0 < d < 10000.0), 10000.0]
+        checked = checked_points(at.branch_points, 1000.0, 10000.0)
         assert [d for d, _ in seen[:len(checked)]] == checked
         steps = iter(midpoints)
         assert all(d in steps for d, _ in seen[len(checked):])
         assert found == plain
         assert len(seen) == len({d for d, _ in seen})
+
+    @pytest.mark.parametrize("d_min, d_max", [(1000.0, 10000.0), (2000.0, 50000.0)])
+    def test_okumura_bracket_ends_on_grid_nodes(self, d_min, d_max, bundled_curves, monkeypatch):
+        # Both ends are nodes of the bundled grid, so they are checked once,
+        # as ends, and only the nodes strictly between them come in between
+        s = default_scenario(Environment.SUBURBAN)
+        at = scenario_module.bind(ModelId.OKUMURA, s, bundled_curves)
+        checked = checked_points(at.branch_points, d_min, d_max)
+        assert d_min in at.branch_points and d_max in at.branch_points and len(checked) > 3
+        target = at.loss(math.sqrt(d_min * d_max))
+        seen = _record_evaluations(monkeypatch)
+        found = invert_cell_range(ModelId.OKUMURA, s, target, d_min, d_max, bundled_curves)
+        assert [d for d, _ in seen[:len(checked)]] == checked
+        assert found == plain_bisection(at.loss, at.branch_points, target, d_min, d_max)[0]
+
+    # Printed Walfisch-Ikegami NLOS below the roofs has three branch points,
+    # the last distance under 500 m, 500 m and the first over it; the loss
+    # falls about 42 dB at 500 m and 21 dB just past it
+    @pytest.mark.parametrize("d_min, d_max, refusal", [
+        (math.nextafter(500.0, 0.0), 8000.0,
+         "PL(500.00 m) = 202.9605 dB > PL(500.00 m) = 160.9605 dB"),
+        (500.0, 8000.0, "PL(500.00 m) = 160.9605 dB > PL(500.00 m) = 139.6698 dB"),
+        (math.nextafter(500.0, math.inf), 8000.0, None),
+        (300.0, math.nextafter(500.0, 0.0), None),
+        (300.0, 500.0, "PL(500.00 m) = 202.9605 dB > PL(500.00 m) = 160.9605 dB"),
+        (300.0, math.nextafter(500.0, math.inf),
+         "PL(500.00 m) = 202.9605 dB > PL(500.00 m) = 160.9605 dB"),
+        (500.0, math.nextafter(500.0, math.inf),
+         "PL(500.00 m) = 160.9605 dB > PL(500.00 m) = 139.6698 dB"),
+    ], ids=["below-8000", "500-8000", "above-8000", "300-below", "300-500", "300-above",
+            "500-above"])
+    def test_wi_nlos_bracket_ends_on_branch_points(self, d_min, d_max, refusal, monkeypatch):
+        s = _wi_below_roofs(FidelityMode.AS_PRINTED)
+        at = scenario_module.bind(ModelId.WALFISCH_IKEGAMI, s)
+        assert at.branch_points == (
+            math.nextafter(500.0, 0.0), 500.0, math.nextafter(500.0, math.inf))
+        checked = checked_points(at.branch_points, d_min, d_max)
+        target = 0.5 * (at.loss(d_min) + at.loss(d_max))
+        seen = _record_evaluations(monkeypatch)
+        if refusal is None:
+            found = invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, d_min, d_max)
+            assert found == plain_bisection(at.loss, at.branch_points, target, d_min, d_max)[0]
+        else:
+            with pytest.raises(DomainError) as refused:
+                invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, target, d_min, d_max)
+            assert str(refused.value) == \
+                f"loss is not monotone increasing over the bracket: {refusal}"
+            assert len(seen) == len(checked)
+        assert [d for d, _ in seen[:len(checked)]] == checked
+
+    def test_chord_regions_order_on_the_equivalence_grid(self, bundled_curves, monkeypatch):
+        # The bisection loop tests mid < below and mid > above before the
+        # stop region; that order changes no step only while below <=
+        # stop_from and stop_to <= above
+        from test_equivalence import inversion_lines
+        regions, chord_regions = [], scenario_module._chord_regions
+
+        def recorded(*args):
+            regions.append(chord_regions(*args))
+            return regions[-1]
+        monkeypatch.setattr(scenario_module, "_chord_regions", recorded)
+        for _ in inversion_lines(bundled_curves):
+            pass
+        decided = [r for r in regions if r != scenario_module._UNDECIDED]
+        assert len(decided) > 100 and len(regions) > len(decided)
+        for below, stop_from, stop_to, above in regions:
+            assert below <= stop_from and stop_to <= above
+
+    def test_chord_regions_order_on_random_pieces(self):
+        # Pieces from flat to steep, with targets at every depth into them:
+        # near either end the stop levels' crossings clamp to the piece's end
+        rng = random.Random(20261021)
+        undecided = clamped = 0
+        for _ in range(20_000):
+            a = 10.0 ** rng.uniform(-1.0, 6.0)
+            b = a * 10.0 ** rng.uniform(1e-9, 3.0)
+            v_a = rng.uniform(-2e4, 2e4)
+            v_b = v_a + 10.0 ** rng.uniform(-9.0, 3.0)
+            if not v_a < v_b:
+                continue
+            depth = 10.0 ** rng.uniform(-10.0, 1.0)
+            target = rng.choice((v_a + depth, v_b - depth, rng.uniform(v_a, v_b)))
+            if not v_a < target < v_b:
+                continue
+            affine_from_m = rng.choice((1.0, a, b))
+            below, stop_from, stop_to, above = scenario_module._chord_regions(
+                [a, b], [v_a, v_b], target, affine_from_m)
+            assert below <= stop_from and stop_to <= above
+            undecided += (below, stop_from, stop_to, above) == scenario_module._UNDECIDED
+            clamped += stop_from in (a * (1.0 + 1e-12), b * (1.0 + 1e-12)) \
+                or stop_to in (a * (1.0 - 1e-12), b * (1.0 - 1e-12))
+        assert undecided > 1000 and clamped > 1000
 
     @pytest.mark.parametrize("model, s, d_min, d_max", [
         (ModelId.SUI, default_scenario(Environment.URBAN), 1000.0, 10000.0),
