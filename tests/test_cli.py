@@ -1,8 +1,10 @@
 """CLI argument parsing, precedence, exit codes and error mapping."""
 
 import csv
+import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -589,6 +591,87 @@ class TestOutputPieces:
             code, out, _ = invoke_cli(argv)
             assert (code, proc.returncode, proc.stderr) == (0, 0, b"")
             assert proc.stdout == out.encode("utf-8")
+
+
+_ENTRY = "import sys\nfrom pathcast.__main__ import entry\nsys.exit(entry())"
+
+
+def _environ(unbuffered=False):
+    """This process's environment, with argparse's help at the goldens' 80
+    columns and PYTHONUNBUFFERED set or unset."""
+    environ = dict(os.environ, COLUMNS="80")
+    environ.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        environ["PYTHONUNBUFFERED"] = "1"
+    return environ
+
+
+class TestProcessEntry:
+    """``python -m pathcast`` and the installed script end in ``entry``: the
+    bytes and exit code of ``main`` in-process, a failed write to stdout as
+    exit 1 without a traceback, and the module graph frozen for the exit."""
+
+    @pytest.mark.parametrize("expected, argv", [
+        (0, ["pathloss", "--model", "sui"]),
+        (0, ["pathloss", "--model", "cost231_hata", "--output", "json"]),
+        (0, ["pathloss", "--model", "walfisch_ikegami", "--output", "table"]),
+        (0, ["compare"]),
+        (3, ["compare", "--strict", "--tolerance-db", "0.001"]),
+        (0, ["cell-range", "--model", "sui", "--max-loss-db", "180"]),
+        (1, ["sweep", "--model", "okumura", "--curves", bundled_curves_path(),
+             "--d-min-m", "50000", "--d-max-m", "150000", "--steps", "20"]),
+        (2, ["pathloss", "--freq-mhz", "1900"]),
+        (0, ["pathloss", "--help"]),
+    ], ids=lambda value: " ".join(value[:3]) if isinstance(value, list) else str(value))
+    def test_processes_match_in_process_run(self, expected, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke_cli(argv)
+        assert code == expected, err
+        for how in (["-m", "pathcast"], ["-c", _ENTRY]):
+            proc = subprocess.run([sys.executable, *how, *argv], capture_output=True,
+                                  env=_environ())
+            assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == (
+                code, out.encode("utf-8"), err), how
+
+    def test_main_and_run_freeze_nothing(self):
+        frozen = gc.get_freeze_count()
+        assert invoke_cli(["pathloss", "--model", "sui"])[0] == 0
+        assert run(parse_args(["compare"]), io.StringIO(), io.StringIO()) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_after_the_command(self):
+        proc = _fresh_python("import gc, sys\n"
+                             "from pathcast.__main__ import entry\n"
+                             "frozen = gc.get_freeze_count()\n"
+                             "code = entry()\n"
+                             "print(frozen, gc.get_freeze_count(), code, file=sys.stderr)",
+                             "pathloss", "--model", "sui")
+        at_import, after, code = map(int, proc.stderr.split())
+        assert (at_import, code, proc.returncode) == (0, 0, 0)
+        assert after > 0
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_1_silently(self, unbuffered):
+        # 40,000 rows are far more than a pipe holds, so the command is still
+        # writing when the reader goes
+        with subprocess.Popen([sys.executable, "-m", "pathcast", "sweep", "--model", "sui",
+                               "--steps", "40000"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_environ(unbuffered)) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first == b"distance_m,model,environment,freq_mhz,bs_m,rx_m,mode,path_loss_db\n"
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_1_with_one_error_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "pathcast", "pathloss", "--model", "sui"],
+                                  stdout=full, stderr=subprocess.PIPE, env=_environ(unbuffered))
+        assert (proc.returncode, proc.stderr) == (
+            1, b"error: [Errno 28] No space left on device\n")
 
 
 _LAZY_MODULES = {"pathcast.curves", "pathcast.reference", "json", "csv", "importlib.resources"}
