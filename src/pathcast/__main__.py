@@ -17,11 +17,13 @@ def entry() -> int:
     stdout write is exit 1, with an ``error:`` line unless the pipe closed."""
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None where the process started with it closed
+            sys.stdout.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # so the exit flush cannot fail again
-        os.close(devnull)
+        if sys.stdout is not None:  # so the exit flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         code = 1

@@ -148,9 +148,23 @@ def _help(default, text):
     return (text if "{}" in text else text + " (default: {})").format(shown)
 
 
+def _stdout():
+    """``sys.stdout``, or a closed descriptor's error where it is None (closed at start)."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's ``print_help`` drops a failed write; this one raises it."""
+
+    def print_help(self, file=None):
+        (_stdout() if file is None else file).write(self.format_help())
+
+
 def _build_parser(only) -> argparse.ArgumentParser:
     """The pathcast parser; only the subcommand named ``only`` gets its flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathcast",
         description="Empirical radio path-loss models with scenario comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -410,7 +424,6 @@ def run(config, out=None, err=None) -> int:
     per string it yields.  A command that runs out of memory, such as a
     sweep with more points than its output can hold, writes nothing to
     ``out`` and ``error: out of memory`` to ``err``."""
-    out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parts = []
     buffer = SimpleNamespace(write=parts.append, writelines=parts.append)
@@ -425,6 +438,7 @@ def run(config, out=None, err=None) -> int:
         parts.clear()
         print("error: out of memory", file=err)
         return 1
+    out = out if out is not None else _stdout()
     for part in parts:
         if isinstance(part, str):
             out.write(part)

@@ -328,9 +328,8 @@ def amu_at_frequency(table: CurveTable, frequency_mhz: float):
 def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> float:
     """Median attenuation, bilinear in (log f, log d); exact at grid nodes.
 
-    Out-of-grid points raise, the frequency checked first; ``okumura(...,
-    clamp=True)`` pins them to the edge.  For many distances at one
-    frequency, bind once with :func:`amu_at_frequency`.
+    Out-of-grid points raise, the frequency checked first.  For many
+    distances at one frequency, bind once with :func:`amu_at_frequency`.
     """
     at = amu_at_frequency(table, frequency_mhz)
     try:
@@ -356,19 +355,15 @@ def garea_lookup(table: CurveTable, frequency_mhz: float,
     return gains[i] * (1.0 - t) + gains[i + 1] * t
 
 
-def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = False):
+def okumura(link: RadioLink, environment: Environment, curves):
     """Bind Okumura: L_f + A_mu(f,d) - G(h_b) - G(h_r) - G_AREA(f, env), with
     the antenna gains G(h_b) = 20*log10(h_b/200) and G(h_r) = 10*log10(h_r/3).
 
-    ``curves`` is a :class:`pathcast.curves.CurveTable`.  The free-space term
-    uses the actual Tx-Rx distance.  Out-of-grid lookups raise unless
-    ``clamp`` is set, which pins the A_mu axes to the grid, the frequency once
-    and each distance in km, and reports each clamped axis as a warning; the
-    area-gain rows must still cover the frequency.  The A_mu lookup is bound
-    to that frequency at the first point with a valid distance, and kept only
-    once the frequency is on the grid; the area gain is looked up at the
-    first point whose A_mu lookup succeeds.  So a point reports the same
-    error as a fresh evaluation.
+    ``curves`` is a :class:`pathcast.curves.CurveTable`; off-grid lookups
+    raise.  The A_mu lookup is bound to the frequency at the first point
+    with a valid distance, and kept only once the frequency is on the grid;
+    the area gain is looked up at the first point whose A_mu lookup
+    succeeds, so a point reports the same error as a fresh evaluation.
     """
     _check_environment(environment)
     if curves is None:
@@ -377,25 +372,15 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
     g_rx = 10.0 * _log10_positive(link.rx_height_m / 3.0, "h_r/3")
     bs_db, rx_db = -g_bs, -g_rx
     bs_gain, rx_gain = ("bs_height_gain", bs_db), ("rx_height_gain", rx_db)
-    freq, notes = link.frequency_mhz, ()
-    if clamp:  # the frequency is pinned here, each distance in point
-        first_km, last_km = curves.dist_km[0], curves.dist_km[-1]
-        pinned = min(max(freq, curves.freq_mhz[0]), curves.freq_mhz[-1])
-        if pinned != freq:
-            notes = (f"frequency {freq:g} MHz clamped to grid edge {pinned:g} MHz",)
-        freq = pinned
-    wavelength, four_pi = _wavelength_m(link.frequency_mhz), 4.0 * math.pi
+    freq = link.frequency_mhz
+    wavelength, four_pi = _wavelength_m(freq), 4.0 * math.pi
     amu_at = area = None
 
     def point(distance_m):
-        """The free-space term, A_mu and the clamp warnings at one distance,
-        checked and bound in the order a fresh evaluation would."""
+        """The free-space term and A_mu at one distance, checked and bound in
+        the order a fresh evaluation would."""
         nonlocal amu_at, area
-        d_km, warnings = _check_distance(distance_m), notes
-        if clamp and not first_km <= d_km <= last_km:
-            d_km = first_km if d_km < first_km else last_km
-            warnings += (f"distance {float(distance_m):g} m clamped to grid edge "
-                         f"{d_km * 1000.0:g} m",)
+        d_km = _check_distance(distance_m)
         if amu_at is None:
             amu_at = amu_at_frequency(curves, freq)
         amu = amu_at(d_km)
@@ -403,16 +388,15 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
             area = ("area_gain", -garea_lookup(curves, freq, environment))
         free_space = 20.0 * _log10_positive(four_pi * distance_m / wavelength,
                                             "4*pi*d/lambda")
-        return free_space, amu, warnings
+        return free_space, amu
 
     def at(distance_m: float) -> PathLossResult:
-        free_space, amu, warnings = point(distance_m)
+        free_space, amu = point(distance_m)
         return PathLossResult(
-            (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area),
-            warnings)
+            (("free_space", free_space), ("median_attenuation", amu), bs_gain, rx_gain, area))
 
     def loss(distance_m: float) -> float:
-        free_space, amu, _ = point(distance_m)
+        free_space, amu = point(distance_m)
         return _finite_total(0.0 + free_space + amu + bs_db + rx_db + area[1])
 
     def totals(distances):
@@ -447,8 +431,7 @@ def okumura(link: RadioLink, environment: Environment, curves, clamp: bool = Fal
         return walked
 
     # A_mu is bilinear in (log f, log d): at fixed f, affine in log d per grid
-    # cell, and constant in d where the distance is clamped to the grid.  The
-    # antenna gains stay within 6,500 dB for any link and free space rises
-    # 20 dB per decade, so only the table's terms can be too large.
+    # cell.  The antenna gains stay within 6,500 dB for any link and free
+    # space rises 20 dB per decade, so only the table's terms can be too large.
     return _evaluator(at, loss, totals, curves._dist_nodes_m,
                       1.0 if curves._moderate_terms else math.inf)

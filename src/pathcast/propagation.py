@@ -301,8 +301,8 @@ def _evaluator(at, loss, totals, branch_points=(), affine_from_m=1.0):
     other distances of the piece.  That holds from 1 m on, while every
     constant term, and every slope in dB per decade of distance, is at most
     1e4 dB in size (:func:`_moderate`).  SUI, COST-231 Hata, Walfisch-Ikegami
-    LOS, Ericsson and Okumura (at its one bound frequency, clamped or not)
-    declare 1.0.  Walfisch-Ikegami NLOS declares where its multi-screen term
+    LOS, Ericsson and Okumura (at its one bound frequency) declare 1.0.
+    Walfisch-Ikegami NLOS declares where its multi-screen term
     is ``c + k_d*log d`` (everywhere above the roofs; below them k_A is linear
     in d under 500 m, so from 500 m, or as printed from the first distance
     past the branches there) and its free-space floor has stopped firing: the

@@ -201,7 +201,7 @@ def test_criterion_4_property_suites():
         geometry = _random_geometry(rng, rx)
         for at in (sui(link, env), cost231_hata(link, env, mode), wi_los(link),
                    wi_nlos(geometry, link, mode), ericsson(link, mode=mode),
-                   okumura(link, env, curves, clamp=True)):
+                   okumura(link, env, curves)):
             result = at(link.distance_m)
             if abs(result.total_db - sum(v for _, v in result.components)) > 1e-9:
                 failures.append(("additivity", result))

@@ -666,12 +666,36 @@ class TestProcessEntry:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_full_device_exits_1_with_one_error_line(self, unbuffered):
+    # argparse's own print_help drops the error of an unbuffered write
+    @pytest.mark.parametrize("argv", [["pathloss", "--model", "sui"], ["--help"],
+                                      ["pathloss", "--help"]], ids=" ".join)
+    def test_full_device_exits_1_with_one_error_line(self, argv, unbuffered):
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run([sys.executable, "-m", "pathcast", "pathloss", "--model", "sui"],
+            proc = subprocess.run([sys.executable, "-m", "pathcast", *argv],
                                   stdout=full, stderr=subprocess.PIPE, env=_environ(unbuffered))
         assert (proc.returncode, proc.stderr) == (
             1, b"error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["pathloss", "--model", "sui"],
+        ["pathloss", "--help"],
+        ["pathloss", "--model", "okumura"],  # no curve table: exit 1
+        ["pathloss", "--freq-mhz", "1900"],  # no --model: exit 2
+    ], ids=" ".join)
+    def test_closed_stdout(self, argv, unbuffered, monkeypatch):
+        """Started with stdout closed, the process has ``sys.stdout`` None.
+        Output is then a failed write, exit 1 with one error line; a command
+        that writes nothing to stdout ends as it does in-process."""
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke_cli(argv)
+        if out:
+            code, err = 1, "error: [Errno 9] Bad file descriptor\n"
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                               "-m", "pathcast", *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              env=_environ(unbuffered))
+        assert (proc.returncode, proc.stderr.decode("utf-8")) == (code, err)
 
 
 _LAZY_MODULES = {"pathcast.curves", "pathcast.reference", "json", "csv", "importlib.resources"}

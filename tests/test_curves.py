@@ -268,36 +268,10 @@ class TestAmuLookup:
         with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
             amu_lookup(load_curves(VALID), freq, dist_m)
 
-    def test_clamp_returns_edge_value(self):
-        table = load_curves(VALID)
-        result = okumura(RadioLink(5000.0, 150_000.0, 30.0, 3.0), Environment.URBAN, table,
-                         clamp=True)(150_000.0)
-        assert result.component("median_attenuation") == amu_lookup(table, 3000.0, 100_000.0)
-        assert result.warnings == ("frequency 5000 MHz clamped to grid edge 3000 MHz",
-                                   "distance 150000 m clamped to grid edge 100000 m")
-
-    @pytest.mark.parametrize("distance_m,edge_km", [(200_000.0, 127.7539), (5000.0, 17.0151)])
-    def test_clamp_pins_each_edge_in_km(self, distance_m, edge_km):
-        # before, the edge went to metres and back, one ulp off the grid:
-        # "distance 127.75390000000002 km above grid maximum 127.754 km"
-        table = CurveTable(freq_mhz=(100.0, 3000.0), dist_km=(17.0151, 127.7539),
-                           amu_db=((1.0, 2.0), (3.0, 4.0)),
-                           garea={Environment.URBAN: ((100.0, 0.0), (3000.0, 0.0))},
-                           source_tag="odd edges")
-        link = RadioLink(1900.0, 50_000.0, 30.0, 3.0)
-        at = okumura(link, Environment.URBAN, table, clamp=True)
-        result = at(distance_m)
-        assert result.component("median_attenuation") == \
-            amu_at_frequency(table, 1900.0)(edge_km)
-        assert result.warnings == (f"distance {distance_m:g} m clamped to grid edge "
-                                   f"{edge_km * 1000.0:g} m",)
-        assert at.loss(distance_m) == result.total_db
-        assert at.losses([distance_m, 50_000.0]) == [result.total_db, at.loss(50_000.0)]
-
-    def test_clamp_pins_the_amu_axes_only(self):
-        # the area-gain rows must still cover the clamped frequency
+    def test_area_gain_rows_must_cover_the_frequency(self):
+        # 1900 MHz is on the A_mu grid, 100-3000 MHz, but past the area gains
         table = _direct_table()  # urban area gain at 100 MHz only
-        at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, table, clamp=True)
+        at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, table)
         with pytest.raises(BoundsError, match="^frequency 1900 MHz above grid maximum 100 MHz$"):
             at(5000.0)
 

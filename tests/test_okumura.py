@@ -9,6 +9,7 @@ import pytest
 import pathcast
 from pathcast import (
     BoundsError,
+    CurveTable,
     DomainError,
     Environment,
     ModelId,
@@ -110,29 +111,16 @@ class TestPathLoss:
         with pytest.raises(BoundsError, match="distance.*above grid maximum"):
             okumura(link, Environment.URBAN, curves)(link.distance_m)
 
-    def test_clamp_annotates(self):
-        curves = load_curves(STUB_AMU20)
-        link = RadioLink(1900.0, 150_000.0, 30.0, 3.0)
-        result = okumura(link, Environment.URBAN, curves, clamp=True)(link.distance_m)
-        assert any("clamped" in w for w in result.warnings)
-        at_edge = okumura(
-            RadioLink(1900.0, 100_000.0, 30.0, 3.0), Environment.URBAN, curves)(100_000.0)
-        # the lookup clamps to the grid edge; the free-space term keeps the
-        # true distance
-        assert result.component("median_attenuation") == pytest.approx(
-            at_edge.component("median_attenuation"), abs=1e-12)
-
-    @pytest.mark.parametrize("frequency_mhz", [1e305, 1e-310])
-    def test_clamp_refuses_unrepresentable_wavelength(self, frequency_mhz, bundled_curves):
-        with pytest.raises(DomainError, match="wavelength"):
-            okumura(RadioLink(frequency_mhz, 5000.0, 30.0, 3.0), Environment.URBAN,
-                    bundled_curves, clamp=True)(5000.0)
-
-    def test_clamp_free_space_underflow(self, bundled_curves):
-        at = okumura(RadioLink(1e-299, 5000.0, 30.0, 3.0), Environment.URBAN,
-                     bundled_curves, clamp=True)
+    def test_free_space_underflow(self):
+        # a table whose axes reach 1e-299 MHz and 1e-303 km, where 4*pi*d/lambda
+        # underflows after both lookups succeed
+        table = CurveTable(freq_mhz=(1e-300, 3000.0), dist_km=(1e-304, 100.0),
+                           amu_db=((1.0, 2.0), (3.0, 4.0)),
+                           garea={Environment.URBAN: ((1e-300, 0.0), (3000.0, 0.0))},
+                           source_tag="tiny axes")
+        at = okumura(RadioLink(1e-299, 5000.0, 30.0, 3.0), Environment.URBAN, table)
         assert math.isfinite(at(5000.0).total_db)
-        with pytest.raises(DomainError, match="underflows to 0"):
+        with pytest.raises(DomainError, match="^4\\*pi\\*d/lambda underflows to 0$"):
             at(1e-300)
 
     def test_bundled_table_point(self, bundled_curves):
@@ -170,17 +158,6 @@ class TestBoundLookup:
             at(500.0)
         assert at(5000.0).component("median_attenuation") == amu_lookup(
             bundled_curves, 1900.0, 5000.0)
-
-    def test_clamp_warns_frequency_then_distance(self, bundled_curves):
-        at = okumura(RadioLink(50.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves,
-                     clamp=True)
-        for distance_m, edge_m in ((150_000.0, 100_000.0), (500.0, 1000.0)):
-            result = at(distance_m)
-            assert result.warnings == (
-                "frequency 50 MHz clamped to grid edge 100 MHz",
-                f"distance {distance_m:g} m clamped to grid edge {edge_m:g} m")
-            assert result.component("median_attenuation") == amu_lookup(
-                bundled_curves, 100.0, edge_m)
 
 
 class TestHome:

@@ -90,8 +90,9 @@ class TestComponentAdditivity:
                 wi_los(link)(link.distance_m),
                 wi_nlos(geometry, link, mode)(link.distance_m),
                 ericsson(link, mode=mode)(link.distance_m),
-                okumura(link, env, bundled_curves, clamp=True)(link.distance_m),
             ]
+            on_grid = random_link(rng, d_lo=1000.0, d_hi=100_000.0)  # Okumura's 1-100 km
+            results.append(okumura(on_grid, env, bundled_curves)(on_grid.distance_m))
             for result in results:
                 assert abs(result.total_db - sum(v for _, v in result.components)) <= 1e-9
 
@@ -235,8 +236,9 @@ class TestPurity:
             mode = rng.choice(list(FidelityMode))
             assert wi_nlos(geometry, link, mode)(link.distance_m) == \
                 wi_nlos(geometry, link, mode)(link.distance_m)
-            assert okumura(link, env, bundled_curves, clamp=True)(link.distance_m) == \
-                okumura(link, env, bundled_curves, clamp=True)(link.distance_m)
+            on_grid = random_link(rng, d_lo=1000.0, d_hi=100_000.0)  # Okumura's 1-100 km
+            assert okumura(on_grid, env, bundled_curves)(on_grid.distance_m) == \
+                okumura(on_grid, env, bundled_curves)(on_grid.distance_m)
 
 
 class TestResultInvariants:
@@ -464,9 +466,8 @@ def _loss_binders(curves):
         yield f"wi_nlos floor {case}", partial(wi_nlos, floor, link, mode)
         yield f"ericsson {case}", partial(ericsson, link, EricssonCoefficients(), mode)
         yield f"ericsson overflow {case}", partial(ericsson, link, overflow, mode)
-        for table, clamp in itertools.product((curves, no_rural), (False, True)):
-            yield (f"okumura clamp={clamp} rural={table is curves} {case}",
-                   partial(okumura, link, env, table, clamp))
+        for table in (curves, no_rural):
+            yield f"okumura rural={table is curves} {case}", partial(okumura, link, env, table)
     for bs, env, mode, los, margin in itertools.product(
             (30.0, 12.0), Environment, FidelityMode, (False, True), (None, 8.2, 1.7e308)):
         scenario = default_scenario(env, bs_height_m=bs, mode=mode, wi_los=los,
@@ -493,7 +494,7 @@ class TestLossIsTheTotal:
                 assert _loss_or_error(swept_loss, d) == \
                     _loss_or_error(lambda x: swept_at(x).total_db, d), (name, d)
                 count += 1
-        assert count == 648 * len(_LOSS_DISTANCES)
+        assert count == 600 * len(_LOSS_DISTANCES)
 
 
 #: Where float arithmetic breaks: underflow to 0, overflow to inf, and NaN.
@@ -693,19 +694,24 @@ class TestFiniteOrPathcastError:
            coefficients=_any_tuple(*[(-100.0, 100.0)] * 4),
            environment=st.sampled_from(Environment), mode=st.sampled_from(FidelityMode),
            distance=_any_float(1.0, 120_000.0),
-           margin=st.none() | _any_float(0.0, 12.0), sui_shadowing=st.booleans())
+           margin=st.none() | _any_float(0.0, 12.0), sui_shadowing=st.booleans(),
+           on_grid=st.tuples(st.floats(100.0, 3000.0), st.floats(1000.0, 100_000.0)))
     # The default urban scenario, its margin applied and SUI shadowing left out
     @example(link=(1900.0, 5000.0, 30.0, 3.0, 100.0), geometry=(25.0, 50.0, 15.0, 30.0, 1.5),
              coefficients=(36.2, 30.2, 12.0, 0.1), environment=Environment.URBAN,
-             mode=FidelityMode.CORRECTED, distance=5000.0, margin=10.6, sui_shadowing=False)
+             mode=FidelityMode.CORRECTED, distance=5000.0, margin=10.6, sui_shadowing=False,
+             on_grid=(1900.0, 5000.0))
     # The BS far above roofs a little over the receiver: the diffraction floor
     @example(link=(150.0, 5000.0, 200.0, 3.0, 100.0), geometry=(60.0, 100.0, 3.5, 0.0, 1.5),
              coefficients=(36.2, 30.2, 12.0, 0.1), environment=Environment.URBAN,
-             mode=FidelityMode.CORRECTED, distance=5000.0, margin=None, sui_shadowing=True)
+             mode=FidelityMode.CORRECTED, distance=5000.0, margin=None, sui_shadowing=True,
+             on_grid=(150.0, 5000.0))
     def test_any_input(self, link, geometry, coefficients, environment, mode, distance,
-                       margin, sui_shadowing):
+                       margin, sui_shadowing, on_grid):
+        """``on_grid`` is a frequency and distance on the bundled Okumura grid,
+        100-3000 MHz and 1-100 km, where Okumura gives finite results."""
         curves = load_default_curves()  # not a fixture: a falsifying example prints its arguments
-        def finite_or_rejected(make_at):
+        def finite_or_rejected(make_at, distance=distance):
             try:
                 loss = make_at().loss
             except PathcastError:
@@ -724,8 +730,9 @@ class TestFiniteOrPathcastError:
             assert repr(rebuilt) == repr(result)
             assert rebuilt.total_db.hex() == result.total_db.hex()
 
-        finite_or_rejected(
-            lambda: okumura(RadioLink(*link), environment, curves, clamp=True))
+        freq, grid_distance = on_grid
+        finite_or_rejected(lambda: okumura(RadioLink(freq, grid_distance, *link[2:]),
+                                           environment, curves), grid_distance)
         for los in (False, True):
             for model in ModelId:
                 finite_or_rejected(lambda: bind(model, Scenario(
@@ -785,8 +792,8 @@ class TestLossesIsTheLossList:
     @example(distances=[3210.5, math.inf, 2500.0, -math.inf, math.nan])
     @example(distances=[])
     # Points only the guard's loss(min(distances)) catches: at SUI's d0, and
-    # a km that underflows where Okumura clamps it to the grid or d0 is
-    # smaller still (where d0 is 5e-324, d / d0 overflows from 1e-16 m on)
+    # a km that underflows where d0 is smaller still (where d0 is 5e-324,
+    # d / d0 overflows from 1e-16 m on)
     @example(distances=[3210.5, 100.0])
     @example(distances=[3210.5, 5e-324])
     @example(distances=[1e-322, 1e-300])
@@ -832,7 +839,7 @@ class TestLossesIsTheLossList:
                 continue
             assert passes and [total.hex() for total in passes[-1]] == expected, name
             one_pass += 1
-        assert one_pass == 488
+        assert one_pass == 448
 
     def test_margin_guards_each_list_once(self, bundled_curves, monkeypatch):
         """A margined evaluator's ``at.losses`` over an ordinary ascending list
@@ -940,10 +947,8 @@ def _crossing(dist_km, per_cell):
 
 def _check_cell_walk(curves, freq_mhz, ascending):
     """``at.losses`` is ``at.loss`` point by point on ``ascending``, on it
-    reversed and on it shuffled, clamped or not (clamped, also with a point
-    off each end of the grid); ascending, clamped or not, the list is walked
-    by cell, so the per-point A_mu lookup runs once, at the guard's smallest
-    distance, and a clamped binding gives the unclamped totals hex for hex."""
+    reversed and on it shuffled; ascending, the list is walked by cell, so
+    the per-point A_mu lookup runs once, at the guard's smallest distance."""
     link = RadioLink(freq_mhz, 5000.0, 30.0, 3.0)
     lookups, amu_at_frequency = [], curves_module.amu_at_frequency
 
@@ -956,23 +961,17 @@ def _check_cell_walk(curves, freq_mhz, ascending):
         return recorded
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(curves_module, "amu_at_frequency", counted)
-        walks = []
-        for clamp in (False, True):
-            ordered = [ascending[0] / 2, *ascending, ascending[-1] * 2] if clamp else ascending
-            shuffled = random.Random(len(ordered)).sample(ordered, len(ordered))
-            for batch in ((ascending, ordered) if clamp else (ascending,)) + (
-                    ordered[::-1], shuffled):
-                at = okumura(link, Environment.URBAN, curves, clamp)
-                lookups.clear()
-                totals = _losses_or_error(at, batch)
-                walked = len(lookups)
-                reference = okumura(link, Environment.URBAN, curves, clamp)
-                assert totals == _loss_list_or_error(reference, batch), (clamp, batch)
-                assert isinstance(totals, list)
-                if batch is ascending:
-                    assert walked == 1, clamp
-                    walks.append(totals)
-        assert walks[0] == walks[1]
+        shuffled = random.Random(len(ascending)).sample(ascending, len(ascending))
+        for batch in (ascending, ascending[::-1], shuffled):
+            at = okumura(link, Environment.URBAN, curves)
+            lookups.clear()
+            totals = _losses_or_error(at, batch)
+            walked = len(lookups)
+            reference = okumura(link, Environment.URBAN, curves)
+            assert totals == _loss_list_or_error(reference, batch), batch
+            assert isinstance(totals, list)
+            if batch is ascending:
+                assert walked == 1
 
 
 def _past_node_inside(ascending, dist_km):
@@ -988,8 +987,8 @@ def _past_node_inside(ascending, dist_km):
 class TestCellWalkIsTheLossList:
     """Okumura's pass evaluates an ascending list one grid cell's run of
     points at a time; on lists that cross every node, start and end on
-    nodes and hold each node's float neighbours, in any order and clamped
-    or not, ``at.losses`` is still ``at.loss`` point by point, hex for hex."""
+    nodes and hold each node's float neighbours, in any order,
+    ``at.losses`` is still ``at.loss`` point by point, hex for hex."""
 
     def test_bundled_grid(self, bundled_curves):
         nodes = bundled_curves.dist_km
@@ -1036,22 +1035,20 @@ _FLAT_SUI_BS_M = 616.0603389
 
 
 @st.composite
-def _bound_cases(draw, clamp=True):
-    """Inputs of one bound model and a bracket of its domain: (model, clamp,
-    scenario, d_min, d_max).  ``clamp`` binds Okumura with its grid clamp
-    on, which only :func:`okumura` offers; such a case has no shadow margin."""
+def _bound_cases(draw):
+    """Inputs of one bound model and a bracket of its domain: (model,
+    scenario, d_min, d_max)."""
     model = draw(st.sampled_from(ModelId))
-    clamped = clamp and model is ModelId.OKUMURA and draw(st.booleans())
     freq = draw(st.floats(50.0, 3500.0))
     rx = draw(st.floats(1.0, 10.0))
     bs = draw(st.floats(rx + 1.0, 200.0) | st.sampled_from(
         [_FLAT_SUI_BS_M, math.nextafter(_FLAT_SUI_BS_M, 0.0), _FLAT_SUI_BS_M + 1e-7]))
     lo, hi = sorted(10.0 ** draw(st.floats(math.log10(150.0), math.log10(200_000.0)))
                     for _ in range(2))
-    if model is ModelId.OKUMURA and not clamped:  # on the grid, 100-3000 MHz and 1-100 km
+    if model is ModelId.OKUMURA:  # on the grid, 100-3000 MHz and 1-100 km
         freq, lo, hi = min(max(freq, 100.0), 3000.0), max(lo, 1000.0), min(hi, 100_000.0)
     assume(lo < hi)
-    margin = not clamped and draw(st.booleans())
+    margin = draw(st.booleans())
     scenario = default_scenario(
         draw(st.sampled_from(Environment)), frequency_mhz=freq, bs_height_m=bs,
         rx_height_m=rx, roof_height_m=draw(st.floats(rx + 1.0, 40.0)),
@@ -1065,7 +1062,7 @@ def _bound_cases(draw, clamp=True):
         apply_shadow_margin=margin, include_sui_shadowing=draw(st.booleans()),
         # a margin this large rounds the loss to a staircase
         shadow_margin_db=draw(st.none() | st.none() | st.sampled_from([-2e4, 3e14])))
-    return model, clamped, scenario, lo, hi
+    return model, scenario, lo, hi
 
 
 def _distance_or_error(call):
@@ -1076,7 +1073,7 @@ def _distance_or_error(call):
 
 
 # WI NLOS whose floor's kink lies at about 1,075.5 m, inside 1-10 km
-_KINK = (ModelId.WALFISCH_IKEGAMI, False,
+_KINK = (ModelId.WALFISCH_IKEGAMI,
          default_scenario(Environment.RURAL, frequency_mhz=150.0, bs_height_m=616.0603389,
                           roof_height_m=25.0, wi_los=False), 1000.0, 10000.0)
 
@@ -1085,7 +1082,7 @@ def _across_500_m(mode):
     """WI NLOS with the BS below the roofs, on a bracket across 500 m."""
     scenario = default_scenario(Environment.URBAN, bs_height_m=10.0, roof_height_m=25.0,
                                 mode=mode)
-    return ModelId.WALFISCH_IKEGAMI, False, scenario, 150.0, 3000.0
+    return ModelId.WALFISCH_IKEGAMI, scenario, 150.0, 3000.0
 
 
 class TestLogAffinePieces:
@@ -1100,12 +1097,8 @@ class TestLogAffinePieces:
     @example(case=_across_500_m(FidelityMode.CORRECTED), shares=[0.0, 0.5, 1.0])
     @example(case=_across_500_m(FidelityMode.AS_PRINTED), shares=[0.0, 0.5, 1.0])
     def test_pieces_lie_on_their_chords(self, case, shares):
-        model, clamped, scenario, lo, hi = case
-        curves = load_default_curves()
-        if clamped:
-            at = okumura(scenario.link, scenario.environment, curves, clamp=True)
-        else:
-            at = bind(model, scenario, curves)
+        model, scenario, lo, hi = case
+        at = bind(model, scenario, load_default_curves())
         assume(at.affine_from_m < hi)
         edges = [lo, *(d for d in at.branch_points if lo < d < hi), hi]
         for a, b in zip(edges, edges[1:]):
@@ -1119,43 +1112,41 @@ class TestLogAffinePieces:
                 assert abs(at.loss(d) - chord) <= scenario_module._CHORD_EPS_DB / 100, (a, b, d)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(case=_bound_cases(clamp=False), share=st.floats(0.0, 1.0),
+    @given(case=_bound_cases(), share=st.floats(0.0, 1.0),
            at_checked_point=st.booleans(),
            offset=st.sampled_from([0.0, -3e-7, -1e-6, 1e-6, -5e-7, 5e-7, -1e-9, 1e-9,
                                    -1e-6 - 1e-9, -1e-6 + 1e-9, 1e-6 + 1e-9, -3.0, 5.0])
            | st.floats(-2e-6, 2e-6))
     # the near-flat SUI mast over 200 m to 50 km, at and just below its top
-    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN,
-                                                      bs_height_m=_FLAT_SUI_BS_M),
+    @example(case=(ModelId.SUI, default_scenario(Environment.URBAN, bs_height_m=_FLAT_SUI_BS_M),
                    200.0, 50_000.0), share=1.0, at_checked_point=True, offset=0.0)
-    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN,
-                                                      bs_height_m=_FLAT_SUI_BS_M),
+    @example(case=(ModelId.SUI, default_scenario(Environment.URBAN, bs_height_m=_FLAT_SUI_BS_M),
                    200.0, 50_000.0), share=0.5, at_checked_point=False, offset=-1e-14)
     # just above the loss at Okumura's 2 km node: the midpoints close in on
     # 2 km from below, and one within 1e-6 dB of the target stops there
-    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
-                   10000.0), share=0.34, at_checked_point=True, offset=5e-7)
+    @example(case=(ModelId.OKUMURA, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+             share=0.34, at_checked_point=True, offset=5e-7)
     # 5e-7 and 1e-6 dB over the loss at d_min, which alone can meet the
     # secondary safety stop
-    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+    @example(case=(ModelId.SUI, default_scenario(Environment.URBAN), 1000.0, 10000.0),
              share=0.0, at_checked_point=True, offset=5e-7)
-    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+    @example(case=(ModelId.SUI, default_scenario(Environment.URBAN), 1000.0, 10000.0),
              share=0.0, at_checked_point=True, offset=1e-6)
-    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
-                   10000.0), share=0.0, at_checked_point=True, offset=5e-7)
-    @example(case=(ModelId.OKUMURA, False, default_scenario(Environment.URBAN), 1000.0,
-                   10000.0), share=0.0, at_checked_point=True, offset=1e-6)
+    @example(case=(ModelId.OKUMURA, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+             share=0.0, at_checked_point=True, offset=5e-7)
+    @example(case=(ModelId.OKUMURA, default_scenario(Environment.URBAN), 1000.0, 10000.0),
+             share=0.0, at_checked_point=True, offset=1e-6)
     # distances whose km value is subnormal, which rounds coarsely
-    @example(case=(ModelId.ERICSSON9999, False, default_scenario(Environment.URBAN),
+    @example(case=(ModelId.ERICSSON9999, default_scenario(Environment.URBAN),
                    1.85536e-318, 3.88244992897547e-309), share=0.5, at_checked_point=False,
              offset=0.0)
     # d_min + d_max overflows, or a later lo + hi does: a midpoint is inf and
     # its evaluation raises
-    @example(case=(ModelId.WALFISCH_IKEGAMI, False, default_scenario(Environment.RURAL),
+    @example(case=(ModelId.WALFISCH_IKEGAMI, default_scenario(Environment.RURAL),
                    1e308, 1.7e308), share=0.5, at_checked_point=False, offset=0.0)
-    @example(case=(ModelId.WALFISCH_IKEGAMI, False, default_scenario(Environment.RURAL),
+    @example(case=(ModelId.WALFISCH_IKEGAMI, default_scenario(Environment.RURAL),
                    1e307, 1.2e308), share=0.97, at_checked_point=False, offset=0.0)
-    @example(case=(ModelId.SUI, False, default_scenario(Environment.URBAN),
+    @example(case=(ModelId.SUI, default_scenario(Environment.URBAN),
                    9e307, 1.79e308), share=0.9, at_checked_point=False, offset=-1e-6)
     # a bracket that holds the WI NLOS floor's kink, with targets on both sides
     @example(case=_KINK, share=0.02, at_checked_point=False, offset=0.0)
@@ -1167,7 +1158,7 @@ class TestLogAffinePieces:
     @example(case=_across_500_m(FidelityMode.AS_PRINTED), share=0.3, at_checked_point=False,
              offset=0.0)
     def test_inversion_equals_plain_bisection(self, case, share, at_checked_point, offset):
-        model, _, scenario, lo, hi = case
+        model, scenario, lo, hi = case
         curves = load_default_curves()
         at = bind(model, scenario, curves)
         checked = [lo, *(d for d in at.branch_points if lo < d < hi), hi]

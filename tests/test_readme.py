@@ -32,7 +32,7 @@ def test_python_examples_run(capsys):
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    assert "clamped to grid edge" in capsys.readouterr().out
+    assert "distance 150 km above grid maximum 100 km" in capsys.readouterr().out
 
 
 def test_public_names_are_the_listed_surface():
