@@ -11,15 +11,15 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _HOMES = {
-    **dict.fromkeys(("CurveTable", "amu_lookup", "garea_lookup", "load_curves",
-                     "load_default_curves", "okumura"), "curves"),
+    **dict.fromkeys(("CurveTable", "garea_lookup", "load_curves", "load_default_curves",
+                     "okumura"), "curves"),
     **dict.fromkeys(("BoundsError", "CurveLookupError", "CurveParseError", "DomainError",
                      "PathcastError"), "errors"),
     **dict.fromkeys(("LIGHT_SPEED_M_S", "Environment", "EricssonCoefficients",
                      "FidelityMode", "PathLossResult", "RadioLink", "WiGeometry",
                      "cost231_hata", "ericsson", "sui", "wi_los", "wi_nlos"), "propagation"),
     **dict.fromkeys(("ModelId", "Scenario", "bind", "default_scenario", "evaluate",
-                     "invert_cell_range", "sweep"), "scenario"),
+                     "invert_cell_range"), "scenario"),
     **dict.fromkeys(("DiscrepancyLedger", "LedgerEntry", "ReferenceRow",
                      "compare_against_reference", "load_reference_rows"), "reference"),
 }

@@ -17,7 +17,7 @@ locates a value's segment and log10 weight on any axis, from node log10s the
 table takes once.  Tables are immutable after load; lookups are pure.
 :func:`amu_at_frequency` binds the A_mu surface to one frequency and returns a
 per-distance lookup, so a model evaluated at many distances locates the
-frequency once; :func:`amu_lookup` is that lookup for a single (f, d) pair.
+frequency once.
 
 CSV format (UTF-8, one leading byte-order mark and '#' comments ignored):
 
@@ -302,10 +302,10 @@ def _locate(axis, logs, value, name, unit):
 def amu_at_frequency(table: CurveTable, frequency_mhz: float):
     """Bind the A_mu surface to one frequency; returns ``at(distance_km)``.
 
-    The frequency is located here, once, and ``at`` locates only the distance,
-    in km; both read the node log10s the table holds.  ``at(d / 1000.0)``
-    returns exactly what :func:`amu_lookup` returns for a distance of ``d``
-    metres.  An off-grid frequency raises here, an off-grid distance in ``at``.
+    The median attenuation, bilinear in (log f, log d) and exact at grid
+    nodes.  The frequency is located here, once, and ``at`` locates only the
+    distance, in km; both read the node log10s the table holds.  An off-grid
+    frequency raises here, an off-grid distance in ``at``.
     """
     fi, tf = _locate(table.freq_mhz, table._freq_logs, frequency_mhz, "frequency", "MHz")
     row0, row1 = table.amu_db[fi], table.amu_db[fi + 1]
@@ -323,20 +323,6 @@ def amu_at_frequency(table: CurveTable, frequency_mhz: float):
         high = row1[di] * (1.0 - td) + row1[di + 1] * td
         return low * (1.0 - tf) + high * tf
     return at
-
-
-def amu_lookup(table: CurveTable, frequency_mhz: float, distance_m: float) -> float:
-    """Median attenuation, bilinear in (log f, log d); exact at grid nodes.
-
-    Out-of-grid points raise, the frequency checked first.  For many
-    distances at one frequency, bind once with :func:`amu_at_frequency`.
-    """
-    at = amu_at_frequency(table, frequency_mhz)
-    try:
-        d_km = distance_m / 1000.0
-    except OverflowError:  # an int or Fraction too large for a float
-        d_km = math.inf if distance_m > 0 else -math.inf
-    return at(d_km)
 
 
 def garea_lookup(table: CurveTable, frequency_mhz: float,

@@ -137,14 +137,10 @@ class RadioLink:
         if sui_reference_distance_m <= 0:
             raise DomainError("SUI reference distance must be positive")
 
-    @property
-    def wavelength_m(self) -> float:
-        return _wavelength_m(self.frequency_mhz)
-
 
 def _wavelength_m(frequency_mhz):
-    """:attr:`RadioLink.wavelength_m` of a frequency, for a caller that holds
-    it: a property read is a C-to-Python call, which costs more than this one."""
+    """The wavelength of a frequency in MHz; every wavelength pathcast uses
+    comes from here."""
     return LIGHT_SPEED_M_S / (frequency_mhz * 1e6)
 
 
@@ -250,7 +246,10 @@ class PathLossResult:
         object.__setattr__(self, "total_db", total)
 
     def component(self, label: str) -> float:
-        return dict(self.components)[label]
+        for name, value in self.components:
+            if name == label:
+                return value
+        raise DomainError(f"no component labelled {label!r}")
 
 
 def _finite_total(total):

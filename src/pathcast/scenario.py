@@ -304,13 +304,6 @@ def _distance_chunks(d_min_m, d_max_m, steps, spacing):
     return chunks()
 
 
-def sweep(model: ModelId, scenario: Scenario, d_min_m: float = 1000.0,
-          d_max_m: float = 5000.0, steps: int = 50, curves: Optional[CurveTable] = None,
-          spacing: str = "log") -> tuple[tuple[float, PathLossResult], ...]:
-    """Every point of :func:`iter_sweep` in one tuple; ascending and deterministic."""
-    return tuple(iter_sweep(model, scenario, d_min_m, d_max_m, steps, curves, spacing))
-
-
 # --------------------------------------------------------------------------
 # Cell-range inversion
 # --------------------------------------------------------------------------

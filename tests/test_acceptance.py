@@ -13,7 +13,6 @@ from pathcast import (
     ModelId,
     RadioLink,
     WiGeometry,
-    amu_lookup,
     compare_against_reference,
     cost231_hata,
     default_scenario,
@@ -24,10 +23,11 @@ from pathcast import (
     load_reference_rows,
     okumura,
     sui,
-    sweep,
     wi_los,
     wi_nlos,
 )
+from pathcast.curves import amu_at_frequency
+from pathcast.scenario import iter_sweep
 import oracle
 from conftest import invoke_cli
 from test_cli_golden import GOLDEN_CASES, GOLDEN_DIR
@@ -248,8 +248,9 @@ def test_criterion_4_property_suites():
 
     # interpolation node-exactness and cell-boundedness
     for i, f in enumerate(curves.freq_mhz):
+        at = amu_at_frequency(curves, f)
         for j, d in enumerate(curves.dist_km):
-            if amu_lookup(curves, f, d * 1000.0) != curves.amu_db[i][j]:
+            if at(d) != curves.amu_db[i][j]:
                 failures.append(("node exactness", f, d))
     for _ in range(100):
         fi = rng.randrange(len(curves.freq_mhz) - 1)
@@ -258,15 +259,15 @@ def test_criterion_4_property_suites():
         d = rng.uniform(curves.dist_km[di], curves.dist_km[di + 1])
         corners = [curves.amu_db[fi][di], curves.amu_db[fi][di + 1],
                    curves.amu_db[fi + 1][di], curves.amu_db[fi + 1][di + 1]]
-        value = amu_lookup(curves, f, d * 1000.0)
+        value = amu_at_frequency(curves, f)(d)
         if not min(corners) - 1e-9 <= value <= max(corners) + 1e-9:
             failures.append(("cell boundedness", f, d, value))
 
     # sweep determinism: repeated runs are equal and ascending (120 points)
     scenario = default_scenario(Environment.SUBURBAN)
-    first = sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves)
+    first = tuple(iter_sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves))
     for _ in range(3):
-        if sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves) != first:
+        if tuple(iter_sweep(ModelId.OKUMURA, scenario, 1500.0, 60_000.0, 120, curves)) != first:
             failures.append(("sweep determinism",))
     if [d for d, _ in first] != sorted(d for d, _ in first):
         failures.append(("sweep ascending",))

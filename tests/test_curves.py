@@ -17,7 +17,6 @@ from pathcast import (
     CurveTable,
     Environment,
     RadioLink,
-    amu_lookup,
     garea_lookup,
     load_curves,
     load_default_curves,
@@ -164,7 +163,7 @@ class TestDirectTable:
     first two cases ended in ZeroDivisionError and a math domain error."""
 
     def test_valid_table_builds(self):
-        assert amu_lookup(_direct_table(), 3000.0, 10_000.0) == 4.0
+        assert amu_at_frequency(_direct_table(), 3000.0)(10.0) == 4.0
 
     @pytest.mark.parametrize("changes,message", [
         (dict(freq_mhz=(100.0, 100.0)),
@@ -216,26 +215,27 @@ class TestAmuLookup:
     def test_exact_at_every_node(self):
         table = load_curves(VALID)
         for i, freq in enumerate(table.freq_mhz):
+            at = amu_at_frequency(table, freq)
             for j, dist in enumerate(table.dist_km):
-                assert amu_lookup(table, freq, dist * 1000.0) == table.amu_db[i][j]
+                assert at(dist) == table.amu_db[i][j]
 
     def test_geometric_midpoint_is_corner_mean(self):
         table = load_curves(VALID)
         freq = math.sqrt(100.0 * 1000.0)
         dist_km = math.sqrt(1.0 * 10.0)
         mean = (10.0 + 20.0 + 15.0 + 25.0) / 4.0
-        assert amu_lookup(table, freq, dist_km * 1000.0) == pytest.approx(mean, abs=1e-9)
+        assert amu_at_frequency(table, freq)(dist_km) == pytest.approx(mean, abs=1e-9)
 
     def test_out_of_bounds_messages(self):
         table = load_curves(VALID)
         with pytest.raises(BoundsError, match="frequency 50 MHz below grid minimum 100 MHz"):
-            amu_lookup(table, 50.0, 5000.0)
+            amu_at_frequency(table, 50.0)
         with pytest.raises(BoundsError, match="distance 150 km above grid maximum 100 km"):
-            amu_lookup(table, 1000.0, 150_000.0)
+            amu_at_frequency(table, 1000.0)(150.0)
 
     @pytest.mark.parametrize("lookup,message", [
-        (lambda t: amu_lookup(t, math.nan, 5000.0), "frequency nan MHz"),
-        (lambda t: amu_lookup(t, 1000.0, math.nan), "distance nan km"),
+        (lambda t: amu_at_frequency(t, math.nan), "frequency nan MHz"),
+        (lambda t: amu_at_frequency(t, 1000.0)(math.nan), "distance nan km"),
         (lambda t: garea_lookup(t, math.nan, Environment.RURAL), "frequency nan MHz"),
         (lambda t: amu_at_frequency(t, math.nan)(5.0), "frequency nan MHz"),
     ], ids=["amu-frequency", "amu-distance", "garea", "bound-amu"])
@@ -244,11 +244,13 @@ class TestAmuLookup:
             lookup(load_curves(VALID))
 
     @pytest.mark.parametrize("lookup,message", [
-        (lambda t: amu_lookup(t, 1000.0, 10**400), "distance inf km above grid maximum 100 km"),
-        (lambda t: amu_lookup(t, 1000.0, -10**400), "distance -inf km below grid minimum 1 km"),
-        (lambda t: amu_lookup(t, 10**400, 5000.0),
+        (lambda t: amu_at_frequency(t, 1000.0)(10**400),
+         "distance inf km above grid maximum 100 km"),
+        (lambda t: amu_at_frequency(t, 1000.0)(-10**400),
+         "distance -inf km below grid minimum 1 km"),
+        (lambda t: amu_at_frequency(t, 10**400),
          "frequency inf MHz above grid maximum 3000 MHz"),
-        (lambda t: amu_lookup(t, Fraction(10**400, 3), 5000.0),
+        (lambda t: amu_at_frequency(t, Fraction(10**400, 3)),
          "frequency inf MHz above grid maximum 3000 MHz"),
         (lambda t: garea_lookup(t, 10**400, Environment.SUBURBAN),
          "frequency inf MHz above grid maximum 3000 MHz"),
@@ -266,7 +268,7 @@ class TestAmuLookup:
     ])
     def test_value_next_to_an_edge_is_shown_in_full(self, freq, dist_m, message):
         with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
-            amu_lookup(load_curves(VALID), freq, dist_m)
+            amu_at_frequency(load_curves(VALID), freq)(dist_m / 1000.0)
 
     def test_area_gain_rows_must_cover_the_frequency(self):
         # 1900 MHz is on the A_mu grid, 100-3000 MHz, but past the area gains
@@ -293,7 +295,7 @@ class TestAmuLookup:
         anchor_dists = [2.0, 10.0]
         anchor_amu = [[25.5, 34.5], [28.5, 38.5]]
         independent = oracle.bilinear_log(anchor_freqs, anchor_dists, anchor_amu, 1900.0, 5.0)
-        assert amu_lookup(bundled_curves, 1900.0, 5000.0) == pytest.approx(
+        assert amu_at_frequency(bundled_curves, 1900.0)(5.0) == pytest.approx(
             independent, abs=1.5)
 
 
@@ -316,20 +318,6 @@ class TestAmuAtFrequency:
         with pytest.raises(BoundsError, match="^distance 150 km above grid maximum 100 km$"):
             at(150.0)
         assert at(10.0) == 25.0
-
-    def test_km_lookup_is_amu_lookup_bit_for_bit(self, bundled_curves):
-        t = bundled_curves
-        freqs = [f for node in t.freq_mhz
-                 for f in (math.nextafter(node, 0.0), node, math.nextafter(node, math.inf))
-                 if t.freq_mhz[0] <= f <= t.freq_mhz[-1]]
-        dists_m = [d for node in t.dist_km
-                   for d in (math.nextafter(node * 1000.0, 0.0), node * 1000.0,
-                             math.nextafter(node * 1000.0, math.inf))
-                   if t.dist_km[0] <= d / 1000.0 <= t.dist_km[-1]]
-        for freq in freqs:
-            at = amu_at_frequency(t, freq)
-            for d in dists_m:
-                assert at(d / 1000.0).hex() == amu_lookup(t, freq, d).hex(), (freq, d)
 
 
 class TestGareaLookup:

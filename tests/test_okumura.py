@@ -14,11 +14,11 @@ from pathcast import (
     Environment,
     ModelId,
     RadioLink,
-    amu_lookup,
     default_scenario,
     load_curves,
     okumura,
 )
+from pathcast.curves import amu_at_frequency
 from pathcast.scenario import iter_sweep
 
 STUB_AMU20 = """\
@@ -156,8 +156,8 @@ class TestBoundLookup:
         at = okumura(RadioLink(1900.0, 5000.0, 30.0, 3.0), Environment.URBAN, bundled_curves)
         with pytest.raises(BoundsError, match="^distance 0.5 km below grid minimum 1 km$"):
             at(500.0)
-        assert at(5000.0).component("median_attenuation") == amu_lookup(
-            bundled_curves, 1900.0, 5000.0)
+        assert at(5000.0).component("median_attenuation") == amu_at_frequency(
+            bundled_curves, 1900.0)(5.0)
 
 
 class TestHome:

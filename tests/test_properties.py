@@ -30,7 +30,6 @@ from pathcast import (
     RadioLink,
     Scenario,
     WiGeometry,
-    amu_lookup,
     bind,
     cost231_hata,
     default_scenario,
@@ -40,7 +39,6 @@ from pathcast import (
     load_default_curves,
     okumura,
     sui,
-    sweep,
     wi_los,
     wi_nlos,
 )
@@ -48,6 +46,8 @@ from pathcast import curves as curves_module
 from pathcast import propagation
 from pathcast import scenario as scenario_module
 from pathcast.cli import _COMMANDS, _FIELDS, _REQUIRED, _command_fields
+from pathcast.curves import amu_at_frequency
+from pathcast.scenario import iter_sweep
 
 from conftest import (LOG_AXIS_DEFECTS, VALID_CURVES, bundled_curves_path, defective_curves,
                       invoke_cli, plain_bisection)
@@ -197,9 +197,9 @@ class TestModeAgreement:
 class TestInterpolationProperties:
     def test_node_exactness(self, bundled_curves):
         for i, freq in enumerate(bundled_curves.freq_mhz):
+            at = amu_at_frequency(bundled_curves, freq)
             for j, dist in enumerate(bundled_curves.dist_km):
-                assert amu_lookup(bundled_curves, freq, dist * 1000.0) == \
-                    bundled_curves.amu_db[i][j]
+                assert at(dist) == bundled_curves.amu_db[i][j]
 
     def test_cell_boundedness(self, bundled_curves):
         rng = random.Random(8)
@@ -212,7 +212,7 @@ class TestInterpolationProperties:
             d = rng.uniform(dists[di], dists[di + 1])
             corners = [bundled_curves.amu_db[fi][di], bundled_curves.amu_db[fi][di + 1],
                        bundled_curves.amu_db[fi + 1][di], bundled_curves.amu_db[fi + 1][di + 1]]
-            value = amu_lookup(bundled_curves, f, d * 1000.0)
+            value = amu_at_frequency(bundled_curves, f)(d)
             assert min(corners) - 1e-9 <= value <= max(corners) + 1e-9
 
 
@@ -220,7 +220,7 @@ class TestSweepDeterminism:
     def test_repeated_runs_equal(self, bundled_curves):
         scenario = default_scenario(Environment.SUBURBAN)
         for model in (ModelId.SUI, ModelId.OKUMURA, ModelId.WALFISCH_IKEGAMI):
-            runs = [sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves)
+            runs = [tuple(iter_sweep(model, scenario, 1500.0, 50_000.0, 120, bundled_curves))
                     for _ in range(3)]
             assert runs[0] == runs[1] == runs[2]
             assert [d for d, _ in runs[0]] == sorted(d for d, _ in runs[0])
@@ -309,6 +309,15 @@ class TestResultInvariants:
         assert result.total_db == 2.5
         assert result.components == (("a", 1), ("b", Fraction(1, 2)), ("c", True))
         assert all(type(component) is tuple for component in result.components)
+
+    @pytest.mark.parametrize("label", ["nope", 1, ["x"]],
+                             ids=["absent", "not-a-str", "unhashable"])
+    def test_component_refuses_a_label_it_lacks(self, label):
+        # before, a bare KeyError, or a TypeError for an unhashable label
+        result = evaluate(ModelId.SUI, default_scenario(Environment.URBAN))
+        assert all(result.component(name) == value for name, value in result.components)
+        with pytest.raises(DomainError, match=f"^no component labelled {re.escape(repr(label))}$"):
+            result.component(label)
 
     def test_margin_adds_exactly(self, bundled_curves):
         rng = random.Random(77)
@@ -584,10 +593,10 @@ class TestFiniteOrPathcastError:
          "bs_height_m must be finite"),
         (lambda: invert_cell_range(ModelId.COST231_HATA, default_scenario(Environment.URBAN),
                                    140.0, d_max_m=10**400), "distance must be finite"),
-        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), d_max_m=10**400),
-         "distance must be finite"),
-        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), 10**400, 10**401,
-                       spacing="linear"), "distance must be finite"),
+        (lambda: next(iter_sweep(ModelId.SUI, default_scenario(Environment.URBAN),
+                                 d_max_m=10**400)), "distance must be finite"),
+        (lambda: next(iter_sweep(ModelId.SUI, default_scenario(Environment.URBAN), 10**400,
+                                 10**401, spacing="linear")), "distance must be finite"),
     ])
     def test_int_past_the_float_range(self, make, message):
         """An int too large for a float is a DomainError, never an OverflowError."""
@@ -600,10 +609,11 @@ class TestFiniteOrPathcastError:
         (lambda: WiGeometry(street_width_m=Fraction(1, 10**400)), DomainError, _STREET),
         (lambda: bind(ModelId.SUI, default_scenario(Environment.URBAN))(Fraction(1, 3)),
          DomainError, "distance 0.333333 m is below reference distance 100 m"),
-        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), Fraction(1, 10**400)),
+        (lambda: next(iter_sweep(ModelId.SUI, default_scenario(Environment.URBAN),
+                                 Fraction(1, 10**400))),
          DomainError, "log spacing requires d_min > 0"),
-        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), Fraction(1, 10**400),
-                       spacing="linear"),
+        (lambda: next(iter_sweep(ModelId.SUI, default_scenario(Environment.URBAN),
+                                 Fraction(1, 10**400), spacing="linear")),
          DomainError, "sweep aborted at 0.00 m: distance 0 m underflows to 0 km"),
         (lambda: invert_cell_range(ModelId.SUI, default_scenario(Environment.URBAN),
                                    Fraction(7, 2), Fraction(1000), Fraction(10_000)),
@@ -636,8 +646,8 @@ class TestFiniteOrPathcastError:
          "must be real number, not NoneType"),
         (lambda: invert_cell_range(ModelId.COST231_HATA, default_scenario(Environment.URBAN),
                                    "150"), TypeError, "'<=' not supported"),
-        (lambda: sweep(ModelId.SUI, default_scenario(Environment.URBAN), "a", "b"), ValueError,
-         "could not convert string to float: 'a'"),
+        (lambda: next(iter_sweep(ModelId.SUI, default_scenario(Environment.URBAN), "a", "b")),
+         ValueError, "could not convert string to float: 'a'"),
     ])
     def test_wrong_type_is_pythons_error(self, make, error, message):
         """A str, None or complex where a number belongs raises Python's own
@@ -676,7 +686,8 @@ class TestFiniteOrPathcastError:
                 call()
         totals = scenario_module._sweep_totals(model, scenario, 1000.0, 5000.0, 50,
                                                bundled_curves, "log")
-        for call in (lambda: sweep(model, scenario, curves=bundled_curves), lambda: list(totals)):
+        points = iter_sweep(model, scenario, curves=bundled_curves)
+        for call in (lambda: list(points), lambda: list(totals)):
             with pytest.raises(DomainError, match=f"^sweep aborted at 1000.00 m: {message}$"):
                 call()
         for evaluate_at in (at, at.loss, lambda d: at.losses([d])):
@@ -909,7 +920,7 @@ class TestCellRangeOnAnyCurveGrid:
             for offset in (-width, 0.0, width):
                 d_km = 10.0 ** (centre + offset)
                 drop = depth if offset == 0.0 else 0.0
-                nodes[d_km] = amu_lookup(base, 1900.0, d_km * 1000.0) - drop
+                nodes[d_km] = amu_at_frequency(base, 1900.0)(d_km) - drop
             assume(len(nodes) == 12)
             dist_km, amu_db = zip(*sorted(nodes.items()))
         curves = _curve_table(dist_km, amu_db)

@@ -17,11 +17,11 @@ PUBLIC_NAMES = sorted([
     "RadioLink", "WiGeometry", "EricssonCoefficients", "Environment", "FidelityMode",
     "PathLossResult", "LIGHT_SPEED_M_S",
     # scenarios, sweeps, inversion and the reference comparison
-    "ModelId", "Scenario", "default_scenario", "bind", "evaluate", "sweep",
+    "ModelId", "Scenario", "default_scenario", "bind", "evaluate",
     "invert_cell_range", "compare_against_reference", "load_reference_rows",
     "ReferenceRow", "LedgerEntry", "DiscrepancyLedger",
     # curve tables
-    "CurveTable", "load_curves", "load_default_curves", "amu_lookup", "garea_lookup",
+    "CurveTable", "load_curves", "load_default_curves", "garea_lookup",
     # errors
     "PathcastError", "DomainError", "BoundsError", "CurveLookupError", "CurveParseError",
 ])

@@ -23,7 +23,6 @@ from pathcast import (
     RadioLink,
     Scenario,
     WiGeometry,
-    amu_lookup,
     compare_against_reference,
     cost231_hata,
     default_scenario,
@@ -35,12 +34,13 @@ from pathcast import (
     load_reference_rows,
     okumura,
     sui,
-    sweep,
     wi_los,
     wi_nlos,
 )
 from pathcast import scenario as scenario_module
+from pathcast.curves import amu_at_frequency
 from pathcast.propagation import _moderate
+from pathcast.scenario import iter_sweep
 
 import oracle
 from conftest import checked_points, flat_distances, invoke_cli, plain_bisection
@@ -447,14 +447,14 @@ class TestEvaluate:
 class TestSweep:
     def test_endpoints_only(self):
         s = default_scenario(Environment.RURAL)
-        points = sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=2)
+        points = tuple(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=2))
         assert [d for d, _ in points] == [1000.0, 5000.0]
         assert points[0][1].total_db == pytest.approx(108.21507201905658, abs=1e-9)
         assert points[1][1].total_db == pytest.approx(126.38829213179307, abs=1e-9)
 
     def test_degenerate_span(self):
         s = default_scenario(Environment.RURAL)
-        points = sweep(ModelId.WALFISCH_IKEGAMI, s, 4999.99, 5000.0, steps=2)
+        points = tuple(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 4999.99, 5000.0, steps=2))
         distances = [d for d, _ in points]
         assert distances == sorted(distances)
         assert distances[0] < distances[1]
@@ -462,25 +462,25 @@ class TestSweep:
     def test_precondition_violation_names_distance(self):
         s = default_scenario(Environment.URBAN)
         with pytest.raises(DomainError, match="50.00 m"):
-            sweep(ModelId.SUI, s, 50.0, 5000.0, steps=4)
+            next(iter_sweep(ModelId.SUI, s, 50.0, 5000.0, steps=4))
 
     def test_log_spacing_default(self):
         s = default_scenario(Environment.RURAL)
-        points = sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 4000.0, steps=3)
+        points = tuple(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 4000.0, steps=3))
         assert points[1][0] == pytest.approx(2000.0, rel=1e-12)
 
     def test_linear_spacing(self):
         s = default_scenario(Environment.RURAL)
-        points = sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 4000.0, steps=3,
-                       spacing="linear")
+        points = tuple(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 4000.0, steps=3,
+                                  spacing="linear"))
         assert points[1][0] == pytest.approx(2500.0, rel=1e-12)
 
     def test_invalid_parameters(self):
         s = default_scenario(Environment.RURAL)
         with pytest.raises(DomainError):
-            sweep(ModelId.WALFISCH_IKEGAMI, s, 5000.0, 1000.0, steps=2)
+            next(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 5000.0, 1000.0, steps=2))
         with pytest.raises(DomainError):
-            sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1)
+            next(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, 1000.0, 5000.0, steps=1))
         with pytest.raises(DomainError,
                            match=r"^unknown spacing 'cubic' \(expected log or linear\)$"):
             flat_distances(1, 2, 3, "cubic")
@@ -489,7 +489,7 @@ class TestSweep:
     def test_log_spacing_needs_positive_start(self, d_min):
         s = default_scenario(Environment.RURAL)
         with pytest.raises(DomainError, match="log spacing requires d_min > 0"):
-            sweep(ModelId.WALFISCH_IKEGAMI, s, d_min, 5000.0, steps=3)
+            next(iter_sweep(ModelId.WALFISCH_IKEGAMI, s, d_min, 5000.0, steps=3))
         with pytest.raises(DomainError, match="bracket requires d_min > 0"):
             invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, 120.0, d_min, 5000.0)
 
@@ -497,20 +497,16 @@ class TestSweep:
         s = default_scenario(Environment.URBAN)
         seen = []
         with pytest.raises(DomainError, match="sweep aborted at 100071.35 m: distance 100.071 km"):
-            for point in scenario_module.iter_sweep(ModelId.OKUMURA, s, 50_000.0, 150_000.0,
-                                                    20, bundled_curves):
+            for point in iter_sweep(ModelId.OKUMURA, s, 50_000.0, 150_000.0, 20,
+                                    bundled_curves):
                 seen.append(point)
         assert len(seen) == 12
         fresh = default_scenario(Environment.URBAN, distance_m=50_000.0)
         assert seen[0][1] == evaluate(ModelId.OKUMURA, fresh, bundled_curves)
 
-    def test_sweep_takes_iter_sweep_parameters(self):
-        assert inspect.signature(sweep).parameters == \
-            inspect.signature(scenario_module.iter_sweep).parameters
-
     def test_default_range(self):
         s = default_scenario(Environment.RURAL)
-        points = sweep(ModelId.WALFISCH_IKEGAMI, s)
+        points = tuple(iter_sweep(ModelId.WALFISCH_IKEGAMI, s))
         assert (points[0][0], points[-1][0], len(points)) == (1000.0, 5000.0, 50)
         # the default bracket reaches past the default sweep end, to 10 km
         far = invert_cell_range(ModelId.WALFISCH_IKEGAMI, s, points[-1][1].total_db + 5.0)
@@ -522,8 +518,7 @@ class TestSweep:
             raise AssertionError("a point was computed")
         monkeypatch.setattr(scenario_module, "bind", no_binding)
         s = default_scenario(Environment.URBAN)
-        calls = [lambda: sweep(ModelId.SUI, s, 1000.0, 5000.0, steps),
-                 lambda: next(scenario_module.iter_sweep(ModelId.SUI, s, 1000.0, 5000.0, steps)),
+        calls = [lambda: next(iter_sweep(ModelId.SUI, s, 1000.0, 5000.0, steps)),
                  lambda: next(scenario_module._sweep_totals(ModelId.SUI, s, 1000.0, 5000.0,
                                                             steps, None, "log")),
                  lambda: flat_distances(1000.0, 5000.0, steps)]
@@ -545,7 +540,7 @@ class TestSweep:
             with pytest.raises(DomainError, match=message):
                 scenario_module._distance_chunks(200.0, 300.0, sys.maxsize + 1, spacing)
         with pytest.raises(DomainError, match=message):
-            sweep(ModelId.SUI, s, 200.0, 300.0, 10**20)
+            next(iter_sweep(ModelId.SUI, s, 200.0, 300.0, 10**20))
         # with no binding, a CLI sweep that is not refused fails fast here
         code, out, err = invoke_cli(["sweep", "--model", "sui", "--d-min-m", "200", "--d-max-m",
                                      "300", "--steps", "99999999999999999999"])
@@ -628,8 +623,7 @@ class TestSweepDistances:
                 assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
                 assert 0 < len(chunks[-1]) <= chunk
                 assert [d.hex() for c in chunks for d in c] == expected, steps
-                points = scenario_module.iter_sweep(ModelId.SUI, s, d_min, d_max, steps,
-                                                    spacing=spacing)
+                points = iter_sweep(ModelId.SUI, s, d_min, d_max, steps, spacing=spacing)
                 assert [d.hex() for d, _ in points] == expected, steps
 
 
@@ -656,8 +650,8 @@ def test_sweep_points_equal_fresh_evaluation(model, bundled_curves):
             for margin in (False, True):
                 for variant in variants:
                     kwargs = dict(variant, mode=mode, apply_shadow_margin=margin)
-                    points = sweep(model, default_scenario(env, **kwargs), d_min, 20_000.0,
-                                   41, bundled_curves)
+                    points = iter_sweep(model, default_scenario(env, **kwargs), d_min,
+                                        20_000.0, 41, bundled_curves)
                     for distance, result in points:
                         fresh = default_scenario(env, distance_m=distance, **kwargs)
                         assert result == evaluate(model, fresh, bundled_curves)
@@ -799,8 +793,8 @@ def _dip_table(bundled):
     dist_km = (1.0, 2.0, 4.5, 5.0, 5.5) + tuple(d for d in bundled.dist_km if d >= 10.0)
     lines = ["AMU," + ",".join(map(repr, dist_km))]
     for f in bundled.freq_mhz:
-        amu_db = (amu_lookup(bundled, f, d * 1000.0) - (8.0 if d == 5.0 else 0.0)
-                  for d in dist_km)
+        amu_at = amu_at_frequency(bundled, f)
+        amu_db = (amu_at(d) - (8.0 if d == 5.0 else 0.0) for d in dist_km)
         lines.append(",".join(map(repr, (f, *amu_db))))
     lines.append("GAREA,freq_mhz,environment,gain_db")
     lines += [f"{f!r},{env.value},{gain!r}"
